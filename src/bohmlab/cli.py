@@ -21,6 +21,11 @@ Config sections and keys (all optional except run.command):
 
 Commands: propagate, trajectories, born-check, stern-gerlach,
 contextuality, pointer-model, nogo.
+
+The default packet spin is spin_up = 1, spin_down = 0: a pure spin-up
+packet.  With it born-check and stern-gerlach run a p = 1 experiment,
+and contextuality, which needs |spin_up| = |spin_down|, rejects the
+config (exit 2).  Set both to 0.70710678118654752 for equal weights.
 """
 
 from __future__ import annotations
@@ -956,7 +961,7 @@ def main(argv=None) -> int:
         "--format", dest="formats", default=None, help="override the configured formats, e.g. csv,json"
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads; outputs do not depend on this"
+        "--threads", type=int, default=1, help="at most this many worker threads; outputs do not depend on this"
     )
     args = parser.parse_args(argv)
 

@@ -48,6 +48,8 @@ __all__ = [
 
 NULL_FRACTION_LIMIT = 0.05
 NO_CROSSING_BAND = 1e-9
+# history elements per block of the no-crossing scan (1 MB of float64)
+NO_CROSSING_BLOCK = 1 << 17
 SPIN_NORM_TOL = 1e-9
 MIRROR_TOL = 1e-12
 
@@ -476,9 +478,14 @@ def no_crossing_check(ensemble: TrajectoryEnsemble, z_sym: float = 0.0) -> bool:
         )
     if abs(abs(ensemble.spin_up) - abs(ensemble.spin_down)) > MIRROR_TOL:
         raise ValueError("no-crossing check requires |a| = |b|")
-    dev = ensemble.positions - z_sym
-    above = (dev > NO_CROSSING_BAND).any(axis=0)
-    below = (dev < -NO_CROSSING_BAND).any(axis=0)
+    positions = ensemble.positions
+    above = np.zeros(positions.shape[1], dtype=bool)
+    below = np.zeros(positions.shape[1], dtype=bool)
+    rows = max(1, NO_CROSSING_BLOCK // positions.shape[1])
+    for lo in range(0, positions.shape[0], rows):
+        dev = positions[lo:lo + rows] - z_sym
+        above |= (dev > NO_CROSSING_BAND).any(axis=0)
+        below |= (dev < -NO_CROSSING_BAND).any(axis=0)
     return not bool(np.any(above & below))
 
 

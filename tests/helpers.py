@@ -2,7 +2,8 @@
 
 Everything here is computed independently of the package internals:
 finite differences instead of spectral derivatives, closed-form
-Gaussian results, and plain sums for moments.
+Gaussian results, plain sums for moments, and a node-by-node Lagrange
+interpolant for the guidance velocity.
 """
 
 import math
@@ -70,3 +71,44 @@ def random_spec(rng: np.random.Generator, dim: int) -> ExperimentSpec:
         outcomes.append(Outcome(f"a{idx}", cols @ cols.conj().T, lam))
         lam += 0.5 + float(rng.random())
     return ExperimentSpec(dim=dim, outcomes=tuple(outcomes))
+
+
+def lagrange_flow(field: SpinorField, q):
+    """Guidance numerator and density at q, node by node from the formulas.
+
+    Reference for the transport kernel: spectral derivative, then for each
+    q the 4-point Lagrange cubic through nodes j-1..j+2 (taken modulo n),
+    with u = (q - x_min)/dx, j = floor(u), s = u - j and weights
+    prod_{m != k} (s - m)/(k - m).  Returns (numerator, density, eps, vmax)
+    with the density floor eps = 1e-12 * max node density and the speed
+    cap vmax = pi/(2 dx).
+    """
+    grid = field.grid
+    ik = 2j * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    num = np.zeros(grid.n)
+    den = np.zeros(grid.n)
+    for c in (field.comp1, field.comp2):
+        num += (np.conj(c) * np.fft.ifft(ik * np.fft.fft(c))).imag
+        den += np.abs(c) ** 2
+    qs = np.atleast_1d(np.asarray(q, dtype=np.float64))
+    num_q = np.zeros(qs.size)
+    den_q = np.zeros(qs.size)
+    offsets = (-1, 0, 1, 2)
+    for i, x in enumerate(qs):
+        u = (x - grid.x_min) / grid.dx
+        j = math.floor(u)
+        s = u - j
+        for k in offsets:
+            w = 1.0
+            for m in offsets:
+                if m != k:
+                    w *= (s - m) / (k - m)
+            num_q[i] += w * num[(j + k) % grid.n]
+            den_q[i] += w * den[(j + k) % grid.n]
+    return num_q, den_q, 1e-12 * float(den.max()), 0.5 * np.pi / grid.dx
+
+
+def lagrange_velocity(field: SpinorField, q):
+    """Guidance velocity at q: floored quotient of lagrange_flow, capped."""
+    num_q, den_q, eps, vmax = lagrange_flow(field, q)
+    return np.clip(num_q / np.maximum(den_q, eps), -vmax, vmax)

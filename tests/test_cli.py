@@ -296,6 +296,16 @@ class TestFailureModes:
         assert report["error"] == "ConfigError"
         assert len(report["messages"]) == 2
 
+    def test_contextuality_with_default_spin_exits_2(self, tmp_path, capsys):
+        # the default packet is pure spin up, (1, 0)
+        code, out = invoke(tmp_path, "[run]\ncommand = contextuality\n")
+        assert code == 2
+        assert not out.exists()
+        messages = json.loads(capsys.readouterr().err)["messages"]
+        assert messages == [
+            "[packet] spin_up: the reversal demonstration requires |spin_up| = |spin_down|"
+        ]
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "missing.cfg")])
         assert code == 2

@@ -238,6 +238,37 @@ class TestNoCrossing:
             no_crossing_check(lopsided)
 
 
+    def test_blocked_scan_equals_full_comparison(self, balanced_run, monkeypatch):
+        from dataclasses import replace
+
+        from bohmlab import stern_gerlach
+
+        def unblocked(positions):
+            above = (positions > stern_gerlach.NO_CROSSING_BAND).any(axis=0)
+            below = (positions < -stern_gerlach.NO_CROSSING_BAND).any(axis=0)
+            return not bool(np.any(above & below))
+
+        _, ensemble = balanced_run
+        sides = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        base = sides * np.random.default_rng(5).uniform(0.5, 3.0, size=(23, 6))
+        inside = base.copy()  # particle 4 wanders within the band around z = 0
+        inside[:, 4] = np.linspace(-1e-9, 1e-9, 23)
+        inside[5, 0], inside[7, 1] = -1e-9, 1e-9  # on the band edge, not across it
+        cases = [(base, True), (inside, True)]
+        for row in range(1, 23):  # row 22 is the last
+            excursion = base.copy()  # particle 2 is across in this row only
+            excursion[row, 2] = -excursion[row, 2]
+            cases.append((excursion, False))
+            for particle in (2, 3):  # across from this row on, from either side
+                switch = base.copy()
+                switch[row:, particle] = -switch[row:, particle]
+                cases.append((switch, False))
+        monkeypatch.setattr(stern_gerlach, "NO_CROSSING_BLOCK", 20)  # 3-row blocks
+        for history, expected in cases:
+            assert unblocked(history) is expected
+            assert no_crossing_check(replace(ensemble, positions=history)) is expected
+
+
 class TestContextualityDemo:
     def test_opposite_maps_same_statistics(self):
         qs = np.linspace(-1.5, 1.5, 13)

@@ -5,6 +5,7 @@ import pytest
 
 from bohmlab import (
     HamiltonianSpec,
+    SpinorField,
     Trajectory,
     equivariance_check,
     evolve,
@@ -17,7 +18,8 @@ from bohmlab import (
     sample,
     velocity,
 )
-from helpers import free_velocity
+from bohmlab import trajectories
+from helpers import free_velocity, lagrange_flow, lagrange_velocity
 
 GRID = make_grid(512, -30.0, 30.0)
 NYQUIST_CAP = 0.5 * np.pi / GRID.dx
@@ -56,6 +58,60 @@ class TestVelocity:
     def test_scalar_in_scalar_out(self, free_timeline):
         v = velocity(free_timeline.fields[-1], 0.5)
         assert isinstance(v, float)
+
+
+def assert_matches_oracle(field, qs):
+    got = velocity(field, qs)
+    ref = lagrange_velocity(field, qs)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def packet(center, sigma, k):
+    x = GRID.xs()
+    return np.exp(-(((x - center) / sigma) ** 2) / 4.0 + 1j * k * x)
+
+
+class TestVelocityOracle:
+    """velocity() against the node-by-node Lagrange reference in helpers."""
+
+    def test_random_positions(self):
+        up = packet(-2.0, 1.5, 1.3) + 0.6 * packet(3.0, 1.0, -2.0)
+        f = SpinorField(GRID, up, 0.8 * packet(0.0, 2.0, 0.5))
+        qs = np.random.default_rng(3).uniform(-8.0, 8.0, 500)
+        assert_matches_oracle(f, qs)
+
+    def test_wrap_cells(self):
+        x = GRID.xs()
+        k = 2.0 * np.pi / GRID.length
+        up = np.exp(3j * k * x) + 0.5 * np.exp(-5j * k * x)
+        f = SpinorField(GRID, up, 0.3 * np.exp(7j * k * x))
+        rng = np.random.default_rng(4)
+        qs = np.concatenate([
+            GRID.x_min + GRID.dx * rng.random(20),
+            GRID.x_max - 2.0 * GRID.dx * (1.0 - rng.random(20)),
+            [GRID.x_min, GRID.x_max - 2.0 * GRID.dx],
+        ])
+        assert_matches_oracle(f, qs)
+
+    def test_density_floor(self):
+        # the wave vanishes on every node below j0; in the cell starting at
+        # x[j0 - 2] the interpolated density is negative, so the floor sets v
+        j0 = 300
+        x = GRID.xs()
+        up = np.where(np.arange(GRID.n) >= j0, packet(x[j0] + 1.0, 1.0, 2.0), 0.0)
+        f = SpinorField(GRID, up, np.zeros(GRID.n))
+        qs = x[j0 - 2] + GRID.dx * np.array([1e-11, 2e-11, 3e-11])
+        num_q, den_q, eps, vmax = lagrange_flow(f, qs)
+        assert np.all(den_q < eps) and np.all(np.abs(num_q / eps) < vmax)
+        assert_matches_oracle(f, qs)
+        inside_node = x[j0 - 20] + 0.3 * GRID.dx
+        assert velocity(f, inside_node) == 0.0 == lagrange_velocity(f, inside_node)[0]
+
+    def test_speed_cap(self):
+        f = plane_wave(GRID, 200)
+        qs = np.array([-12.3, 0.0, 0.17, 25.0])
+        assert np.all(lagrange_velocity(f, qs) == NYQUIST_CAP)
+        assert_matches_oracle(f, qs)
 
 
 class TestFlow:
@@ -123,11 +179,30 @@ class TestDeterminism:
         solo = integrate_ensemble(free_timeline, [0.4])
         assert full.q_final[1] == solo.q_final[0]
 
-    def test_thread_count_invisible(self, free_timeline):
+    def test_thread_count_invisible(self, free_timeline, monkeypatch):
+        # small ensembles stay on one worker; lower the minimum to split them
+        monkeypatch.setattr(trajectories, "MIN_PER_WORKER", 16)
         q0 = sample(free_timeline.fields[0], 257, seed=11)
         one = integrate_ensemble(free_timeline, q0, threads=1)
+        assert trajectories._chunks(257, 4)[0] == 4
         four = integrate_ensemble(free_timeline, q0, threads=4)
         assert np.array_equal(one.q_final, four.q_final)
+
+    def test_uneven_chunks_invisible(self, free_timeline, monkeypatch):
+        monkeypatch.setattr(trajectories, "MIN_PER_WORKER", 16)
+        monkeypatch.setattr(trajectories, "TILE", 40)
+        q0 = sample(free_timeline.fields[0], 203, seed=12)
+        workers, bounds = trajectories._chunks(203, 3)
+        assert workers == 3 and len(bounds) - 1 == 6
+        assert len(set(np.diff(bounds).tolist())) == 2  # 203 does not split evenly
+        split = integrate_ensemble(free_timeline, q0, keep_history=True, threads=3)
+        monkeypatch.setattr(trajectories, "TILE", 1 << 20)
+        whole = integrate_ensemble(free_timeline, q0, keep_history=True, threads=1)
+        assert np.array_equal(split.positions, whole.positions)
+
+    def test_small_ensembles_use_one_worker(self):
+        assert trajectories._chunks(trajectories.MIN_PER_WORKER * 2 - 1, 2)[0] == 1
+        assert trajectories._chunks(trajectories.MIN_PER_WORKER * 2, 2)[0] == 2
 
 
 class TestEquivariance:
