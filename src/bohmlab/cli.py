@@ -6,21 +6,9 @@ summary in the output directory.  For a fixed config and seed the output
 bytes are identical across reruns and thread counts; nothing
 time-dependent enters the data files.
 
-Config sections and keys (all optional except run.command):
-
-    [run]        command, seed, n_samples, out, format
-    [grid]       n, x_min, x_max
-    [packet]     center, sigma, k, spin_up, spin_down
-    [setup]      b0, b_grad, mu, tau, t_drift, z_det, polarity,
-                 calibration_up, calibration_down, reverse_geometry
-    [numerics]   dt, record_every, substeps
-    [propagate]  t_total
-    [trajectories] t_total
-    [contextuality] q_points, q_span
-    [pointer]    state, spec_file
-
-Commands: propagate, trajectories, born-check, stern-gerlach,
-contextuality, pointer-model, nogo.
+README.md ("Batch CLI") documents every section, key and default.  The
+[grid], [packet], [setup] and [numerics] keys are fields of SGNumerics,
+PacketSpec and SGSetup, which own their defaults and checks.
 
 The default packet spin is spin_up = 1, spin_down = 0: a pure spin-up
 packet.  With it born-check and stern-gerlach run a p = 1 experiment,
@@ -41,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grids import density, gaussian_packet, make_grid
+from .grids import check_packet_fits, density, gaussian_packet
 from .operators import (
     ExperimentSpec,
     Outcome,
@@ -53,12 +41,14 @@ from .operators import (
     spec_from_text,
 )
 from .peres_mermin import contextual_witness
-from .propagation import HamiltonianSpec, evolve
+from .propagation import HamiltonianSpec, evolve, window_steps
 from .sampling import KS_COEFF, ks_distance, sample
 from .stern_gerlach import (
     PacketSpec,
     SGNumerics,
     SGSetup,
+    _check_packet_symmetric,
+    _check_reversal_setup,
     branch_overlap,
     build_timeline,
     contextuality_demo,
@@ -68,15 +58,6 @@ from .trajectories import integrate_ensemble
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
-COMMANDS = (
-    "propagate",
-    "trajectories",
-    "born-check",
-    "stern-gerlach",
-    "contextuality",
-    "pointer-model",
-    "nogo",
-)
 FORMATS = ("csv", "json")
 CSV_SCHEMA_VERSION = 1
 SEED_MAX = 2**64 - 1
@@ -97,16 +78,11 @@ class RunConfig:
     n_samples: int
     out: str
     formats: tuple[str, ...]
-    grid_n: int
-    x_min: float
-    x_max: float
     packet: PacketSpec
     spin_up: complex
     spin_down: complex
     setup: SGSetup
-    dt: float
-    record_every: int
-    substeps: int
+    numerics: SGNumerics
     t_total: float
     q_points: int
     q_span: float
@@ -161,10 +137,6 @@ def _tokenize(text: str):
     return sections, section_lines, errors
 
 
-def _as_str(value: str) -> str:
-    return value
-
-
 def _as_int(value: str) -> int:
     try:
         return int(value, 10)
@@ -179,6 +151,25 @@ def _as_seed(value: str) -> int:
     return n
 
 
+def _as_count(value: str) -> int:
+    n = _as_int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _as_command(value: str) -> str:
+    if value not in COMMANDS:
+        raise ValueError(f"unknown command {value!r}; one of {', '.join(COMMANDS)}")
+    return value
+
+
+def _as_out(value: str) -> str:
+    if not value:
+        raise ValueError("must be a nonempty directory name")
+    return value
+
+
 def _as_float(value: str) -> float:
     try:
         x = float(value)
@@ -186,6 +177,13 @@ def _as_float(value: str) -> float:
         raise ValueError(f"expected a number, got {value!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
+def _as_positive(value: str) -> float:
+    x = _as_float(value)
+    if x <= 0:
+        raise ValueError(f"must be positive, got {x}")
     return x
 
 
@@ -199,6 +197,15 @@ def _as_complex(value: str) -> complex:
     return z
 
 
+def _as_state(value: str) -> tuple[complex, ...]:
+    comps = tuple(_as_complex(tok) for tok in value.split())
+    if not comps:
+        raise ValueError("must hold at least one complex component")
+    if all(z == 0 for z in comps):
+        raise ValueError("components must not all be zero")
+    return comps
+
+
 def _as_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "on", "1"):
@@ -208,52 +215,6 @@ def _as_bool(value: str) -> bool:
     raise ValueError(f"expected true or false, got {value!r}")
 
 
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "run": {
-        "command": (_as_str, None),
-        "seed": (_as_seed, 0),
-        "n_samples": (_as_int, 10_000),
-        "out": (_as_str, "out"),
-        "format": (_as_str, "csv,json"),
-    },
-    "grid": {
-        "n": (_as_int, 512),
-        "x_min": (_as_float, -30.0),
-        "x_max": (_as_float, 30.0),
-    },
-    "packet": {
-        "center": (_as_float, 0.0),
-        "sigma": (_as_float, 1.0),
-        "k": (_as_float, 0.0),
-        "spin_up": (_as_complex, complex(1.0)),
-        "spin_down": (_as_complex, complex(0.0)),
-    },
-    "setup": {
-        "b0": (_as_float, 0.0),
-        "b_grad": (_as_float, 4.0),
-        "mu": (_as_float, -1.0),
-        "tau": (_as_float, 1.0),
-        "t_drift": (_as_float, 2.0),
-        "z_det": (_as_float, 4.5),
-        "polarity": (_as_int, 1),
-        "calibration_up": (_as_float, 1.0),
-        "calibration_down": (_as_float, -1.0),
-        "reverse_geometry": (_as_bool, False),
-    },
-    "numerics": {
-        "dt": (_as_float, 1.0 / 256.0),
-        "record_every": (_as_int, 8),
-        "substeps": (_as_int, 4),
-    },
-    "propagate": {"t_total": (_as_float, 2.0)},
-    "trajectories": {"t_total": (_as_float, 2.0)},
-    "contextuality": {"q_points": (_as_int, 99), "q_span": (_as_float, 2.5)},
-    "pointer": {"state": (_as_str, "0.6 0.8"), "spec_file": (_as_str, None)},
-}
-
-_SPLITTING_COMMANDS = ("born-check", "stern-gerlach", "contextuality")
-
-
 def _parse_formats(value: str) -> tuple[str, ...]:
     parts = [p.strip() for p in value.split(",") if p.strip()]
     if not parts:
@@ -261,34 +222,81 @@ def _parse_formats(value: str) -> tuple[str, ...]:
     bad = [p for p in parts if p not in FORMATS]
     if bad:
         raise ValueError(f"unknown format(s) {', '.join(map(repr, bad))}; choose from {FORMATS}")
-    seen: list[str] = []
-    for p in parts:
-        if p not in seen:
-            seen.append(p)
-    return tuple(seen)
+    return tuple(dict.fromkeys(parts))  # first occurrence of each, in order
 
 
-def _check_window_steps(name: str, duration: float, dt: float, record_every: int, fail) -> None:
-    if duration <= 0:
-        return
-    steps = duration / dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-        fail(f"{name} = {duration} must be an integer multiple of dt = {dt}")
-    elif int(round(steps)) % record_every != 0:
-        fail(
-            f"record_every = {record_every} must divide the {steps:.0f} steps of {name}"
-        )
+# Sections whose keys are dataclass fields: section -> (class, {key: field}).
+# [grid] holds the SGNumerics fields that make the grid, [numerics] the rest.
+_GRID_KEYS = {"n": "grid_n", "x_min": "x_min", "x_max": "x_max"}
+_FIELD_SECTIONS = {
+    "grid": (SGNumerics, _GRID_KEYS),
+    "packet": (PacketSpec, {f.name: f.name for f in dataclasses.fields(PacketSpec)}),
+    "setup": (SGSetup, {f.name: f.name for f in dataclasses.fields(SGSetup)}),
+    "numerics": (
+        SGNumerics,
+        {f.name: f.name for f in dataclasses.fields(SGNumerics) if f.name not in _GRID_KEYS.values()},
+    ),
+}
+
+# Field annotations are strings under `from __future__ import annotations`.
+_CONVERTERS = {"int": _as_int, "float": _as_float, "bool": _as_bool}
+
+
+def _field_schema(section: str) -> dict[str, tuple]:
+    cls, keys = _FIELD_SECTIONS[section]
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    return {
+        key: (_CONVERTERS[fields[name].type], fields[name].default) for key, name in keys.items()
+    }
+
+
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "run": {
+        "command": (_as_command, None),
+        "seed": (_as_seed, 0),
+        "n_samples": (_as_count, 10_000),
+        "out": (_as_out, "out"),
+        "format": (_parse_formats, ("csv", "json")),
+    },
+    "grid": _field_schema("grid"),
+    "packet": {
+        **_field_schema("packet"),
+        "spin_up": (_as_complex, complex(1.0)),
+        "spin_down": (_as_complex, complex(0.0)),
+    },
+    "setup": _field_schema("setup"),
+    "numerics": _field_schema("numerics"),
+    "propagate": {"t_total": (_as_positive, 2.0)},
+    "trajectories": {"t_total": (_as_positive, 2.0)},
+    "contextuality": {"q_points": (_as_count, 99), "q_span": (_as_positive, 2.5)},
+    "pointer": {"state": (_as_state, (0.6 + 0j, 0.8 + 0j)), "spec_file": (str, None)},
+}
+
+_SPLITTING_COMMANDS = ("born-check", "stern-gerlach", "contextuality")
+_FREE_COMMANDS = ("propagate", "trajectories")
 
 
 def parse_config(text: str) -> RunConfig:
-    """Validate the whole config, reporting every problem at once."""
+    """Validate the whole config, reporting every problem at once.
+
+    The [grid], [packet], [setup] and [numerics] values are checked by
+    constructing SGNumerics, PacketSpec and SGSetup from them, plus the
+    library checks the command will meet: the grid, the packet fitting
+    it, the splitting preconditions and the tiling of each window.
+    """
     sections, section_lines, errors = _tokenize(text)
 
-    for name in sections:
-        if name not in _SCHEMA:
-            errors.append(f"line {section_lines[name]}: unknown section [{name}]")
+    def fail(section: str, key: str | None, message: str) -> None:
+        """Report on the key's line, or on the section header's if key is None."""
+        if key is None:
+            lineno, label = section_lines.get(section), f"[{section}]"
+        else:
+            lineno, label = sections.get(section, {}).get(key, (None, None))[1], f"[{section}] {key}:"
+        errors.append(f"line {lineno}: {label} {message}" if lineno else f"{label} {message}")
+
     for name, keys in sections.items():
         if name not in _SCHEMA:
+            errors.append(f"line {section_lines[name]}: unknown section [{name}]")
             continue
         for key, (_, lineno) in keys.items():
             if key not in _SCHEMA[name]:
@@ -299,139 +307,101 @@ def parse_config(text: str) -> RunConfig:
         values[name] = {}
         present = sections.get(name, {})
         for key, (converter, default) in schema.items():
+            values[name][key] = default
             if key in present:
-                raw, lineno = present[key]
                 try:
-                    values[name][key] = converter(raw)
+                    values[name][key] = converter(present[key][0])
                 except ValueError as exc:
-                    errors.append(f"line {lineno}: [{name}] {key}: {exc}")
-                    values[name][key] = default
-            else:
-                values[name][key] = default
+                    fail(name, key, str(exc))
 
-    def fail(section: str, key: str, message: str) -> None:
-        entry = sections.get(section, {}).get(key)
-        prefix = f"line {entry[1]}: " if entry else ""
-        errors.append(f"{prefix}[{section}] {key}: {message}")
+    def construct(cls, check):
+        """cls built from the values of its keys and passed to check, or None.
+
+        When that raises, each key the config sets is tried on its own,
+        the other fields at their defaults: a key that fails alone is
+        reported on its line, and a failure that only the remaining keys
+        together produce goes to the header of the class's first section.
+        """
+        parts = [s for s, (c, _) in _FIELD_SECTIONS.items() if c is cls]
+        items = [
+            (s, key, name, values[s][key])
+            for s in parts
+            for key, name in _FIELD_SECTIONS[s][1].items()
+            if key in sections.get(s, {})
+        ]
+
+        def attempt(chosen):
+            obj = cls(**{name: value for _, _, name, value in chosen})
+            check(obj)
+            return obj
+
+        try:
+            return attempt(items)
+        except ValueError:
+            pass
+        kept = []
+        for item in items:
+            try:
+                attempt([item])
+            except ValueError as exc:
+                fail(item[0], item[1], str(exc))
+            else:
+                kept.append(item)
+        try:
+            attempt(kept)
+        except ValueError as exc:
+            fail(parts[0], None, str(exc))
+        return None
 
     v = values
     command = v["run"]["command"]
-    if command is None:
+    if "command" not in sections.get("run", {}):
         fail("run", "command", f"required; one of {', '.join(COMMANDS)}")
-    elif command not in COMMANDS:
-        fail("run", "command", f"unknown command {command!r}; one of {', '.join(COMMANDS)}")
-    if v["run"]["n_samples"] < 1:
-        fail("run", "n_samples", f"must be >= 1, got {v['run']['n_samples']}")
-    if not v["run"]["out"]:
-        fail("run", "out", "must be a nonempty directory name")
-    formats: tuple[str, ...] = ("csv", "json")
-    try:
-        formats = _parse_formats(v["run"]["format"])
-    except ValueError as exc:
-        fail("run", "format", str(exc))
 
-    n = v["grid"]["n"]
-    if n < 16 or n & (n - 1) != 0:
-        fail("grid", "n", f"must be a power of two >= 16, got {n}")
-    if not v["grid"]["x_min"] < v["grid"]["x_max"]:
-        fail("grid", "x_min", f"must satisfy x_min < x_max, got [{v['grid']['x_min']}, {v['grid']['x_max']}]")
+    splitting = command in _SPLITTING_COMMANDS
+    numerics = construct(SGNumerics, SGNumerics.grid)
+    grid = numerics.grid() if numerics is not None else None
 
-    sigma = v["packet"]["sigma"]
-    if sigma <= 0:
-        fail("packet", "sigma", f"must be positive, got {sigma}")
+    def check_packet(packet: PacketSpec) -> None:
+        if grid is not None:
+            check_packet_fits(grid, packet.center, packet.sigma)
+        if splitting:
+            _check_packet_symmetric(packet)
+
+    def check_setup(setup: SGSetup) -> None:
+        if splitting:
+            setup.upper_branch  # raises when mu * b_grad = 0
+        if command == "contextuality":
+            _check_reversal_setup(setup)
+
+    packet = construct(PacketSpec, check_packet)
+    setup = construct(SGSetup, check_setup)
+
     spin_up, spin_down = v["packet"]["spin_up"], v["packet"]["spin_down"]
     if spin_up == 0 and spin_down == 0:
         fail("packet", "spin_up", "spin_up and spin_down must not both be zero")
-    if sigma > 0:
-        center = v["packet"]["center"]
-        if not (v["grid"]["x_min"] < center - 5 * sigma and center + 5 * sigma < v["grid"]["x_max"]):
-            fail(
-                "packet", "center",
-                f"packet support (center +- 5 sigma) = [{center - 5 * sigma}, {center + 5 * sigma}] "
-                "must lie strictly inside the grid",
-            )
 
-    if v["setup"]["polarity"] not in (1, -1):
-        fail("setup", "polarity", f"must be +1 or -1, got {v['setup']['polarity']}")
-    if v["setup"]["tau"] <= 0:
-        fail("setup", "tau", f"must be positive, got {v['setup']['tau']}")
-    if v["setup"]["t_drift"] < 0:
-        fail("setup", "t_drift", f"must be nonnegative, got {v['setup']['t_drift']}")
-    if v["setup"]["z_det"] < 0:
-        fail("setup", "z_det", f"must be nonnegative, got {v['setup']['z_det']}")
-    if v["setup"]["reverse_geometry"] and v["setup"]["b0"] != 0:
-        fail("setup", "reverse_geometry", "geometry reversal requires b0 = 0")
-
-    if v["numerics"]["dt"] <= 0:
-        fail("numerics", "dt", f"must be positive, got {v['numerics']['dt']}")
-    if v["numerics"]["record_every"] < 1:
-        fail("numerics", "record_every", f"must be >= 1, got {v['numerics']['record_every']}")
-    if v["numerics"]["substeps"] < 1:
-        fail("numerics", "substeps", f"must be >= 1, got {v['numerics']['substeps']}")
-
-    for sec in ("propagate", "trajectories"):
-        if v[sec]["t_total"] <= 0:
-            fail(sec, "t_total", f"must be positive, got {v[sec]['t_total']}")
-    if v["contextuality"]["q_points"] < 1:
-        fail("contextuality", "q_points", f"must be >= 1, got {v['contextuality']['q_points']}")
-    if v["contextuality"]["q_span"] <= 0:
-        fail("contextuality", "q_span", f"must be positive, got {v['contextuality']['q_span']}")
-
-    pointer_state: tuple[complex, ...] = ()
-    tokens = v["pointer"]["state"].split()
-    if not tokens:
-        fail("pointer", "state", "must hold at least one complex component")
-    else:
-        comps: list[complex] = []
-        for tok in tokens:
+    # Every window the command evolves must tile into whole record intervals.
+    windows = []
+    if command in _FREE_COMMANDS:
+        windows.append((command, "t_total", v[command]["t_total"]))
+    if splitting and setup is not None:
+        windows += [("setup", "tau", setup.tau), ("setup", "t_drift", setup.t_drift)]
+    for section, key, window in windows:
+        if numerics is not None and window > 0:  # build_timeline skips a zero drift
             try:
-                comps.append(_as_complex(tok))
+                window_steps(window, numerics.dt, numerics.record_every, key)
             except ValueError as exc:
-                fail("pointer", "state", str(exc))
-                comps = []
-                break
-        if comps:
-            if all(z == 0 for z in comps):
-                fail("pointer", "state", "components must not all be zero")
-            pointer_state = tuple(comps)
+                fail(section, key, str(exc))
 
-    # Command-conditional checks: everything a command will touch is
-    # validated here, before any computation starts.
-    dt, rec = v["numerics"]["dt"], v["numerics"]["record_every"]
-    valid_stepping = dt > 0 and rec >= 1
-    if command in ("propagate", "trajectories") and valid_stepping:
-        _check_window_steps(
-            "t_total", v[command]["t_total"], dt, rec,
-            lambda msg: fail(command, "t_total", msg),
-        )
-    if command in _SPLITTING_COMMANDS:
-        if v["packet"]["center"] != 0 or v["packet"]["k"] != 0:
-            fail(
-                "packet", "center",
-                "the splitting experiment needs a packet centered at 0 with k = 0",
-            )
-        if v["setup"]["mu"] * v["setup"]["b_grad"] == 0:
-            fail("setup", "b_grad", "mu * b_grad must be nonzero or the beam never splits")
-        if valid_stepping and v["setup"]["tau"] > 0:
-            _check_window_steps(
-                "tau", v["setup"]["tau"], dt, rec, lambda msg: fail("setup", "tau", msg)
-            )
-            _check_window_steps(
-                "t_drift", v["setup"]["t_drift"], dt, rec,
-                lambda msg: fail("setup", "t_drift", msg),
-            )
     if command == "contextuality":
-        if v["setup"]["b0"] != 0:
-            fail("setup", "b0", "the reversal demonstration requires b0 = 0")
-        if v["setup"]["reverse_geometry"]:
-            fail("setup", "reverse_geometry", "must be false; the demonstration drives the reversal")
         nrm = math.hypot(abs(spin_up), abs(spin_down))
         if nrm > 0 and abs(abs(spin_up) - abs(spin_down)) / nrm > 1e-12:
             fail("packet", "spin_up", "the reversal demonstration requires |spin_up| = |spin_down|")
-        if sigma > 0 and v["contextuality"]["q_span"] >= 5 * sigma:
+        if packet is not None and v["contextuality"]["q_span"] >= 5 * packet.sigma:
             fail(
                 "contextuality", "q_span",
-                f"must be less than 5 * sigma = {5 * sigma} so the grid stays in the packet support",
+                f"must be less than 5 * sigma = {5 * packet.sigma} so the grid stays in the packet support",
             )
 
     if errors:
@@ -442,33 +412,17 @@ def parse_config(text: str) -> RunConfig:
         seed=v["run"]["seed"],
         n_samples=v["run"]["n_samples"],
         out=v["run"]["out"],
-        formats=formats,
-        grid_n=v["grid"]["n"],
-        x_min=v["grid"]["x_min"],
-        x_max=v["grid"]["x_max"],
-        packet=PacketSpec(center=v["packet"]["center"], sigma=sigma, k=v["packet"]["k"]),
+        formats=v["run"]["format"],
+        packet=packet,
         spin_up=spin_up,
         spin_down=spin_down,
-        setup=SGSetup(
-            b0=v["setup"]["b0"],
-            b_grad=v["setup"]["b_grad"],
-            mu=v["setup"]["mu"],
-            tau=v["setup"]["tau"],
-            t_drift=v["setup"]["t_drift"],
-            z_det=v["setup"]["z_det"],
-            polarity=v["setup"]["polarity"],
-            calibration_up=v["setup"]["calibration_up"],
-            calibration_down=v["setup"]["calibration_down"],
-            reverse_geometry=v["setup"]["reverse_geometry"],
-        ),
-        dt=dt,
-        record_every=rec,
-        substeps=v["numerics"]["substeps"],
-        t_total=v[command]["t_total"] if command in ("propagate", "trajectories") else v["propagate"]["t_total"],
+        setup=setup,
+        numerics=numerics,
+        t_total=v[command]["t_total"] if command in _FREE_COMMANDS else v["propagate"]["t_total"],
         q_points=v["contextuality"]["q_points"],
         q_span=v["contextuality"]["q_span"],
-        pointer_state=pointer_state,
-        spec_file=v["pointer"]["spec_file"],
+        pointer_state=v["pointer"]["state"],
+        spec_file=v["pointer"]["spec_file"] or None,
     )
 
 
@@ -480,6 +434,11 @@ def _ffmt(x: float) -> str:
 
 def _cfmt(z: complex) -> str:
     return repr(complex(z))
+
+
+def _lfmt(lam: float) -> str:
+    """A calibrated outcome value; empty for the null outcome (NaN)."""
+    return "" if math.isnan(lam) else _ffmt(lam)
 
 
 def _jsonify(obj):
@@ -507,53 +466,21 @@ def _csv_file(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _numerics(config: RunConfig) -> SGNumerics:
-    return SGNumerics(
-        grid_n=config.grid_n,
-        x_min=config.x_min,
-        x_max=config.x_max,
-        dt=config.dt,
-        record_every=config.record_every,
-        substeps=config.substeps,
-    )
-
-
 def _normalized_spin(a: complex, b: complex) -> tuple[complex, complex]:
     norm = math.hypot(abs(a), abs(b))
     return a / norm, b / norm
 
 
 def _echo_params(config: RunConfig) -> dict:
-    s = config.setup
-    return {
-        "grid": {"n": config.grid_n, "x_min": config.x_min, "x_max": config.x_max},
-        "packet": {
-            "center": config.packet.center,
-            "sigma": config.packet.sigma,
-            "k": config.packet.k,
-            "spin_up": _cfmt(config.spin_up),
-            "spin_down": _cfmt(config.spin_down),
-        },
-        "setup": {
-            "b0": s.b0,
-            "b_grad": s.b_grad,
-            "mu": s.mu,
-            "tau": s.tau,
-            "t_drift": s.t_drift,
-            "z_det": s.z_det,
-            "polarity": s.polarity,
-            "calibration_up": s.calibration_up,
-            "calibration_down": s.calibration_down,
-            "reverse_geometry": s.reverse_geometry,
-        },
-        "numerics": {
-            "dt": config.dt,
-            "record_every": config.record_every,
-            "substeps": config.substeps,
-        },
-        "n_samples": config.n_samples,
-        "formats": list(config.formats),
+    objects = {SGNumerics: config.numerics, PacketSpec: config.packet, SGSetup: config.setup}
+    params: dict = {
+        section: {key: getattr(objects[cls], name) for key, name in keys.items()}
+        for section, (cls, keys) in _FIELD_SECTIONS.items()
     }
+    params["packet"].update(spin_up=_cfmt(config.spin_up), spin_down=_cfmt(config.spin_down))
+    params["n_samples"] = config.n_samples
+    params["formats"] = list(config.formats)
+    return params
 
 
 def _summary_json(config: RunConfig, theoretical, empirical, stderr, checks, extra_params=None) -> str:
@@ -598,28 +525,22 @@ def _moments(field) -> tuple[float, float, float]:
 
 
 def _free_timeline(config: RunConfig):
-    grid = make_grid(config.grid_n, config.x_min, config.x_max)
+    nm = config.numerics
+    grid = nm.grid()
     a, b = _normalized_spin(config.spin_up, config.spin_down)
     psi0 = gaussian_packet(
         grid, config.packet.center, config.packet.sigma, config.packet.k, a, b
     )
-    return evolve(psi0, HamiltonianSpec.free(grid), config.t_total, config.dt, config.record_every), (a, b)
+    return evolve(psi0, HamiltonianSpec.free(grid), config.t_total, nm.dt, nm.record_every), (a, b)
 
 
 def _run_propagate(config: RunConfig, threads: int) -> dict[str, str]:
     timeline, (a, b) = _free_timeline(config)
-    rows = []
-    norms, centers, widths = [], [], []
-    for i, field in enumerate(timeline.fields):
-        norm, center, width = _moments(field)
-        norms.append(norm)
-        centers.append(center)
-        widths.append(width)
-        rows.append(
-            ",".join(
-                [str(i), _ffmt(timeline.times[i]), _ffmt(norm), _ffmt(center), _ffmt(width)]
-            )
-        )
+    norms, centers, widths = zip(*(_moments(field) for field in timeline.fields))
+    rows = [
+        f"{i},{_ffmt(t)},{_ffmt(norm)},{_ffmt(center)},{_ffmt(width)}"
+        for i, (t, norm, center, width) in enumerate(zip(timeline.times, norms, centers, widths))
+    ]
     sigma0 = config.packet.sigma
     t_end = config.t_total
     width_theory = sigma0 * math.sqrt(1.0 + (t_end / (2.0 * sigma0**2)) ** 2)
@@ -656,7 +577,7 @@ def _run_trajectories(config: RunConfig, threads: int) -> dict[str, str]:
     timeline, (a, b) = _free_timeline(config)
     q0 = sample(timeline.fields[0], config.n_samples, config.seed)
     paths = integrate_ensemble(
-        timeline, q0, dt_traj=_numerics(config).dt_traj, keep_history=False, threads=threads
+        timeline, q0, dt_traj=config.numerics.dt_traj, keep_history=False, threads=threads
     )
     ks = ks_distance(paths.q_final, timeline.fields[-1])
     band = KS_COEFF / math.sqrt(config.n_samples)
@@ -683,8 +604,7 @@ def _run_trajectories(config: RunConfig, threads: int) -> dict[str, str]:
 
 def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[str, str]:
     a, b = _normalized_spin(config.spin_up, config.spin_down)
-    numerics = _numerics(config)
-    timeline = build_timeline(config.setup, a, b, config.packet, numerics)
+    timeline = build_timeline(config.setup, a, b, config.packet, config.numerics)
     stats, ensemble = run_sg(
         config.setup,
         a,
@@ -692,26 +612,17 @@ def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[st
         config.packet,
         config.n_samples,
         config.seed,
-        numerics,
+        config.numerics,
         keep_history=False,
         threads=threads,
         timeline=timeline,
     )
     overlap = branch_overlap(timeline.fields[-1])
-    rows = []
-    for i in range(config.n_samples):
-        lam = ensemble.lambdas[i]
-        rows.append(
-            ",".join(
-                [
-                    str(i),
-                    _ffmt(ensemble.q0[i]),
-                    _ffmt(ensemble.q_final[i]),
-                    str(ensemble.outcomes[i]),
-                    "" if math.isnan(lam) else _ffmt(lam),
-                ]
-            )
-        )
+    rows = [
+        f"{i},{_ffmt(ensemble.q0[i])},{_ffmt(ensemble.q_final[i])},"
+        f"{ensemble.outcomes[i]},{_lfmt(ensemble.lambdas[i])}"
+        for i in range(config.n_samples)
+    ]
     p = stats.born["up"]
     n_detected = stats.counts["up"] + stats.counts["down"]
     freq_detected = stats.counts["up"] / n_detected if n_detected else float("nan")
@@ -765,22 +676,13 @@ def _run_contextuality(config: RunConfig, threads: int) -> dict[str, str]:
         q_grid,
         n=config.n_samples,
         seed=config.seed,
-        numerics=_numerics(config),
+        numerics=config.numerics,
         threads=threads,
     )
-    rows = []
-    for i in range(q_grid.size):
-        lb, lr = report.lambda_base[i], report.lambda_reversed[i]
-        rows.append(
-            ",".join(
-                [
-                    str(i),
-                    _ffmt(q_grid[i]),
-                    "" if math.isnan(lb) else _ffmt(lb),
-                    "" if math.isnan(lr) else _ffmt(lr),
-                ]
-            )
-        )
+    rows = [
+        f"{i},{_ffmt(q_grid[i])},{_lfmt(report.lambda_base[i])},{_lfmt(report.lambda_reversed[i])}"
+        for i in range(q_grid.size)
+    ]
     sb, sr = report.stats_base, report.stats_reversed
     checks = {
         "pointwise_opposite": report.pointwise_opposite,
@@ -829,12 +731,7 @@ def _run_pointer(config: RunConfig, threads: int) -> dict[str, str]:
         spec = spec_from_text(Path(config.spec_file).read_text())
     else:
         spec = _default_pointer_spec()
-    vec = np.array(config.pointer_state, dtype=np.complex128)
-    if vec.size != spec.dim:
-        raise ValueError(
-            f"pointer state has {vec.size} components but the experiment has dimension {spec.dim}"
-        )
-    psi = StateVec.normalized(vec)
+    psi = StateVec.normalized(config.pointer_state)
     born = born_probabilities(psi, spec)
     result = pointer_model(psi, spec)
     deviation = float(np.max(np.abs(result.marginals - born)))
@@ -901,6 +798,7 @@ _DRIVERS = {
     "pointer-model": _run_pointer,
     "nogo": _run_nogo,
 }
+COMMANDS = tuple(_DRIVERS)
 
 
 # ---------------------------------------------------------------- runner
@@ -936,9 +834,9 @@ def _selected(artifacts: dict[str, str], formats: tuple[str, ...]) -> dict[str, 
 def run(config: RunConfig, *, threads: int = 1) -> int:
     """Execute one command; artifacts land in config.out only on success."""
     try:
-        artifacts = _DRIVERS[config.command](config, max(1, int(threads)))
+        artifacts = _DRIVERS[config.command](config, threads)
         _write_artifacts(config.out, _selected(artifacts, config.formats))
-    except (ValueError, RuntimeError, OSError) as exc:
+    except Exception as exc:  # any driver failure gets the JSON report
         report = {
             "error": type(exc).__name__,
             "message": str(exc),
@@ -955,7 +853,7 @@ def main(argv=None) -> int:
         description="Deterministic batch runner for guided-wave experiments.",
     )
     parser.add_argument("--config", required=True, help="path to the run configuration file")
-    parser.add_argument("--seed", type=int, default=None, help="override the configured seed")
+    parser.add_argument("--seed", default=None, help="override the configured seed")
     parser.add_argument("--out", default=None, help="override the configured output directory")
     parser.add_argument(
         "--format", dest="formats", default=None, help="override the configured formats, e.g. csv,json"
@@ -981,27 +879,23 @@ def main(argv=None) -> int:
 
     overrides: dict[str, object] = {}
     override_errors: list[str] = []
-    if args.seed is not None:
-        if 0 <= args.seed <= SEED_MAX:
-            overrides["seed"] = args.seed
-        else:
-            override_errors.append(f"--seed must lie in [0, 2^64), got {args.seed}")
-    if args.out is not None:
-        if args.out:
-            overrides["out"] = args.out
-        else:
-            override_errors.append("--out must be a nonempty directory name")
-    if args.formats is not None:
-        try:
-            overrides["formats"] = _parse_formats(args.formats)
-        except ValueError as exc:
-            override_errors.append(f"--format: {exc}")
+    for flag, field, convert in (
+        ("--seed", "seed", _as_seed), ("--out", "out", _as_out), ("--format", "formats", _parse_formats)
+    ):
+        raw = getattr(args, field)
+        if raw is not None:
+            try:
+                overrides[field] = convert(raw)
+            except ValueError as exc:
+                override_errors.append(f"{flag}: {exc}")
+    if args.threads < 1:
+        override_errors.append(f"--threads must be >= 1, got {args.threads}")
     if override_errors:
         return config_failure(override_errors)
     if overrides:
         config = dataclasses.replace(config, **overrides)
 
-    return run(config, threads=max(1, args.threads))
+    return run(config, threads=args.threads)
 
 
 if __name__ == "__main__":

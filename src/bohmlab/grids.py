@@ -16,8 +16,8 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "SpinorField",
-    "Configuration",
     "make_grid",
+    "check_packet_fits",
     "gaussian_packet",
     "plane_wave",
     "inner_product",
@@ -128,20 +128,6 @@ class SpinorField:
         return SpinorField(self.grid, np.conj(self.comp1), np.conj(self.comp2))
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Actual position of the single particle (same units as the grid)."""
-
-    q: float
-
-    def validate_on(self, grid: Grid1D) -> "Configuration":
-        if not (grid.x_min <= self.q < grid.x_max):
-            raise ValueError(
-                f"position {self.q} outside grid domain [{grid.x_min}, {grid.x_max})"
-            )
-        return self
-
-
 def density(psi: SpinorField) -> np.ndarray:
     """Position density |comp1|^2 + |comp2|^2 on the grid points."""
     c1, c2 = psi.comp1, psi.comp2
@@ -159,6 +145,20 @@ def inner_product(phi: SpinorField, psi: SpinorField) -> complex:
     return complex(acc * phi.grid.dx)
 
 
+def check_packet_fits(grid: Grid1D, center: float, sigma: float) -> None:
+    """Require the packet support, center +- 5 sigma, strictly inside the grid.
+
+    Beyond 5 sigma the Gaussian density is below 1e-5 of its peak, so the
+    periodic images of a packet that passes this check are negligible.
+    """
+    lo, hi = center - 5 * sigma, center + 5 * sigma
+    if lo <= grid.x_min or hi >= grid.x_max:
+        raise ValueError(
+            f"packet support (center +- 5 sigma) = [{lo}, {hi}] must lie strictly "
+            f"inside the grid [{grid.x_min}, {grid.x_max}]"
+        )
+
+
 def gaussian_packet(
     grid: Grid1D,
     center: float,
@@ -171,8 +171,7 @@ def gaussian_packet(
 
     Each component is proportional to exp(-(x-center)^2 / (4 sigma^2)) *
     exp(i k x), weighted by the spinor amplitude, and the whole field is
-    normalized.  The packet must sit well inside the domain (center +- 5
-    sigma within bounds) so periodic images are negligible.
+    normalized.  The packet must fit the grid (see check_packet_fits).
     """
     if not sigma > 0:
         raise ValueError(f"packet width must be positive, got {sigma}")
@@ -180,11 +179,7 @@ def gaussian_packet(
     b = complex(b)
     if a == 0 and b == 0:
         raise ValueError("spinor amplitudes (a, b) must not both vanish")
-    if center - 5 * sigma <= grid.x_min or center + 5 * sigma >= grid.x_max:
-        raise ValueError(
-            f"packet at {center} with width {sigma} is not well inside "
-            f"[{grid.x_min}, {grid.x_max}] (need center +- 5 sigma within bounds)"
-        )
+    check_packet_fits(grid, center, sigma)
     x = grid.xs()
     envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k * x)
     return SpinorField(grid, a * envelope, b * envelope).normalize()

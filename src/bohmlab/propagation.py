@@ -28,6 +28,7 @@ __all__ = [
     "HamiltonianSpec",
     "WaveTimeline",
     "step",
+    "window_steps",
     "evolve",
     "apply_hamiltonian",
     "energy",
@@ -226,6 +227,33 @@ def _boundary_indices(n: int) -> np.ndarray:
     return np.concatenate([np.arange(m), np.arange(n - m, n)])
 
 
+def window_steps(t_total: float, dt: float, record_every: int, name: str = "t_total") -> int:
+    """Number of steps of size dt in a window of length t_total.
+
+    dt must divide t_total to one part in 1e9 and record_every must divide
+    the step count, so records are uniform and the final time is recorded.
+    name is the window's name in error messages.
+    """
+    if dt == 0 or t_total == 0:
+        raise ValueError(f"{name} and dt must be nonzero")
+    if (dt > 0) != (t_total > 0):
+        raise ValueError(f"dt and {name} must share a sign")
+    n_steps = int(round(t_total / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_total) > 1e-9 * abs(t_total):
+        raise ValueError(
+            f"dt = {dt} does not divide {name} = {t_total}; "
+            f"{name} must be an integer multiple of dt"
+        )
+    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
+    if n_steps % record_every != 0:
+        raise ValueError(
+            f"record_every = {record_every} must divide the step count {n_steps} "
+            f"of {name} so the final time is recorded"
+        )
+    return n_steps
+
+
 def evolve(
     psi: SpinorField,
     h: HamiltonianSpec,
@@ -235,28 +263,14 @@ def evolve(
 ) -> WaveTimeline:
     """Evolve for t_total, recording every record_every steps.
 
-    dt must divide t_total to one part in 1e9 and record_every must divide
-    the step count, so records are uniform and the final time is recorded.
+    The window must tile into whole record intervals (see window_steps).
     Negative t_total with matching negative dt runs the dynamics backward.
     Raises RuntimeError if mass in the outer 5% of the domain (each side)
     ever exceeds 1e-6: the packet is about to wrap around.
     """
     if psi.grid != h.grid:
         raise ValueError("field and Hamiltonian live on different grids")
-    if dt == 0 or t_total == 0:
-        raise ValueError("t_total and dt must be nonzero")
-    if (dt > 0) != (t_total > 0):
-        raise ValueError("dt and t_total must share a sign")
-    n_steps = int(round(t_total / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_total) > 1e-9 * abs(t_total):
-        raise ValueError(f"dt = {dt} does not divide t_total = {t_total}")
-    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
-        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
-    if n_steps % record_every != 0:
-        raise ValueError(
-            f"record_every = {record_every} must divide the step count {n_steps} "
-            "so the final time is recorded"
-        )
+    n_steps = window_steps(t_total, dt, record_every)
 
     _warn_if_guard_violated(h, dt)
     k = h.grid.wavenumbers()

@@ -111,7 +111,7 @@ class SGSetup:
         """Which spin component ('up'/'down') reaches the upper detector."""
         kick_up = -self.mu * self.field_sign * self.b_grad
         if kick_up == 0:
-            raise ValueError("setup produces no splitting (mu * b_grad = 0)")
+            raise ValueError("setup produces no splitting: mu * b_grad = 0, so the beam never splits")
         return "up" if kick_up > 0 else "down"
 
 
@@ -154,6 +154,13 @@ def _check_packet_symmetric(packet: PacketSpec) -> None:
             "the splitting experiment requires a packet centered at 0 with zero "
             f"mean momentum, got center = {packet.center}, k = {packet.k}"
         )
+
+
+def _check_reversal_setup(setup: SGSetup) -> None:
+    if setup.b0 != 0:
+        raise ValueError("the reversal demonstration requires b0 = 0")
+    if setup.reverse_geometry:
+        raise ValueError("pass the unreversed setup; the demo drives the reversal itself")
 
 
 def build_timeline(
@@ -409,10 +416,7 @@ def contextuality_demo(
     """
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
-    if setup.b0 != 0:
-        raise ValueError("the reversal demonstration requires b0 = 0")
-    if setup.reverse_geometry:
-        raise ValueError("pass the unreversed setup; the demo drives the reversal itself")
+    _check_reversal_setup(setup)
     if abs(abs(a) - abs(b)) > MIRROR_TOL:
         raise ValueError("the reversal demonstration requires |a| = |b|")
     numerics = numerics or SGNumerics()

@@ -1,9 +1,13 @@
 """Config parsing, batch drivers, artifact determinism."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from bohmlab import PacketSpec, SGNumerics, SGSetup, cli
 from bohmlab.cli import ConfigError, main, parse_config
 
 # small grid and short windows keep every invocation under a second
@@ -46,7 +50,7 @@ class TestParseConfig:
         assert cfg.n_samples == 10_000
         assert cfg.out == "out"
         assert cfg.formats == ("csv", "json")
-        assert cfg.grid_n == 512
+        assert cfg.numerics.grid_n == 512
         assert cfg.setup.b_grad == 4.0
         assert cfg.packet.sigma == 1.0
 
@@ -97,6 +101,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="strictly inside the grid"):
             parse_config("[run]\ncommand = propagate\n[packet]\nsigma = 8.0\n")
 
+    def test_dataclass_errors_name_the_key_or_the_header(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(
+                "[run]\ncommand = nogo\n[grid]\nx_min = 10\nx_max = 5\n"
+                "[setup]\npolarity = 3\nb0 = 1\nreverse_geometry = true\n"
+            )
+        assert err.value.errors == (
+            "line 3: [grid] grid bounds must satisfy x_min < x_max, got [10.0, 5.0]",
+            "line 7: [setup] polarity: polarity must be +1 or -1, got 3",
+            "line 6: [setup] geometry reversal is defined for b0 = 0 only",
+        )
+        # each key fails against the other's default, but not together
+        cfg = parse_config(
+            "[run]\ncommand = propagate\n[grid]\nx_min = 35\nx_max = 45\n"
+            "[packet]\ncenter = 40\nsigma = 0.5\n"
+        )
+        assert (cfg.numerics.x_min, cfg.numerics.x_max, cfg.packet.center) == (35.0, 45.0, 40.0)
+
     def test_stepping_must_tile_the_windows(self):
         with pytest.raises(ConfigError, match="integer multiple of dt"):
             parse_config("[run]\ncommand = propagate\n[propagate]\nt_total = 0.33\n")
@@ -105,6 +127,9 @@ class TestParseConfig:
                 "[run]\ncommand = propagate\n[numerics]\nrecord_every = 7\n"
                 "[propagate]\nt_total = 1.0\n"
             )
+        # a zero drift is no window: build_timeline skips it
+        cfg = parse_config("[run]\ncommand = born-check\n[setup]\nt_drift = 0\n")
+        assert cfg.setup.t_drift == 0.0
 
     def test_splitting_preconditions(self):
         with pytest.raises(ConfigError, match="centered at 0"):
@@ -129,6 +154,18 @@ class TestParseConfig:
             parse_config("[run]\ncommand = pointer-model\n[pointer]\nstate = 0.6 what\n")
         with pytest.raises(ConfigError, match="not all be zero"):
             parse_config("[run]\ncommand = pointer-model\n[pointer]\nstate = 0 0\n")
+
+    def test_readme_config_block_holds_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(block)
+        assert cfg.packet == PacketSpec()
+        assert cfg.setup == SGSetup()
+        assert cfg.numerics == SGNumerics()
+        # every other value is the default too, except the documented spin
+        assert (cfg.spin_up, cfg.spin_down) == (0.70710678118654752, 0.70710678118654752)
+        minimal = parse_config(f"[run]\ncommand = {cfg.command}\n")
+        assert dataclasses.replace(cfg, spin_up=1, spin_down=0) == minimal
 
     def test_format_list(self):
         cfg = parse_config("[run]\ncommand = nogo\nformat = json\n")
@@ -211,6 +248,14 @@ class TestCommands:
         assert summary["empirical"]["pointer_dim"] == 3
         born = summary["theoretical"]["born"]["value"]
         assert born["up"] == pytest.approx(0.36, abs=1e-12)
+
+    def test_pointer_model_empty_spec_file_means_default(self, tmp_path):
+        text = "[run]\ncommand = pointer-model\n[pointer]\nstate = 0.6 0.8\nspec_file =\n"
+        code, out = invoke(tmp_path, text)
+        assert code == 0
+        summary = read_summary(out)
+        assert summary["params"]["spec_file"] is None
+        assert summary["params"]["outcome_labels"] == ["up", "down"]
 
     def test_nogo(self, tmp_path):
         code, out = invoke(tmp_path, "[run]\ncommand = nogo\n")
@@ -306,6 +351,21 @@ class TestFailureModes:
             "[packet] spin_up: the reversal demonstration requires |spin_up| = |spin_down|"
         ]
 
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [("propagate", "propagate", "t_total"), ("born-check", "setup", "t_drift")],
+    )
+    def test_window_shorter_than_one_step_exits_2(self, tmp_path, capsys, command, section, key):
+        code, out = invoke(
+            tmp_path, sg_config(command, extra=f"[{section}]\n{key} = 1e-12\n")
+        )
+        assert code == 2
+        assert not out.exists()
+        messages = json.loads(capsys.readouterr().err)["messages"]
+        assert len(messages) == 1
+        assert f"[{section}] {key}: " in messages[0]
+        assert "integer multiple of dt" in messages[0]
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "missing.cfg")])
         assert code == 2
@@ -331,6 +391,12 @@ class TestFailureModes:
         report = json.loads(capsys.readouterr().err)
         assert "--seed" in report["messages"][0]
         assert main(["--config", str(cfg), "--format", "yaml"]) == 2
+        capsys.readouterr()
+        for threads in ("0", "-3"):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", threads]) == 2
+            report = json.loads(capsys.readouterr().err)
+            assert report["messages"] == [f"--threads must be >= 1, got {threads}"]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_flag(self):
         with pytest.raises(SystemExit):
@@ -342,3 +408,14 @@ class TestFailureModes:
         assert code == 1
         report = json.loads(capsys.readouterr().err)
         assert "dimension" in report["message"]
+
+    def test_any_driver_exception_gets_the_json_report(self, tmp_path, capsys, monkeypatch):
+        def broken(config, threads):
+            raise KeyError("lost")
+
+        monkeypatch.setitem(cli._DRIVERS, "nogo", broken)
+        code, out = invoke(tmp_path, "[run]\ncommand = nogo\n")
+        assert code == 1
+        assert not out.exists()
+        report = json.loads(capsys.readouterr().err)
+        assert report == {"command": "nogo", "error": "KeyError", "message": "'lost'"}

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohmlab import (
-    Configuration,
     SpinorField,
     density,
     gaussian_packet,
@@ -188,12 +187,3 @@ class TestPlaneWave:
         # sin(k dx)/dx, the exact central-difference symbol for a pure mode
         expected = math.sin(k * grid.dx) / grid.dx
         assert abs(fd_momentum(f) - expected) <= 1e-10
-
-
-class TestConfiguration:
-    def test_validate_on(self, grid):
-        assert Configuration(0.0).validate_on(grid).q == 0.0
-        with pytest.raises(ValueError):
-            Configuration(30.0).validate_on(grid)
-        with pytest.raises(ValueError):
-            Configuration(-31.0).validate_on(grid)
