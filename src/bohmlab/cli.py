@@ -833,6 +833,8 @@ def _selected(artifacts: dict[str, str], formats: tuple[str, ...]) -> dict[str, 
 
 def run(config: RunConfig, *, threads: int = 1) -> int:
     """Execute one command; artifacts land in config.out only on success."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     try:
         artifacts = _DRIVERS[config.command](config, threads)
         _write_artifacts(config.out, _selected(artifacts, config.formats))
@@ -859,7 +861,7 @@ def main(argv=None) -> int:
         "--format", dest="formats", default=None, help="override the configured formats, e.g. csv,json"
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="at most this many worker threads; outputs do not depend on this"
+        "--threads", type=int, default=1, help="at most this many worker processes; outputs do not depend on this"
     )
     args = parser.parse_args(argv)
 

@@ -1,13 +1,13 @@
 """Quantum-equilibrium sampling and empirical distribution distances.
 
 Positions are drawn from the piecewise-linear interpolant of the node
-density (periodic closure at the right edge), the same law whose CDF
-ks_distance uses as reference, so the two stay consistent to machine
-precision.  Randomness comes from a counter-based generator: draw i is a
-pure function of (master_seed, i), ensembles are reproducible
-bit-for-bit regardless of how the draws are later consumed or
-parallelized, and the first n draws of a longer run coincide with a
-shorter run's draws.
+density (periodic closure at the right edge).  That law's CDF is
+piecewise quadratic; ks_distance's reference interpolates the same node
+CDF linearly, so the two agree at the nodes, not between them.
+Randomness comes from a counter-based generator: draw i is a pure
+function of (master_seed, i), ensembles are reproducible bit-for-bit
+regardless of how the draws are later consumed or parallelized, and the
+first n draws of a longer run coincide with a shorter run's draws.
 """
 
 from __future__ import annotations

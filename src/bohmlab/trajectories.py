@@ -24,14 +24,29 @@ Trajectories follow classical RK4 with a fixed substep, the field at
 stage times being linearly interpolated between adjacent timeline
 records.  All per-trajectory arithmetic is elementwise, so results are
 bit-identical whether a position is integrated alone, inside a batch, or
-split across worker threads.  The ensemble is cut into chunks of at most
-TILE particles, and worker threads are used only when each gets at least
-MIN_PER_WORKER of them.
+split across workers.  The ensemble is cut into chunks of at most TILE
+particles, and the chunks into one contiguous block per worker.
+
+Workers are processes forked after the flow tables are built, so they
+share the tables copy-on-write and write their columns of the result
+into anonymous shared memory; the caller integrates the first block
+itself and reaps every child.  Threads do not help: an evaluation is
+about twenty short numpy calls, and the interpreter lock changes hands
+at each one, which costs more than a second core gains.  Spawned
+workers would first pay for an interpreter and `import numpy`, about
+0.2 s: as long as the half of a 10k ensemble's transport that a second
+worker takes over.
+Fork is only safe in a single-threaded process, so a process running
+other threads, or a platform without fork, integrates on one worker.
+There are never more workers than usable CPUs, and each gets at least
+MIN_PER_WORKER particles.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +66,14 @@ __all__ = [
 
 NODE_EPS_FACTOR = 1e-12
 
-# A second worker pays only when each worker's numpy passes are long
-# enough to hide the hand-over of the interpreter lock.  Measured on the
-# default Stern-Gerlach run (2-vCPU Xeon VM, Python 3.11, numpy 2.4),
-# integrate_ensemble 1 vs 2 threads: 5k 255 vs 620 ms, 10k 470 vs 661,
-# 13k 635 vs 752, 16k 850 vs 840, 20k 920 vs 780, 30k 1349 vs 975.
-MIN_PER_WORKER = 8192
+# A second worker pays once its share of the ensemble outweighs the
+# per-worker cost of the RK4 loop's Python overhead and the fork.
+# Measured on the default Stern-Gerlach run (2-vCPU Xeon VM, Python 3.11,
+# numpy 2.4), integrate_ensemble on 1 vs 2 worker processes, medians of 5:
+# 2k 182 vs 194 ms, 4k 236-271 vs 223-297, 6k 289-329 vs 262-310,
+# 8k 399-439 vs 357-364, 10k 526 vs 361, 20k 1039 vs 586.  The tie
+# near 4k is left below the cut.
+MIN_PER_WORKER = 4096
 # Largest chunk: its buffers, ~136 B per particle, about fill a 2 MB L2.
 # One thread, same run: 20k in one chunk 876 ms, in two 747 ms, in ten
 # 1316 ms (per-call overhead); 40k in one chunk 3290 ms, in three 2030 ms.
@@ -251,16 +268,63 @@ def _resolve_substep(timeline: WaveTimeline, dt_traj: float | None) -> tuple[flo
     return dt_traj, n_steps
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunks(size: int, threads: int) -> tuple[int, np.ndarray]:
     """Worker count and the bounds of near-equal chunks of the ensemble.
 
-    Each worker gets at least MIN_PER_WORKER particles and the same number
-    of chunks; a chunk holds at most TILE.
+    Each worker gets at least MIN_PER_WORKER particles, a CPU of its own
+    and the same number of chunks; a chunk holds at most TILE.  Workers
+    are forked, so a process running other threads, or without os.fork,
+    gets one.
     """
-    workers = max(1, min(int(threads), size // MIN_PER_WORKER))
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        workers = max(1, min(int(threads), _usable_cpus(), size // MIN_PER_WORKER))
+    else:
+        workers = 1
     per_worker = -(-size // (workers * TILE))
     bounds = np.linspace(0, size, workers * per_worker + 1).astype(int)
     return workers, bounds
+
+
+def _shared_empty(shape) -> np.ndarray:
+    """Float array in an anonymous shared mapping: what a forked child
+    writes there, its parent reads."""
+    buf = mmap.mmap(-1, 8 * int(np.prod(shape)))
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
+def _run_blocks(advance, blocks) -> None:
+    """Run advance over every chunk, one contiguous block per process.
+
+    The caller integrates the first block; each other block runs in a
+    forked child that leaves with status 0 only if all its chunks were
+    advanced.  Every child is reaped, whatever happens in the caller.
+    With one block nothing is forked.
+    """
+    pids = []
+    try:
+        for block in blocks[1:]:
+            pid = os.fork()
+            if pid == 0:  # the child: never return into the caller's stack
+                status = 1
+                try:
+                    for lo, hi in block:
+                        advance(lo, hi)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        for lo, hi in blocks[0]:
+            advance(lo, hi)
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise RuntimeError(f"transport worker processes failed with exit codes {codes}")
 
 
 def integrate_ensemble(
@@ -272,10 +336,12 @@ def integrate_ensemble(
 ) -> EnsemblePaths:
     """Integrate many trajectories in lockstep from initial positions q0.
 
-    threads caps the worker threads, which only split the ensemble into
+    threads caps the worker processes, which only split the ensemble into
     column chunks; each element sees identical arithmetic, so output is
-    independent of the thread count and of the chunking.
+    independent of the worker count and of the chunking.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     grid = timeline.grid
     starts = np.array(q0, dtype=np.float64, copy=True).reshape(-1)
     if starts.size == 0:
@@ -290,8 +356,10 @@ def integrate_ensemble(
     times = t0 + dt_sub * np.arange(n_steps + 1)
     half = 0.5 * dt_sub
 
-    history = np.empty((n_steps + 1, starts.size)) if keep_history else None
-    q_final = np.empty(starts.size)
+    workers, bounds = _chunks(starts.size, threads)
+    empty = np.empty if workers == 1 else _shared_empty
+    history = empty((n_steps + 1, starts.size)) if keep_history else None
+    q_final = empty(starts.size)
 
     def advance(lo: int, hi: int) -> None:
         vel = _Flow(num, den, grid, t0, timeline.spacing, hi - lo)
@@ -325,14 +393,9 @@ def integrate_ensemble(
                 history[i + 1, lo:hi] = p
         q_final[lo:hi] = p
 
-    workers, bounds = _chunks(starts.size, threads)
     chunks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    if workers == 1:
-        for lo, hi in chunks:
-            advance(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda chunk: advance(*chunk), chunks))
+    per_worker = len(chunks) // workers
+    _run_blocks(advance, [chunks[w * per_worker:(w + 1) * per_worker] for w in range(workers)])
 
     starts.setflags(write=False)
     q_final.setflags(write=False)

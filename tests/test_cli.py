@@ -398,6 +398,12 @@ class TestFailureModes:
             assert report["messages"] == [f"--threads must be >= 1, got {threads}"]
         assert not (tmp_path / "out").exists()
 
+    def test_run_rejects_fewer_than_one_thread(self, tmp_path):
+        config = dataclasses.replace(parse_config("[run]\ncommand = nogo\n"), out=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            cli.run(config, threads=0)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_flag(self):
         with pytest.raises(SystemExit):
             main([])

@@ -1,5 +1,8 @@
 """Guiding-equation integration: velocity field, flow, and equivariance."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -166,6 +169,33 @@ class TestFlow:
         assert np.array_equal(traj.times, paths.times)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the transport's forked workers, with splitting made cheap.
+
+    Small ensembles split (MIN_PER_WORKER = 16) into up to 4 workers
+    whatever the machine's CPU count.
+    """
+    monkeypatch.setattr(trajectories, "MIN_PER_WORKER", 16)
+    monkeypatch.setattr(trajectories, "_usable_cpus", lambda: 4)
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestDeterminism:
     def test_bitwise_repeatable(self, free_timeline):
         q0 = sample(free_timeline.fields[0], 64, seed=7)
@@ -179,28 +209,82 @@ class TestDeterminism:
         solo = integrate_ensemble(free_timeline, [0.4])
         assert full.q_final[1] == solo.q_final[0]
 
-    def test_thread_count_invisible(self, free_timeline, monkeypatch):
-        # small ensembles stay on one worker; lower the minimum to split them
-        monkeypatch.setattr(trajectories, "MIN_PER_WORKER", 16)
+    def test_thread_count_invisible(self, free_timeline, forks):
         q0 = sample(free_timeline.fields[0], 257, seed=11)
         one = integrate_ensemble(free_timeline, q0, threads=1)
+        assert forks == []
         assert trajectories._chunks(257, 4)[0] == 4
         four = integrate_ensemble(free_timeline, q0, threads=4)
+        assert len(forks) == 3
         assert np.array_equal(one.q_final, four.q_final)
 
-    def test_uneven_chunks_invisible(self, free_timeline, monkeypatch):
-        monkeypatch.setattr(trajectories, "MIN_PER_WORKER", 16)
+    def test_uneven_chunks_invisible(self, free_timeline, forks, monkeypatch):
         monkeypatch.setattr(trajectories, "TILE", 40)
         q0 = sample(free_timeline.fields[0], 203, seed=12)
         workers, bounds = trajectories._chunks(203, 3)
         assert workers == 3 and len(bounds) - 1 == 6
         assert len(set(np.diff(bounds).tolist())) == 2  # 203 does not split evenly
         split = integrate_ensemble(free_timeline, q0, keep_history=True, threads=3)
+        assert len(forks) == 2
         monkeypatch.setattr(trajectories, "TILE", 1 << 20)
         whole = integrate_ensemble(free_timeline, q0, keep_history=True, threads=1)
         assert np.array_equal(split.positions, whole.positions)
+        assert np.array_equal(split.q_final, whole.q_final)
 
-    def test_small_ensembles_use_one_worker(self):
+    def test_workers_never_outnumber_cpus(self, forks, monkeypatch):
+        monkeypatch.setattr(trajectories, "_usable_cpus", lambda: 2)
+        assert trajectories._chunks(257, 4)[0] == 2
+
+    def test_failing_worker_fails_the_call(self, free_timeline, forks, monkeypatch):
+        parent = os.getpid()
+
+        class ChildFault(trajectories._Flow):
+            def __call__(self, t, p):
+                if os.getpid() != parent:
+                    raise FloatingPointError("worker fault")
+                return super().__call__(t, p)
+
+        monkeypatch.setattr(trajectories, "_Flow", ChildFault)
+        q0 = sample(free_timeline.fields[0], 100, seed=13)
+        with pytest.raises(RuntimeError, match=r"exit codes \[1, 1\]"):
+            integrate_ensemble(free_timeline, q0, threads=3)
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_failing_caller_reaps_its_workers(self, free_timeline, forks, monkeypatch):
+        parent = os.getpid()
+
+        class ParentFault(trajectories._Flow):
+            def __call__(self, t, p):
+                if os.getpid() == parent:
+                    raise FloatingPointError("caller fault")
+                return super().__call__(t, p)
+
+        monkeypatch.setattr(trajectories, "_Flow", ParentFault)
+        q0 = sample(free_timeline.fields[0], 100, seed=13)
+        with pytest.raises(FloatingPointError, match="caller fault"):
+            integrate_ensemble(free_timeline, q0, threads=3)
+        assert len(forks) == 2
+        assert_no_children()
+
+    def test_live_thread_means_one_worker(self, free_timeline, forks):
+        q0 = sample(free_timeline.fields[0], 257, seed=11)
+        one = integrate_ensemble(free_timeline, q0, threads=1)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30.0,))
+        other.start()
+        try:
+            assert trajectories._chunks(257, 4)[0] == 1
+            four = integrate_ensemble(free_timeline, q0, threads=4)
+        finally:
+            release.set()
+            other.join(timeout=30.0)
+        assert not other.is_alive()
+        assert forks == []
+        assert np.array_equal(one.q_final, four.q_final)
+
+    def test_small_ensembles_use_one_worker(self, monkeypatch):
+        monkeypatch.setattr(trajectories, "_usable_cpus", lambda: 2)
         assert trajectories._chunks(trajectories.MIN_PER_WORKER * 2 - 1, 2)[0] == 1
         assert trajectories._chunks(trajectories.MIN_PER_WORKER * 2, 2)[0] == 2
 
@@ -243,6 +327,11 @@ class TestValidation:
     def test_rejects_empty_ensemble(self, free_timeline):
         with pytest.raises(ValueError, match="at least one"):
             integrate_ensemble(free_timeline, [])
+
+    def test_rejects_fewer_than_one_thread(self, free_timeline):
+        for threads in (0, -5):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                integrate_ensemble(free_timeline, [0.0], threads=threads)
 
     def test_rejects_bad_substep(self, free_timeline):
         with pytest.raises(ValueError, match="positive"):
