@@ -41,7 +41,7 @@ from .operators import (
     spec_from_text,
 )
 from .peres_mermin import contextual_witness
-from .propagation import HamiltonianSpec, evolve, window_steps
+from .propagation import HamiltonianSpec, _guard_violation, evolve, window_steps
 from .sampling import KS_COEFF, ks_distance, sample
 from .stern_gerlach import (
     PacketSpec,
@@ -49,6 +49,7 @@ from .stern_gerlach import (
     SGSetup,
     _check_packet_symmetric,
     _check_reversal_setup,
+    _magnet_hamiltonian,
     branch_overlap,
     build_timeline,
     contextuality_demo,
@@ -282,7 +283,8 @@ def parse_config(text: str) -> RunConfig:
     The [grid], [packet], [setup] and [numerics] values are checked by
     constructing SGNumerics, PacketSpec and SGSetup from them, plus the
     library checks the command will meet: the grid, the packet fitting
-    it, the splitting preconditions and the tiling of each window.
+    it, the splitting preconditions, the tiling of each window and the
+    magnet's split-step accuracy guard.
     """
     sections, section_lines, errors = _tokenize(text)
 
@@ -393,6 +395,12 @@ def parse_config(text: str) -> RunConfig:
                 window_steps(window, numerics.dt, numerics.record_every, key)
             except ValueError as exc:
                 fail(section, key, str(exc))
+
+    # The magnet's split step must hold the accuracy guard; the free drift's ratio is 0.
+    if splitting and setup is not None and grid is not None:
+        problem = _guard_violation(_magnet_hamiltonian(setup, grid), numerics.dt)
+        if problem is not None:
+            fail("numerics", "dt", problem)
 
     if command == "contextuality":
         nrm = math.hypot(abs(spin_up), abs(spin_down))

@@ -122,15 +122,25 @@ def _step_arrays(c1, c2, kin_phase, pot):
     return u11 * d1 + u12 * d2, u21 * d1 + u22 * d2
 
 
+def _guard_violation(h: HamiltonianSpec, dt: float) -> str | None:
+    """Why steps of size dt break the accuracy guard for h, or None.
+
+    The one rule for the guard: evolve and step warn with this message,
+    and the CLI rejects a config with it before any work.
+    """
+    ratio = h.max_effective_potential() * abs(dt)
+    if ratio < GUARD_LIMIT:
+        return None
+    return (
+        f"split-step accuracy guard violated: max|V_eff| * dt = "
+        f"{ratio:.3g} >= {GUARD_LIMIT}; reduce dt"
+    )
+
+
 def _warn_if_guard_violated(h: HamiltonianSpec, dt: float) -> None:
-    strength = h.max_effective_potential()
-    if strength * abs(dt) >= GUARD_LIMIT:
-        warnings.warn(
-            f"split-step accuracy guard violated: max|V_eff| * dt = "
-            f"{strength * abs(dt):.3g} >= {GUARD_LIMIT}; reduce dt",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    message = _guard_violation(h, dt)
+    if message is not None:
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 def step(psi: SpinorField, h: HamiltonianSpec, dt: float) -> SpinorField:

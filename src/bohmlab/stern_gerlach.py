@@ -163,6 +163,13 @@ def _check_reversal_setup(setup: SGSetup) -> None:
         raise ValueError("pass the unreversed setup; the demo drives the reversal itself")
 
 
+def _magnet_hamiltonian(setup: SGSetup, grid: Grid1D) -> HamiltonianSpec:
+    """The coupling of the magnet window on grid."""
+    field = np.zeros((grid.n, 3))
+    field[:, 2] = setup.field_sign * (setup.b0 + setup.b_grad * grid.xs())
+    return HamiltonianSpec(grid, np.zeros(grid.n), field, setup.mu)
+
+
 def build_timeline(
     setup: SGSetup,
     a: complex,
@@ -174,10 +181,7 @@ def build_timeline(
     numerics = numerics or SGNumerics()
     grid = numerics.grid()
     psi0 = gaussian_packet(grid, packet.center, packet.sigma, packet.k, a, b)
-    z = grid.xs()
-    field = np.zeros((grid.n, 3))
-    field[:, 2] = setup.field_sign * (setup.b0 + setup.b_grad * z)
-    h_int = HamiltonianSpec(grid, np.zeros(grid.n), field, setup.mu)
+    h_int = _magnet_hamiltonian(setup, grid)
     timeline = evolve(psi0, h_int, setup.tau, numerics.dt, numerics.record_every)
     if setup.t_drift > 0:
         h_free = HamiltonianSpec.free(grid)

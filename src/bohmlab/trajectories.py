@@ -10,15 +10,23 @@ space).  Numerator and denominator are interpolated to q separately with
 the denominator is clamped to eps = 1e-12 * max rho and the speed is
 capped at half the grid Nyquist speed.
 
-The cubics are evaluated in Horner form: each record's numerator and
-density become one (n, 8) table of per-cell coefficients, built only
-while the integration is inside that record's interval, so an evaluation
-is one wrap of the cell index, one gather of an 8-wide row per particle
-and a Horner pass on the numerator/density pair, all into buffers that
-each worker allocates once.  This is the same interpolant as the
-direct Lagrange-weight sum of earlier releases; results agree with it to
-rounding (max |dq| ~ 3e-14 on the default Stern-Gerlach run), not bit
-for bit.
+The cubics are evaluated in Horner form.  Each record's numerator and
+density become one (4, n) complex table, row k holding c_k(numerator) +
+1j c_k(density) for every cell; it is built only while the integration
+is inside that record's interval.  The coefficients are computed, and
+blended between records, in real arithmetic on the interleaved pairs, so
+the complex packing changes no bit.  An evaluation wraps the cell index,
+gathers four coefficients per particle into contiguous complex buffers
+and runs Horner with the cell offset s held as a complex number whose
+imaginary part is 0, so each complex product yields the two real ones.
+RK4 evaluates twice at each stage time: k2 and k3 at t + h/2, k4 and the
+next step's k1 at t + h.  When the stage time repeats exactly, the
+second evaluation keeps the blend and the gathered coefficients and
+gathers again only for the particles whose cell changed, which gives the
+same bits as a fresh gather.  Every buffer is allocated once per worker.
+This is the same interpolant as the direct Lagrange-weight sum of earlier
+releases; results agree with it to rounding (max |dq| ~ 3e-14 on the
+default Stern-Gerlach run), not bit for bit.
 
 Trajectories follow classical RK4 with a fixed substep, the field at
 stage times being linearly interpolated between adjacent timeline
@@ -69,14 +77,16 @@ NODE_EPS_FACTOR = 1e-12
 # A second worker pays once its share of the ensemble outweighs the
 # per-worker cost of the RK4 loop's Python overhead and the fork.
 # Measured on the default Stern-Gerlach run (2-vCPU Xeon VM, Python 3.11,
-# numpy 2.4), integrate_ensemble on 1 vs 2 worker processes, medians of 5:
-# 2k 182 vs 194 ms, 4k 236-271 vs 223-297, 6k 289-329 vs 262-310,
-# 8k 399-439 vs 357-364, 10k 526 vs 361, 20k 1039 vs 586.  The tie
-# near 4k is left below the cut.
-MIN_PER_WORKER = 4096
-# Largest chunk: its buffers, ~136 B per particle, about fill a 2 MB L2.
-# One thread, same run: 20k in one chunk 876 ms, in two 747 ms, in ten
-# 1316 ms (per-call overhead); 40k in one chunk 3290 ms, in three 2030 ms.
+# numpy 2.4), integrate_ensemble on 1 vs 2 worker processes, ranges of
+# 2 to 9 medians of 5: 2k 123-148 vs 128-152 ms, 3k 153-183 vs 148-171,
+# 4k 167-237 vs 166-190, 6k 215-288 vs 192-215, 8k 270-328 vs 225-240,
+# 10k 388-396 vs 260-263, 20k 752-786 vs 423-439.  The near tie at 3k is
+# left below the cut.
+MIN_PER_WORKER = 2048
+# Largest chunk: its buffers, ~145 B per particle, take 2.4 MB, about one
+# core's 2 MB L2.  One thread, same run: 20k in one chunk 689-763 ms, in
+# two 667-828; 40k in one 1353-1646, in three 1419-1600; 80k in one
+# 3900-4591, in five 3033-3421.
 TILE = 16384
 
 
@@ -127,8 +137,10 @@ def _cell_coefficients(num_row, den_row) -> np.ndarray:
     """Horner coefficients of the 4-point Lagrange cubic in every cell.
 
     For q = x_j + s dx (0 <= s < 1) the cubic through nodes j-1..j+2 is
-    c0 + s (c1 + s (c2 + s c3)).  Row j holds [c0, c1, c2, c3], each as a
-    (numerator, density) pair, so one gather fetches all an evaluation needs.
+    c0 + s (c1 + s (c2 + s c3)).  Row k of the (4, n) complex table holds
+    c_k(numerator) + 1j c_k(density) for every cell j.  The coefficients
+    are computed in real arithmetic and then packed: complex division by
+    2.0 does not round as real division does.
     """
     n = len(num_row)
     f = np.empty((n + 3, 2))  # nodes -1..n+1, wrapped
@@ -137,56 +149,77 @@ def _cell_coefficients(num_row, den_row) -> np.ndarray:
     f[0] = f[n]
     f[n + 1:] = f[1:3]
     a, b, c, d = f[:-3], f[1:-2], f[2:-1], f[3:]
-    coef = np.empty((n, 4, 2))
-    coef[:, 0] = b
-    coef[:, 1] = c - b / 2.0 - a / 3.0 - d / 6.0
-    coef[:, 2] = (a + c) / 2.0 - b
-    coef[:, 3] = (d - a) / 6.0 + (b - c) / 2.0
-    return coef.reshape(-1, 8)
+    coef = np.empty((4, n), dtype=np.complex128)
+    pairs = coef.view(np.float64).reshape(4, n, 2)  # (numerator, density)
+    pairs[0] = b
+    pairs[1] = c - b / 2.0 - a / 3.0 - d / 6.0
+    pairs[2] = (a + c) / 2.0 - b
+    pairs[3] = (d - a) / 6.0 + (b - c) / 2.0
+    return coef
 
 
 class _Workspace:
-    """Buffers for evaluating m positions, allocated once and reused."""
+    """Buffers for evaluating m positions, allocated once and reused.
+
+    c holds the coefficients gathered at the cells in j; they stay valid
+    for the next evaluation on the same table.
+    """
 
     def __init__(self, m: int) -> None:
-        self.u = np.empty(m)
-        self.s = np.empty(m)
+        self.s = np.zeros(m, dtype=np.complex128)  # imaginary part stays 0
         self.j = np.empty(m, dtype=np.int64)
-        self.rows = np.empty((m, 8))
-        self.pair = np.empty((2, m))  # numerator, density
+        self.j_last = np.empty(m, dtype=np.int64)
+        self.moved = np.empty(m, dtype=bool)
+        self.c = np.empty((4, m), dtype=np.complex128)
+        self.acc = np.empty(m, dtype=np.complex128)  # numerator + 1j density
         self.v = np.empty(m)
-        cells = self.rows.reshape(m, 4, 2)
-        self.c = tuple(cells[:, k].T for k in range(4))  # (2, m) views
 
 
-def _interp_quotient(coef, eps: float, grid: Grid1D, q, vmax: float, work=None):
+def _regather(coef, work) -> None:
+    """Gather anew the coefficients of the particles whose cell moved."""
+    moved = np.flatnonzero(work.moved)
+    work.c[:, moved] = coef.take(work.j[moved], axis=1)
+
+
+def _interp_quotient(coef, eps: float, grid: Grid1D, q, vmax: float, work=None, reuse=False):
     """Interpolate numerator and density at q, regularize, divide.
 
     coef is a table from _cell_coefficients; the density is floored at eps
-    and the speed capped at vmax.  The result is work.v.
+    and the speed capped at vmax.  With reuse, coef is the table that
+    work's last evaluation gathered from, and only the particles whose
+    cell changed since are gathered again.  The result is work.v.
     """
     if work is None:
         q = np.asarray(q, dtype=np.float64).reshape(-1)
         work = _Workspace(q.size)
     w = work
-    np.subtract(q, grid.x_min, out=w.u)
-    np.divide(w.u, grid.dx, out=w.u)
-    np.floor(w.u, out=w.s)
-    np.copyto(w.j, w.s, casting="unsafe")
-    np.subtract(w.u, w.s, out=w.s)
+    w.j, w.j_last = w.j_last, w.j
+    u, s = w.v, w.s.real  # v holds q in cell units until the quotient lands
+    np.subtract(q, grid.x_min, out=u)
+    np.divide(u, grid.dx, out=u)
+    np.floor(u, out=s)
+    np.copyto(w.j, s, casting="unsafe")
+    np.subtract(u, s, out=s)
     # j mod n: n is a power of two (Grid1D), and the mask wraps j < 0 too
     np.bitwise_and(w.j, grid.n - 1, out=w.j)
-    coef.take(w.j, axis=0, out=w.rows, mode="clip")  # j is in range; "raise" copies
     c0, c1, c2, c3 = w.c
-    acc = w.pair
+    if reuse:
+        np.not_equal(w.j, w.j_last, out=w.moved)
+        if np.count_nonzero(w.moved):
+            _regather(coef, w)
+    else:
+        for row, out in zip(coef, w.c):
+            row.take(w.j, out=out, mode="clip")  # j is in range; "raise" copies
+    acc = w.acc
     np.multiply(c3, w.s, out=acc)
     np.add(acc, c2, out=acc)
     np.multiply(acc, w.s, out=acc)
     np.add(acc, c1, out=acc)
     np.multiply(acc, w.s, out=acc)
     np.add(acc, c0, out=acc)
-    np.maximum(acc[1], eps, out=acc[1])
-    np.divide(acc[0], acc[1], out=w.v)
+    num, den = acc.real, acc.imag
+    np.maximum(den, eps, out=den)
+    np.divide(num, den, out=w.v)
     np.maximum(w.v, -vmax, out=w.v)
     return np.minimum(w.v, vmax, out=w.v)
 
@@ -213,7 +246,8 @@ class _Flow:
     """Velocity along a timeline for m positions, owned by one worker.
 
     Cell coefficients exist for the current record interval only; their
-    linear blend at a stage time is kept while the stage time repeats.
+    linear blend at a stage time is kept while the stage time repeats,
+    and so are the coefficients gathered from it.
     """
 
     def __init__(self, num, den, grid: Grid1D, t0: float, spacing: float, m: int) -> None:
@@ -221,8 +255,8 @@ class _Flow:
         self.t0, self.spacing = t0, spacing
         self.vmax = _nyquist_cap(grid)
         self.work = _Workspace(m)
-        self.blend = np.empty((grid.n, 8))
-        self.scaled = np.empty((grid.n, 8))
+        self.blend = np.empty((4, grid.n), dtype=np.complex128)
+        self.scaled = np.empty((4, grid.n), dtype=np.complex128)
         self.interval = -1
         self.cells = (None, None)
         self.key = None
@@ -232,9 +266,10 @@ class _Flow:
         tau = (t - self.t0) / self.spacing
         r = min(max(int(np.floor(tau)), 0), len(self.num) - 2)
         lam = tau - r
-        if (r, lam) != self.key:
+        repeat = (r, lam) == self.key
+        if not repeat:
             self._blend(r, lam)
-        return _interp_quotient(self.blend, self.eps, self.grid, p, self.vmax, self.work)
+        return _interp_quotient(self.blend, self.eps, self.grid, p, self.vmax, self.work, repeat)
 
     def _blend(self, r: int, lam: float) -> None:
         if r != self.interval:
@@ -243,11 +278,13 @@ class _Flow:
                 lo = _cell_coefficients(self.num[r], self.den[r])
             self.cells = (lo, _cell_coefficients(self.num[r + 1], self.den[r + 1]))
             self.interval = r
-        lo, hi = self.cells
-        np.multiply(lo, 1.0 - lam, out=self.blend)
-        np.multiply(hi, lam, out=self.scaled)
-        np.add(self.blend, self.scaled, out=self.blend)
-        self.eps = _floor_eps(self.blend[:, 1])  # the blended density at the nodes
+        # in real arithmetic, on the interleaved (numerator, density) pairs
+        lo, hi = (table.view(np.float64) for table in self.cells)
+        blend, scaled = self.blend.view(np.float64), self.scaled.view(np.float64)
+        np.multiply(lo, 1.0 - lam, out=blend)
+        np.multiply(hi, lam, out=scaled)
+        np.add(blend, scaled, out=blend)
+        self.eps = _floor_eps(self.blend[0].imag)  # the blended density at the nodes
         self.key = (r, lam)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bohmlab import PacketSpec, SGNumerics, SGSetup, cli
+from bohmlab import PacketSpec, SGNumerics, SGSetup, build_timeline, cli
 from bohmlab.cli import ConfigError, main, parse_config
 
 # small grid and short windows keep every invocation under a second
@@ -19,6 +19,19 @@ n = 256
 dt = 0.00390625
 record_every = 16
 substeps = 4
+"""
+
+
+# max|V_eff| * dt = 1.5 * 3 * 32 / 128 = 1.125 over the magnet window
+GUARD_VIOLATION = """
+[grid]
+x_min = -32
+x_max = 32
+[setup]
+mu = -1.5
+b_grad = 3
+[numerics]
+dt = 0.0078125
 """
 
 
@@ -146,6 +159,18 @@ class TestParseConfig:
             parse_config("[run]\ncommand = contextuality\n[contextuality]\nq_span = 5.0\n")
         with pytest.raises(ConfigError, match="b0 = 0"):
             parse_config("[run]\ncommand = contextuality\n[setup]\nb0 = 1.0\n")
+
+    def test_accuracy_guard_is_the_library_rule(self):
+        # the default magnet holds the guard: 1 * 4 * 30 / 256 = 0.469
+        parse_config("[run]\ncommand = born-check\n")
+        setup = SGSetup(mu=-1.5, b_grad=3.0, t_drift=0.0)
+        numerics = SGNumerics(x_min=-32.0, x_max=32.0, dt=1.0 / 128.0)
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[run]\ncommand = born-check\n{GUARD_VIOLATION}")
+        with pytest.warns(RuntimeWarning) as warned:
+            build_timeline(setup, 1.0, 0.0, PacketSpec(), numerics)
+        assert err.value.errors == (f"line 11: [numerics] dt: {warned[0].message}",)
+        assert "max|V_eff| * dt = 1.12 >= 0.5" in err.value.errors[0]
 
     def test_pointer_state_parsing(self):
         cfg = parse_config("[run]\ncommand = pointer-model\n[pointer]\nstate = 0.6 0.8j\n")
@@ -365,6 +390,20 @@ class TestFailureModes:
         assert len(messages) == 1
         assert f"[{section}] {key}: " in messages[0]
         assert "integer multiple of dt" in messages[0]
+
+    def test_accuracy_guard_violation_exits_2_before_any_work(self, tmp_path, capsys):
+        text = (
+            "[run]\ncommand = stern-gerlach\nn_samples = 400\n"
+            "[packet]\nspin_up = 0.70710678118654752\nspin_down = 0.70710678118654752\n"
+            + GUARD_VIOLATION
+        )
+        code, out = invoke(tmp_path, text)
+        assert code == 2
+        assert not out.exists()
+        report = json.loads(capsys.readouterr().err)  # one JSON object, no warning lines
+        assert report["error"] == "ConfigError"
+        assert len(report["messages"]) == 1
+        assert "[numerics] dt: split-step accuracy guard violated" in report["messages"][0]
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "missing.cfg")])

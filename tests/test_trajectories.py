@@ -289,6 +289,42 @@ class TestDeterminism:
         assert trajectories._chunks(trajectories.MIN_PER_WORKER * 2, 2)[0] == 2
 
 
+class TestGatherReuse:
+    """An evaluation at a repeated stage time re-gathers moved particles only."""
+
+    def test_reuse_is_bit_identical_to_fresh_gathers(self, free_timeline, monkeypatch):
+        # one RK4 step per record interval spaces the stages widely enough
+        # that some particles change cell between two same-time evaluations
+        q0 = sample(free_timeline.fields[0], 400, seed=7)
+
+        def run():
+            return integrate_ensemble(
+                free_timeline, q0, dt_traj=free_timeline.spacing, keep_history=True
+            )
+
+        moved = []
+        regather = trajectories._regather
+
+        def counted(coef, work):
+            moved.append(int(np.count_nonzero(work.moved)))
+            regather(coef, work)
+
+        monkeypatch.setattr(trajectories, "_regather", counted)
+        reused = run()
+        assert sum(moved) > 0
+
+        class FreshGathers(trajectories._Flow):
+            def __call__(self, t, p):
+                self.key = None  # blend and gather anew at every evaluation
+                return super().__call__(t, p)
+
+        monkeypatch.setattr(trajectories, "_Flow", FreshGathers)
+        moved.clear()
+        fresh = run()
+        assert moved == []
+        assert reused.positions.tobytes() == fresh.positions.tobytes()
+
+
 class TestEquivariance:
     def test_transported_samples_match_final_density(self, free_timeline):
         q0 = sample(free_timeline.fields[0], 4000, seed=100)
