@@ -3,153 +3,24 @@ dimension: spectral spinor propagation, trajectory transport, equilibrium
 sampling, an operator layer mapping experiments to observables, a
 simulated beam-splitting experiment, and an exhaustive contextuality
 search, all behind a deterministic batch CLI.
+
+Each module's __all__ is the one list of its public names; the package
+re-exports them all.
 """
 
 __version__ = "0.1.0"
 
-from .grids import (
-    Grid1D,
-    SpinorField,
-    check_packet_fits,
-    density,
-    gaussian_packet,
-    inner_product,
-    make_grid,
-    plane_wave,
-)
-from .operators import (
-    ExperimentSpec,
-    ExperimentSpecError,
-    HermitianOp,
-    Outcome,
-    PointerResult,
-    StateVec,
-    born_probabilities,
-    build_observable,
-    expectation,
-    pointer_model,
-    reproducibility_check,
-    spec_from_text,
-    spec_to_text,
-    spectral_decompose,
-)
-from .peres_mermin import (
-    CheckResult,
-    GridReport,
-    ObservableGrid,
-    WitnessReport,
-    assignment_search,
-    contextual_witness,
-    count_sign_assignments,
-    grid_constraints,
-    joint_value_distribution,
-    standard_grid,
-    verify_grid,
-)
-from .propagation import (
-    PAULI,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    HamiltonianSpec,
-    WaveTimeline,
-    apply_hamiltonian,
-    energy,
-    evolve,
-    step,
-    window_steps,
-)
-from .sampling import SeededSampler, ks_distance, sample
-from .stern_gerlach import (
-    ContextualityReport,
-    OutcomeStatistics,
-    PacketSpec,
-    SGNumerics,
-    SGSetup,
-    TrajectoryEnsemble,
-    assign_outcomes,
-    branch_overlap,
-    build_timeline,
-    contextuality_demo,
-    no_crossing_check,
-    outcome_map,
-    run_sg,
-)
-from .trajectories import (
-    EnsemblePaths,
-    Trajectory,
-    equivariance_check,
-    integrate,
-    integrate_ensemble,
-    velocity,
-)
+from . import grids, operators, peres_mermin, propagation, sampling, stern_gerlach, trajectories
+from .grids import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .peres_mermin import *  # noqa: F401,F403
+from .propagation import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .stern_gerlach import *  # noqa: F401,F403
+from .trajectories import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "Grid1D",
-    "SpinorField",
-    "check_packet_fits",
-    "density",
-    "gaussian_packet",
-    "inner_product",
-    "make_grid",
-    "plane_wave",
-    "ExperimentSpec",
-    "ExperimentSpecError",
-    "HermitianOp",
-    "Outcome",
-    "PointerResult",
-    "StateVec",
-    "born_probabilities",
-    "build_observable",
-    "expectation",
-    "pointer_model",
-    "reproducibility_check",
-    "spec_from_text",
-    "spec_to_text",
-    "spectral_decompose",
-    "CheckResult",
-    "GridReport",
-    "ObservableGrid",
-    "WitnessReport",
-    "assignment_search",
-    "contextual_witness",
-    "count_sign_assignments",
-    "grid_constraints",
-    "joint_value_distribution",
-    "standard_grid",
-    "verify_grid",
-    "HamiltonianSpec",
-    "PAULI",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "WaveTimeline",
-    "apply_hamiltonian",
-    "energy",
-    "evolve",
-    "step",
-    "window_steps",
-    "SeededSampler",
-    "ks_distance",
-    "sample",
-    "ContextualityReport",
-    "OutcomeStatistics",
-    "PacketSpec",
-    "SGNumerics",
-    "SGSetup",
-    "TrajectoryEnsemble",
-    "assign_outcomes",
-    "branch_overlap",
-    "build_timeline",
-    "contextuality_demo",
-    "no_crossing_check",
-    "outcome_map",
-    "run_sg",
-    "EnsemblePaths",
-    "Trajectory",
-    "equivariance_check",
-    "integrate",
-    "integrate_ensemble",
-    "velocity",
+__all__ = ["__version__"] + [
+    name
+    for module in (grids, operators, peres_mermin, propagation, sampling, stern_gerlach, trajectories)
+    for name in module.__all__
 ]

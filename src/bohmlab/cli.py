@@ -811,12 +811,21 @@ COMMANDS = tuple(_DRIVERS)
 
 # ---------------------------------------------------------------- runner
 
-def _write_artifacts(out_dir: str, artifacts: dict[str, str]) -> None:
+def _write_artifacts(out_dir: str, artifacts: dict[str, str], formats: tuple[str, ...]) -> None:
+    """Write the artifacts in the selected formats, plus any plain text.
+
+    This command's artifacts in the other formats are removed first, so a
+    file from an earlier run never sits beside this run's summary.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    left_out = set(FORMATS) - set(formats)
+    dropped = {name for name in artifacts if name.rsplit(".", 1)[-1] in left_out}
+    for name in dropped:
+        (out / name).unlink(missing_ok=True)
     written: list[Path] = []
     try:
-        for name in sorted(artifacts):
+        for name in sorted(artifacts.keys() - dropped):
             path = out / name
             path.write_text(artifacts[name])
             written.append(path)
@@ -829,23 +838,13 @@ def _write_artifacts(out_dir: str, artifacts: dict[str, str]) -> None:
         raise
 
 
-def _selected(artifacts: dict[str, str], formats: tuple[str, ...]) -> dict[str, str]:
-    keep = {}
-    for name, content in artifacts.items():
-        ext = name.rsplit(".", 1)[-1]
-        if ext in FORMATS and ext not in formats:
-            continue
-        keep[name] = content
-    return keep
-
-
 def run(config: RunConfig, *, threads: int = 1) -> int:
     """Execute one command; artifacts land in config.out only on success."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     try:
         artifacts = _DRIVERS[config.command](config, threads)
-        _write_artifacts(config.out, _selected(artifacts, config.formats))
+        _write_artifacts(config.out, artifacts, config.formats)
     except Exception as exc:  # any driver failure gets the JSON report
         report = {
             "error": type(exc).__name__,

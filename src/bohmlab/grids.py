@@ -73,9 +73,6 @@ class Grid1D:
         """FFT-ordered wavenumbers 2*pi*fftfreq(n, dx)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
-    def contains(self, q) -> np.ndarray | bool:
-        return (self.x_min <= np.asarray(q)) & (np.asarray(q) < self.x_max)
-
 
 def make_grid(n: int, x_min: float, x_max: float) -> Grid1D:
     """Build a validated uniform periodic grid."""

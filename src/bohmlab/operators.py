@@ -21,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ATOL",
-    "MAX_COMPOSITE_DIM",
     "ExperimentSpecError",
     "HermitianOp",
     "Outcome",
@@ -272,9 +270,7 @@ class PointerResult:
     pointer_dim: int
 
 
-def pointer_model(
-    psi: StateVec, spec: ExperimentSpec, pointer_dim: int | None = None
-) -> PointerResult:
+def pointer_model(psi: StateVec, spec: ExperimentSpec) -> PointerResult:
     """Unitary apparatus model psi (x) ready -> sum_a (P_a psi) (x) pointer_a.
 
     The coupling isometry is completed to a unitary on the composite
@@ -283,12 +279,7 @@ def pointer_model(
     within 1e-12.
     """
     _check_state(psi, spec)
-    k = spec.n_outcomes
-    pd = k + 1
-    if pointer_dim is not None and pointer_dim != pd:
-        raise ValueError(
-            f"pointer dimension must be number of outcomes + 1 = {pd}, got {pointer_dim}"
-        )
+    pd = spec.n_outcomes + 1
     dim = spec.dim
     total = dim * pd
     if total > MAX_COMPOSITE_DIM:

@@ -113,87 +113,51 @@ class GridReport:
 def _product_sign(triple) -> tuple[int | None, float]:
     """Sign s with A B C = s I, or (None, deviation) if not proportional."""
     prod = triple[0] @ triple[1] @ triple[2]
-    for sign in (1, -1):
-        dev = float(np.max(np.abs(prod - sign * np.eye(4))))
+    devs = {sign: float(np.max(np.abs(prod - sign * np.eye(4)))) for sign in (1, -1)}
+    for sign, dev in devs.items():
         if dev <= ATOL:
             return sign, dev
-    dev_plus = float(np.max(np.abs(prod - np.eye(4))))
-    dev_minus = float(np.max(np.abs(prod + np.eye(4))))
-    return None, min(dev_plus, dev_minus)
+    return None, min(devs.values())
 
 
 def verify_grid(grid: ObservableGrid) -> GridReport:
     """Numerically verify hermiticity, involution, commutation within each
     row and column, and the row/column product signs."""
-    checks: list[CheckResult] = []
-
-    herm_dev = float(
-        max(
-            np.max(np.abs(grid.entries[i, j] - grid.entries[i, j].conj().T))
-            for i in range(3)
-            for j in range(3)
+    entries = [grid.entries[i, j] for i in range(3) for j in range(3)]
+    herm_dev = max(float(np.max(np.abs(e - e.conj().T))) for e in entries)
+    sq_dev = max(float(np.max(np.abs(e @ e - np.eye(4)))) for e in entries)
+    commute: list[CheckResult] = []
+    products: list[CheckResult] = []
+    signs = {}
+    for kind, triples, targets in (
+        ("row", [grid.row(i) for i in range(3)], grid.row_targets),
+        ("column", [grid.col(j) for j in range(3)], grid.col_targets),
+    ):
+        comm = max(
+            float(np.max(np.abs(a @ b - b @ a)))
+            for triple in triples
+            for a, b in itertools.combinations(triple, 2)
         )
-    )
-    checks.append(
-        CheckResult("hermitian", herm_dev <= ATOL, f"max deviation {herm_dev:.3e}")
-    )
-
-    sq_dev = float(
-        max(
-            np.max(np.abs(grid.entries[i, j] @ grid.entries[i, j] - np.eye(4)))
-            for i in range(3)
-            for j in range(3)
-        )
-    )
-    checks.append(
-        CheckResult("squares to identity", sq_dev <= ATOL, f"max deviation {sq_dev:.3e}")
-    )
-
-    def commute_dev(triple) -> float:
-        worst = 0.0
-        for a, b in itertools.combinations(triple, 2):
-            worst = max(worst, float(np.max(np.abs(a @ b - b @ a))))
-        return worst
-
-    row_comm = max(commute_dev(grid.row(i)) for i in range(3))
-    col_comm = max(commute_dev(grid.col(j)) for j in range(3))
-    checks.append(
-        CheckResult("rows commute", row_comm <= ATOL, f"max deviation {row_comm:.3e}")
-    )
-    checks.append(
-        CheckResult("columns commute", col_comm <= ATOL, f"max deviation {col_comm:.3e}")
-    )
-
-    row_signs = []
-    for i in range(3):
-        sign, dev = _product_sign(grid.row(i))
-        target = grid.row_targets[i]
-        ok = sign == target
-        row_signs.append(sign)
-        checks.append(
-            CheckResult(
-                f"row {i} product",
-                ok,
-                f"expected {target:+d} I, found "
-                + (f"{sign:+d} I (deviation {dev:.3e})" if sign is not None else f"no sign (deviation {dev:.3e})"),
+        commute.append(CheckResult(f"{kind}s commute", comm <= ATOL, f"max deviation {comm:.3e}"))
+        signs[kind] = []
+        for i, (triple, target) in enumerate(zip(triples, targets)):
+            sign, dev = _product_sign(triple)
+            found = f"{sign:+d} I" if sign is not None else "no sign"
+            signs[kind].append(sign)
+            products.append(
+                CheckResult(
+                    f"{kind} {i} product",
+                    sign == target,
+                    f"expected {target:+d} I, found {found} (deviation {dev:.3e})",
+                )
             )
-        )
-    col_signs = []
-    for j in range(3):
-        sign, dev = _product_sign(grid.col(j))
-        target = grid.col_targets[j]
-        ok = sign == target
-        col_signs.append(sign)
-        checks.append(
-            CheckResult(
-                f"column {j} product",
-                ok,
-                f"expected {target:+d} I, found "
-                + (f"{sign:+d} I (deviation {dev:.3e})" if sign is not None else f"no sign (deviation {dev:.3e})"),
-            )
-        )
-
-    return GridReport(checks=tuple(checks), row_signs=tuple(row_signs), col_signs=tuple(col_signs))
+    checks = (
+        CheckResult("hermitian", herm_dev <= ATOL, f"max deviation {herm_dev:.3e}"),
+        CheckResult("squares to identity", sq_dev <= ATOL, f"max deviation {sq_dev:.3e}"),
+        *commute,
+        *products,
+    )
+    return GridReport(checks=checks, row_signs=tuple(signs["row"]), col_signs=tuple(signs["column"]))
 
 
 def grid_constraints(grid: ObservableGrid) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -269,14 +233,6 @@ class WitnessReport:
             "context in which they are measured.",
         ]
         return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_candidates": self.n_candidates,
-            "n_consistent": self.n_consistent,
-            "parity_product": self.parity_product,
-            "constraints": list(self.constraint_lines),
-        }
 
 
 def contextual_witness(grid: ObservableGrid | None = None) -> WitnessReport:

@@ -21,10 +21,6 @@ import numpy as np
 from .grids import Grid1D, SpinorField, density, inner_product
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "PAULI",
     "HamiltonianSpec",
     "WaveTimeline",
     "step",
@@ -33,14 +29,6 @@ __all__ = [
     "apply_hamiltonian",
     "energy",
 ]
-
-# Pauli matrices in the basis where spin-up = (1, 0) and spin-down = (0, 1).
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-    _m.setflags(write=False)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 # Accuracy guard: warn when max|V_eff| * dt exceeds this bound.
 GUARD_LIMIT = 0.5

@@ -57,16 +57,11 @@ def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"field must be normalized (norm = {nrm:.8f})")
     grid = psi.grid
     rho = density(psi)
-    left = rho
-    right = np.roll(rho, -1)
-    masses = 0.5 * (left + right) * grid.dx
-    cdf = np.cumsum(masses)
-    cdf /= cdf[-1]
-    cdf[-1] = 1.0
+    cdf = _node_cdf(rho, grid.dx)
     u = SeededSampler(seed).uniforms(2 * n)
-    cells = np.searchsorted(cdf, u[0::2], side="right")
-    a = left[cells]
-    b = right[cells]
+    cells = np.searchsorted(cdf[1:], u[0::2], side="right")  # cell j ends at node j + 1
+    a = rho[cells]
+    b = np.roll(rho, -1)[cells]
     w = u[1::2]
     # Inverse in-cell CDF for density rising linearly from a to b; the
     # sqrt argument is cancellation-free, and nearly flat cells fall
@@ -81,16 +76,13 @@ def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
     return grid.x_min + (cells + s) * grid.dx
 
 
-def _node_cdf(psi: SpinorField):
-    """Trapezoid CDF of the density at grid nodes, closed periodically."""
-    grid = psi.grid
-    rho = density(psi)
+def _node_cdf(rho, dx: float) -> np.ndarray:
+    """Trapezoid CDF of the node density at nodes 0..n, closed periodically."""
     rho_ext = np.concatenate([rho, rho[:1]])
-    increments = 0.5 * (rho_ext[:-1] + rho_ext[1:]) * grid.dx
+    increments = 0.5 * (rho_ext[:-1] + rho_ext[1:]) * dx
     cdf = np.concatenate([[0.0], np.cumsum(increments)])
     cdf /= cdf[-1]
-    nodes = np.concatenate([grid.xs(), [grid.x_max]])
-    return nodes, cdf
+    return cdf
 
 
 def ks_distance(samples, psi: SpinorField) -> float:
@@ -98,8 +90,9 @@ def ks_distance(samples, psi: SpinorField) -> float:
     s = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     if s.size == 0:
         raise ValueError("need at least one sample")
-    nodes, cdf = _node_cdf(psi)
-    f = np.interp(s, nodes, cdf)
+    grid = psi.grid
+    nodes = np.concatenate([grid.xs(), [grid.x_max]])
+    f = np.interp(s, nodes, _node_cdf(density(psi), grid.dx))
     m = s.size
     hi = np.arange(1, m + 1) / m
     lo = np.arange(0, m) / m

@@ -28,7 +28,7 @@ import numpy as np
 from .grids import Grid1D, SpinorField, make_grid, gaussian_packet
 from .propagation import HamiltonianSpec, WaveTimeline, evolve
 from .sampling import sample
-from .trajectories import Trajectory, integrate_ensemble
+from .trajectories import integrate_ensemble
 
 __all__ = [
     "PacketSpec",
@@ -270,15 +270,6 @@ class TrajectoryEnsemble:
     packet: PacketSpec
     seed: int
 
-    def trajectory(self, i: int) -> Trajectory:
-        if self.positions is None:
-            raise ValueError("ensemble was integrated without position history")
-        return Trajectory(
-            times=self.times,
-            positions=self.positions[:, i],
-            outcome=str(self.outcomes[i]),
-        )
-
 
 def run_sg(
     setup: SGSetup,
@@ -468,7 +459,7 @@ def contextuality_demo(
     )
 
 
-def no_crossing_check(ensemble: TrajectoryEnsemble, z_sym: float = 0.0) -> bool:
+def no_crossing_check(ensemble: TrajectoryEnsemble) -> bool:
     """Verify that no trajectory crosses the symmetry plane.
 
     Only defined for mirror-symmetric runs (b0 = 0, even packet centered
@@ -480,10 +471,8 @@ def no_crossing_check(ensemble: TrajectoryEnsemble, z_sym: float = 0.0) -> bool:
     setup, packet = ensemble.setup, ensemble.packet
     if setup.b0 != 0:
         raise ValueError("no-crossing check requires the symmetric field (b0 = 0)")
-    if packet.center != z_sym or packet.k != 0:
-        raise ValueError(
-            f"no-crossing check requires an even packet centered on the plane z = {z_sym}"
-        )
+    if packet.center != 0 or packet.k != 0:
+        raise ValueError("no-crossing check requires an even packet centered on the plane z = 0")
     if abs(abs(ensemble.spin_up) - abs(ensemble.spin_down)) > MIRROR_TOL:
         raise ValueError("no-crossing check requires |a| = |b|")
     positions = ensemble.positions
@@ -491,9 +480,9 @@ def no_crossing_check(ensemble: TrajectoryEnsemble, z_sym: float = 0.0) -> bool:
     below = np.zeros(positions.shape[1], dtype=bool)
     rows = max(1, NO_CROSSING_BLOCK // positions.shape[1])
     for lo in range(0, positions.shape[0], rows):
-        dev = positions[lo:lo + rows] - z_sym
-        above |= (dev > NO_CROSSING_BAND).any(axis=0)
-        below |= (dev < -NO_CROSSING_BAND).any(axis=0)
+        block = positions[lo:lo + rows]
+        above |= (block > NO_CROSSING_BAND).any(axis=0)
+        below |= (block < -NO_CROSSING_BAND).any(axis=0)
     return not bool(np.any(above & below))
 
 

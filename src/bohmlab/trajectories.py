@@ -63,14 +63,7 @@ from .grids import Grid1D, SpinorField, density
 from .propagation import WaveTimeline
 from .sampling import ks_distance
 
-__all__ = [
-    "Trajectory",
-    "EnsemblePaths",
-    "velocity",
-    "integrate",
-    "integrate_ensemble",
-    "equivariance_check",
-]
+__all__ = ["EnsemblePaths", "velocity", "integrate_ensemble", "equivariance_check"]
 
 NODE_EPS_FACTOR = 1e-12
 
@@ -88,21 +81,6 @@ MIN_PER_WORKER = 2048
 # two 667-828; 40k in one 1353-1646, in three 1419-1600; 80k in one
 # 3900-4591, in five 3033-3421.
 TILE = 16384
-
-
-@dataclass
-class Trajectory:
-    """One integrated path: times, positions, optional post-hoc outcome."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    outcome: str | None = None
-
-    def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        if self.times.shape != self.positions.shape:
-            raise ValueError("times and positions must have equal length")
 
 
 @dataclass(frozen=True)
@@ -181,7 +159,7 @@ def _regather(coef, work) -> None:
     work.c[:, moved] = coef.take(work.j[moved], axis=1)
 
 
-def _interp_quotient(coef, eps: float, grid: Grid1D, q, vmax: float, work=None, reuse=False):
+def _interp_quotient(coef, eps: float, grid: Grid1D, q, vmax: float, work: _Workspace, reuse=False):
     """Interpolate numerator and density at q, regularize, divide.
 
     coef is a table from _cell_coefficients; the density is floored at eps
@@ -189,9 +167,6 @@ def _interp_quotient(coef, eps: float, grid: Grid1D, q, vmax: float, work=None, 
     work's last evaluation gathered from, and only the particles whose
     cell changed since are gathered again.  The result is work.v.
     """
-    if work is None:
-        q = np.asarray(q, dtype=np.float64).reshape(-1)
-        work = _Workspace(q.size)
     w = work
     w.j, w.j_last = w.j_last, w.j
     u, s = w.v, w.s.real  # v holds q in cell units until the quotient lands
@@ -236,7 +211,10 @@ def velocity(psi: SpinorField, q):
     """Velocity of the guided particle at q (scalar or array)."""
     num, den = _flow_tables([psi], psi.grid)
     coef = _cell_coefficients(num[0], den[0])
-    v = _interp_quotient(coef, _floor_eps(den[0]), psi.grid, q, _nyquist_cap(psi.grid))
+    flat = np.asarray(q, dtype=np.float64).reshape(-1)
+    v = _interp_quotient(
+        coef, _floor_eps(den[0]), psi.grid, flat, _nyquist_cap(psi.grid), _Workspace(flat.size)
+    )
     if np.isscalar(q) or np.asarray(q).ndim == 0:
         return float(v[0])
     return v.reshape(np.shape(q))
@@ -422,7 +400,7 @@ def integrate_ensemble(
             np.add(p, stage, out=stage)
             np.multiply(k, 2.0, out=k)
             np.add(ksum, k, out=ksum)
-            k = vel(t + dt_sub, stage)
+            k = vel(float(times[i + 1]), stage)  # the next step's k1 time, bit for bit
             np.add(ksum, k, out=ksum)
             np.multiply(ksum, dt_sub / 6.0, out=ksum)
             np.add(p, ksum, out=p)
@@ -439,12 +417,6 @@ def integrate_ensemble(
     if history is not None:
         history.setflags(write=False)
     return EnsemblePaths(times=times, q0=starts, q_final=q_final, positions=history)
-
-
-def integrate(timeline: WaveTimeline, q0: float, dt_traj: float | None = None) -> Trajectory:
-    """Integrate a single trajectory from q0 along the timeline."""
-    paths = integrate_ensemble(timeline, [q0], dt_traj=dt_traj, keep_history=True)
-    return Trajectory(times=paths.times, positions=paths.positions[:, 0])
 
 
 def equivariance_check(

@@ -351,6 +351,16 @@ class TestFormatSelection:
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["ensemble.csv"]
 
+    def test_rerun_removes_its_left_out_formats(self, tmp_path):
+        code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")
+        assert code == 0
+        other = out / "notes.csv"
+        other.write_text("not an artifact of this command\n")
+        code, _ = invoke(tmp_path, sg_config("born-check"), "--format", "json", "--seed", "5")
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["notes.csv", "summary.json"]
+        assert read_summary(out)["seed"] == 5
+
     def test_json_only_keeps_plain_text(self, tmp_path):
         code, out = invoke(tmp_path, "[run]\ncommand = nogo\n", "--format", "json")
         assert code == 0

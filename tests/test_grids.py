@@ -37,12 +37,6 @@ class TestGrid:
         expected = 2.0 * np.pi * np.fft.fftfreq(512, d=grid.dx)
         assert np.array_equal(grid.wavenumbers(), expected)
 
-    def test_contains(self, grid):
-        assert grid.contains(-30.0)
-        assert grid.contains(0.0)
-        assert not grid.contains(30.0)
-        assert list(grid.contains([-31.0, 0.0, 29.9])) == [False, True, True]
-
     @pytest.mark.parametrize("n", [0, 1, 8, 15, 100, 500])
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):

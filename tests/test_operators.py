@@ -192,8 +192,6 @@ class TestPointerModel:
         spec = spin_spec()
         psi = StateVec(np.array([0.6, 0.8]))
         assert pointer_model(psi, spec).pointer_dim == 3
-        with pytest.raises(ValueError, match="pointer dimension"):
-            pointer_model(psi, spec, pointer_dim=2)
 
     def test_composite_size_cap(self, rng):
         dim = 9

@@ -155,13 +155,6 @@ class TestWitness:
         assert "v(XI) * v(IX) * v(XX) = +1" in text
         assert "v(XX) * v(YY) * v(ZZ) = -1" in text
 
-    def test_as_dict_round(self, grid):
-        d = contextual_witness(grid).as_dict()
-        assert d["n_candidates"] == 512
-        assert d["n_consistent"] == 0
-        assert d["parity_product"] == -1
-        assert len(d["constraints"]) == 6
-
     def test_satisfiable_grid_has_no_witness(self):
         # all-identity square: every product is +1 I, constraints solvable
         trivial = ObservableGrid(

@@ -8,9 +8,6 @@ import pytest
 
 from bohmlab import (
     HamiltonianSpec,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     SpinorField,
     WaveTimeline,
     apply_hamiltonian,
@@ -43,21 +40,6 @@ def trap_hamiltonian(grid=GRID):
     b[:, 0] = 0.7
     b[:, 2] = 1.1 * np.sin(2.0 * np.pi * xs / grid.length)
     return HamiltonianSpec(grid, 0.02 * xs**2, b, 1.0)
-
-
-class TestPauliConstants:
-    def test_algebra(self):
-        eye = np.eye(2)
-        for s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-            assert np.array_equal(s @ s, eye)
-            assert np.array_equal(s, s.conj().T)
-        assert np.array_equal(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z)
-        assert np.array_equal(SIGMA_Y @ SIGMA_Z, 1j * SIGMA_X)
-        assert np.array_equal(SIGMA_Z @ SIGMA_X, 1j * SIGMA_Y)
-
-    def test_locked(self):
-        with pytest.raises(ValueError):
-            SIGMA_X[0, 0] = 5.0
 
 
 class TestHamiltonianSpec:

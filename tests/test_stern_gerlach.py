@@ -169,18 +169,6 @@ class TestRunStatistics:
         assert np.array_equal(e1.q_final, e4.q_final)
         assert s1.counts == s2.counts == s4.counts
 
-    def test_trajectory_accessor(self, balanced_run):
-        _, ensemble = balanced_run
-        traj = ensemble.trajectory(5)
-        assert traj.positions[0] == ensemble.q0[5]
-        assert traj.positions[-1] == ensemble.q_final[5]
-        _, bare = run_sg(
-            SGSetup(), SQ2, SQ2, PacketSpec(), n=10, seed=1, numerics=COARSE,
-            keep_history=False,
-        )
-        with pytest.raises(ValueError, match="without position history"):
-            bare.trajectory(0)
-
     def test_input_validation(self):
         with pytest.raises(ValueError, match="spinor"):
             run_sg(SGSetup(), 1.0, 1.0, PacketSpec(), n=10, seed=0, numerics=COARSE)

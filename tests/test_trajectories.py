@@ -9,11 +9,9 @@ import pytest
 from bohmlab import (
     HamiltonianSpec,
     SpinorField,
-    Trajectory,
     equivariance_check,
     evolve,
     gaussian_packet,
-    integrate,
     integrate_ensemble,
     ks_distance,
     make_grid,
@@ -161,12 +159,6 @@ class TestFlow:
         assert np.array_equal(kept.positions[0], q0)
         assert np.array_equal(kept.positions[-1], kept.q_final)
         assert integrate_ensemble(free_timeline, q0).positions is None
-
-    def test_single_trajectory_wrapper(self, free_timeline):
-        traj = integrate(free_timeline, 0.8)
-        paths = integrate_ensemble(free_timeline, [0.8], keep_history=True)
-        assert np.array_equal(traj.positions, paths.positions[:, 0])
-        assert np.array_equal(traj.times, paths.times)
 
 
 @pytest.fixture
@@ -324,6 +316,25 @@ class TestGatherReuse:
         assert moved == []
         assert reused.positions.tobytes() == fresh.positions.tobytes()
 
+    def test_every_repeated_stage_time_reuses(self, monkeypatch):
+        # dt = 0.01 is not a power of two: k4's time must still equal the
+        # next step's k1 time bit for bit
+        f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
+        timeline = evolve(f, HamiltonianSpec.free(GRID), 1.0, 0.01, record_every=5)
+        reuses = []
+        real = trajectories._interp_quotient
+
+        def counted(coef, eps, grid, q, vmax, work, reuse=False):
+            reuses.append(reuse)
+            return real(coef, eps, grid, q, vmax, work, reuse)
+
+        monkeypatch.setattr(trajectories, "_interp_quotient", counted)
+        paths = integrate_ensemble(timeline, np.linspace(-2.0, 2.0, 100))
+        n_steps = len(paths.times) - 1
+        assert len(reuses) == 4 * n_steps
+        # k3 repeats k2's time in every step, k1 repeats k4's in all but the first
+        assert sum(reuses) == 2 * n_steps - 1
+
 
 class TestEquivariance:
     def test_transported_samples_match_final_density(self, free_timeline):
@@ -376,7 +387,3 @@ class TestValidation:
             integrate_ensemble(free_timeline, [0.0], dt_traj=1.0)
         with pytest.raises(ValueError, match="does not divide"):
             integrate_ensemble(free_timeline, [0.0], dt_traj=free_timeline.spacing / 3.1)
-
-    def test_trajectory_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            Trajectory(times=np.arange(3.0), positions=np.arange(4.0))
