@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -814,28 +815,30 @@ COMMANDS = tuple(_DRIVERS)
 def _write_artifacts(out_dir: str, artifacts: dict[str, str], formats: tuple[str, ...]) -> None:
     """Write the artifacts in the selected formats, plus any plain text.
 
-    This command's artifacts in the other formats are removed first, so a
-    file from an earlier run never sits beside this run's summary.
+    Every artifact is first written to a temporary file in out_dir; only
+    when all writes have succeeded do they replace the files of an
+    earlier run, and then this command's artifacts in the other formats
+    are removed, so a file from an earlier run never sits beside this
+    run's summary.  A failed write leaves out_dir as it was, without
+    temporary files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     left_out = set(FORMATS) - set(formats)
     dropped = {name for name in artifacts if name.rsplit(".", 1)[-1] in left_out}
+    staged = [
+        (out / f".{name}.{os.getpid()}.tmp", out / name) for name in sorted(artifacts.keys() - dropped)
+    ]
+    try:
+        for temp, path in staged:
+            temp.write_text(artifacts[path.name])
+        for temp, path in staged:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
     for name in dropped:
         (out / name).unlink(missing_ok=True)
-    written: list[Path] = []
-    try:
-        for name in sorted(artifacts.keys() - dropped):
-            path = out / name
-            path.write_text(artifacts[name])
-            written.append(path)
-    except BaseException:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
 
 
 def run(config: RunConfig, *, threads: int = 1) -> int:

@@ -76,6 +76,16 @@ class HamiltonianSpec:
         """max_j |V(x_j)| + |mu| |B(x_j)|, the strength entering the guard."""
         return float(np.max(np.abs(self.potential) + abs(self.mu) * self.field_magnitude()))
 
+    def conjugate(self) -> "HamiltonianSpec":
+        """The complex conjugate H*, which drives the conjugated field.
+
+        The kinetic term, V and the real Pauli matrices sigma_x, sigma_z
+        are unchanged; sigma_y* = -sigma_y flips the y component of B.
+        """
+        b = np.array(self.field_b, copy=True)
+        b[:, 1] = -b[:, 1]
+        return HamiltonianSpec(self.grid, self.potential, b, self.mu)
+
 
 def _half_potential_factors(h: HamiltonianSpec, dt: float):
     """Entries of exp(-i V_eff dt/2) at every grid point.
@@ -151,12 +161,18 @@ class WaveTimeline:
 
     times has the same length as fields; spacing is uniform and the last
     record sits at the final evolution time.  boundary_mass holds the
-    outer-domain mass observed at each record.
+    outer-domain mass observed at each record.  generators, when known,
+    holds one (sign, h) pair per record interval: between records r and
+    r + 1 the field obeys psi_t = -i sign (h psi), sign being -1 where
+    the dynamics ran backward in time.  evolve sets them, extend keeps
+    them and time_reversed conjugates them; the transport reads them for
+    the time derivative of the flow.
     """
 
     times: np.ndarray
     fields: tuple[SpinorField, ...]
     boundary_mass: np.ndarray | None = None
+    generators: tuple[tuple[int, HamiltonianSpec], ...] | None = None
 
     def __post_init__(self) -> None:
         t = np.array(self.times, dtype=np.float64, copy=True).reshape(-1)
@@ -178,11 +194,19 @@ class WaveTimeline:
         bm = np.array(bm, dtype=np.float64, copy=True).reshape(-1)
         if bm.shape != t.shape:
             raise ValueError("boundary_mass must match times in length")
+        gens = self.generators
+        if gens is not None:
+            gens = tuple((int(sign), h) for sign, h in gens)
+            if len(gens) != t.shape[0] - 1:
+                raise ValueError("generators must hold one (sign, h) per record interval")
+            if any(sign not in (1, -1) or h.grid != g for sign, h in gens):
+                raise ValueError("each generator needs a sign of +-1 and the records' grid")
         t.setflags(write=False)
         bm.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "fields", tuple(self.fields))
         object.__setattr__(self, "boundary_mass", bm)
+        object.__setattr__(self, "generators", gens)
 
     @property
     def grid(self) -> Grid1D:
@@ -211,13 +235,25 @@ class WaveTimeline:
             raise ValueError(f"continuation does not start from the final record (dev {dev:.2e})")
         times = np.concatenate([self.times, self.times[-1] + other.times[1:] - other.times[0]])
         bm = np.concatenate([self.boundary_mass, other.boundary_mass[1:]])
-        return WaveTimeline(times, self.fields + other.fields[1:], bm)
+        gens = None
+        if self.generators is not None and other.generators is not None:
+            gens = self.generators + other.generators
+        return WaveTimeline(times, self.fields + other.fields[1:], bm, gens)
 
     def time_reversed(self) -> "WaveTimeline":
-        """Timeline of the motion-reversed dynamics (conjugated fields)."""
+        """Timeline of the motion-reversed dynamics (conjugated fields).
+
+        phi(s) = conj(psi(T - s)) obeys phi_s = -i sign (h* phi) when psi
+        obeys psi_t = -i sign (h psi), so each generator keeps its sign and
+        is conjugated.
+        """
         times = self.times[-1] - self.times[::-1]
         fields = tuple(f.conjugate() for f in reversed(self.fields))
-        return WaveTimeline(times, fields, self.boundary_mass[::-1])
+        gens = self.generators
+        if gens is not None:
+            conjugates = {id(h): h.conjugate() for _, h in gens}
+            gens = tuple((sign, conjugates[id(h)]) for sign, h in reversed(gens))
+        return WaveTimeline(times, fields, self.boundary_mass[::-1], gens)
 
 
 def _boundary_indices(n: int) -> np.ndarray:
@@ -262,7 +298,8 @@ def evolve(
     """Evolve for t_total, recording every record_every steps.
 
     The window must tile into whole record intervals (see window_steps).
-    Negative t_total with matching negative dt runs the dynamics backward.
+    Negative t_total with matching negative dt runs the dynamics backward;
+    the timeline then records elapsed time and its generators carry sign -1.
     Raises RuntimeError if mass in the outer 5% of the domain (each side)
     ever exceeds 1e-6: the packet is about to wrap around.
     """
@@ -306,27 +343,29 @@ def evolve(
             times.append(i * abs(dt))
             fields.append(SpinorField(psi.grid, c1, c2))
             bmass.append(bm)
-    return WaveTimeline(np.array(times), tuple(fields), np.array(bmass))
+    generators = ((1 if dt > 0 else -1, h),) * (len(fields) - 1)
+    return WaveTimeline(np.array(times), tuple(fields), np.array(bmass), generators)
+
+
+def _hamiltonian_rows(c: np.ndarray, c_hat: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
+    """H psi for a stack of spinors c of shape (..., 2, n), given c_hat =
+    fft(c) along the last axis; one inverse transform serves the stack."""
+    out = np.fft.ifft((0.5 * h.grid.wavenumbers() ** 2) * c_hat)
+    v = h.potential
+    bx, by, bz = h.field_b[:, 0], h.field_b[:, 1], h.field_b[:, 2]
+    c1, c2 = c[..., 0, :], c[..., 1, :]
+    out[..., 0, :] += (v + h.mu * bz) * c1 + h.mu * (bx - 1j * by) * c2
+    out[..., 1, :] += h.mu * (bx + 1j * by) * c1 + (v - h.mu * bz) * c2
+    return out
 
 
 def apply_hamiltonian(psi: SpinorField, h: HamiltonianSpec) -> SpinorField:
     """H psi with the kinetic part evaluated spectrally (not normalized)."""
     if psi.grid != h.grid:
         raise ValueError("field and Hamiltonian live on different grids")
-    k2 = h.grid.wavenumbers() ** 2
-    kin1 = np.fft.ifft(0.5 * k2 * np.fft.fft(psi.comp1))
-    kin2 = np.fft.ifft(0.5 * k2 * np.fft.fft(psi.comp2))
-    v = h.potential
-    bx, by, bz = h.field_b[:, 0], h.field_b[:, 1], h.field_b[:, 2]
-    h11 = v + h.mu * bz
-    h12 = h.mu * (bx - 1j * by)
-    h21 = h.mu * (bx + 1j * by)
-    h22 = v - h.mu * bz
-    return SpinorField(
-        psi.grid,
-        kin1 + h11 * psi.comp1 + h12 * psi.comp2,
-        kin2 + h21 * psi.comp1 + h22 * psi.comp2,
-    )
+    c = np.stack((psi.comp1, psi.comp2))
+    h_psi = _hamiltonian_rows(c, np.fft.fft(c), h)
+    return SpinorField(psi.grid, h_psi[0], h_psi[1])
 
 
 def energy(psi: SpinorField, h: HamiltonianSpec) -> float:

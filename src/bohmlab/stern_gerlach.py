@@ -117,14 +117,26 @@ class SGSetup:
 
 @dataclass(frozen=True)
 class SGNumerics:
-    """Discretization used for the wave and trajectory integration."""
+    """Discretization used for the wave and trajectory integration.
+
+    The wave takes split steps of dt and keeps every record_every-th
+    field; the transport takes substeps RK4 steps per record interval on
+    the cubic-Hermite time blend of the flow.  The defaults, 768 split
+    steps, 49 records and 96 RK4 steps on the default run, are the fewest
+    RK4 steps whose transport stays within a tenth of the previous
+    defaults' error (linear blend, record_every 8, substeps 4: max |dq|
+    5.6e-3 against the closed-form trajectories, 10k particles, equal
+    weights).  Measured there: 6.6e-5, with no detector outcome changed;
+    (8, 1) reaches 2.1e-4 in as many steps, and every choice of 48 steps
+    misses the bound ((16, 1) 9.0e-4, (32, 2) 4.8e-3).
+    """
 
     grid_n: int = 512
     x_min: float = -30.0
     x_max: float = 30.0
     dt: float = 1.0 / 256.0
-    record_every: int = 8
-    substeps: int = 4
+    record_every: int = 16
+    substeps: int = 2
 
     def __post_init__(self) -> None:
         if not self.dt > 0:

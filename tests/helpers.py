@@ -2,8 +2,9 @@
 
 Everything here is computed independently of the package internals:
 finite differences instead of spectral derivatives, closed-form
-Gaussian results, plain sums for moments, and a node-by-node Lagrange
-interpolant for the guidance velocity.
+Gaussian results, plain sums for moments, a node-by-node Lagrange
+interpolant for the guidance velocity, and the closed-form
+Stern-Gerlach wave with its guidance velocity and trajectories.
 """
 
 import math
@@ -112,3 +113,103 @@ def lagrange_velocity(field: SpinorField, q):
     """Guidance velocity at q: floored quotient of lagrange_flow, capped."""
     num_q, den_q, eps, vmax = lagrange_flow(field, q)
     return np.clip(num_q / np.maximum(den_q, eps), -vmax, vmax)
+
+
+# Closed-form Stern-Gerlach oracle.  build_timeline's field points along z
+# and is linear in x, so the spinor components never mix: each one is a
+# Gaussian exp(A x^2 + B x + C) with complex A, B, C, under the potential
+# s mu field_sign (b0 + b_grad x) during the magnet window (s = +1 for
+# the first component, -1 for the second) and free afterwards.
+
+
+def _free_gaussian(a, b, c, t):
+    """exp(a x^2 + b x + c) after free evolution for time t.
+
+    Solves i psi_t = -psi_xx / 2: a' = 2i a^2, b' = 2i a b,
+    c' = i (b^2 + 2a) / 2.
+    """
+    d = 1.0 - 2j * a * t
+    return a / d, b / d, c + 0.5j * b * b * t / d - 0.5 * np.log(d)
+
+
+def sg_component(setup, packet, amplitude, spin: int, t: float):
+    """(A, B, C) of the spin component exp(A x^2 + B x + C) at time t.
+
+    amplitude is the component's spinor amplitude (nonzero) and spin is
+    +1 for the first component, -1 for the second.  In the magnet window
+    the linear potential v0 + g x enters through the Avron-Herbst form
+    psi(x, t) = exp(-i (g t x + g^2 t^3 / 6 + v0 t)) psi_free(x + g t^2 / 2, t).
+    """
+    s2 = packet.sigma**2
+    a = -1.0 / (4.0 * s2) + 0j
+    b = packet.center / (2.0 * s2) + 1j * packet.k
+    c = -packet.center**2 / (4.0 * s2) + np.log(complex(amplitude)) - 0.25 * np.log(2 * np.pi * s2)
+    coupling = spin * setup.mu * setup.field_sign
+    g, v0 = coupling * setup.b_grad, coupling * setup.b0
+    tm = min(t, setup.tau)
+    a, b, c = _free_gaussian(a, b, c, tm)
+    shift = 0.5 * g * tm * tm
+    b, c = (
+        2.0 * a * shift + b - 1j * g * tm,
+        a * shift * shift + b * shift + c - 1j * (g * g * tm**3 / 6.0 + v0 * tm),
+    )
+    if t > setup.tau:
+        a, b, c = _free_gaussian(a, b, c, t - setup.tau)
+    return a, b, c
+
+
+def _components(a_up, a_down):
+    return [(amp, spin) for amp, spin in ((a_up, 1), (a_down, -1)) if amp != 0]
+
+
+def sg_field(setup, packet, a_up, a_down, grid, t: float) -> SpinorField:
+    """The Stern-Gerlach spinor at time t on grid's nodes, in closed form."""
+    x = grid.xs()
+    comps = {1: np.zeros(grid.n, complex), -1: np.zeros(grid.n, complex)}
+    for amp, spin in _components(a_up, a_down):
+        a, b, c = sg_component(setup, packet, amp, spin, t)
+        comps[spin] = np.exp(a * x * x + b * x + c)
+    return SpinorField(grid, comps[1], comps[-1])
+
+
+def sg_velocity(setup, packet, a_up, a_down, q, t: float):
+    """Guidance velocity Im(psi^dagger psi_x) / psi^dagger psi at q, time t.
+
+    For a component exp(A x^2 + B x + C), psi_x = (2 A x + B) psi; the
+    components are weighted by their densities, scaled by the largest so
+    that nothing underflows in the tails.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    logs, slopes = [], []
+    for amp, spin in _components(a_up, a_down):
+        a, b, c = sg_component(setup, packet, amp, spin, t)
+        logs.append(2.0 * (a.real * q * q + b.real * q + c.real))
+        slopes.append(2.0 * a.imag * q + b.imag)
+    logs = np.array(logs)
+    weights = np.exp(logs - logs.max(axis=0))
+    return np.sum(weights * np.array(slopes), axis=0) / np.sum(weights, axis=0)
+
+
+def sg_trajectories(setup, packet, a_up, a_down, q0, steps: int):
+    """Final positions at tau + t_drift by classical RK4 on sg_velocity.
+
+    steps covers the whole run; it must put a step boundary on the magnet
+    switch-off tau, where the velocity's time derivative jumps.
+    """
+    total = setup.tau + setup.t_drift
+    h = total / steps
+    if abs(round(setup.tau / h) * h - setup.tau) > 1e-12:
+        raise ValueError("the RK4 steps must put a boundary on tau")
+    q = np.array(q0, dtype=np.float64)
+
+    def v(x, t):
+        return sg_velocity(setup, packet, a_up, a_down, x, t)
+
+    for i in range(steps):
+        t = i * h
+        k1 = v(q, t)
+        k2 = v(q + 0.5 * h * k1, t + 0.5 * h)
+        k3 = v(q + 0.5 * h * k2, t + 0.5 * h)
+        k4 = v(q + h * k3, t + h)
+        q = q + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return q

@@ -1,6 +1,7 @@
 """Config parsing, batch drivers, artifact determinism."""
 
 import dataclasses
+import errno
 import json
 import re
 from pathlib import Path
@@ -368,6 +369,26 @@ class TestFormatSelection:
 
 
 class TestFailureModes:
+    def test_failed_write_leaves_the_previous_run_intact(self, tmp_path, monkeypatch):
+        code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_write = Path.write_text
+
+        def disk_full(self, data, *args, **kwargs):
+            # a full disk: the summary's first bytes land, then the write fails
+            if "summary.json" in self.name:
+                real_write(self, data[:5], *args, **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        for formats in ("csv,json", "json"):
+            code, _ = invoke(tmp_path, sg_config("born-check", seed=5), "--format", formats)
+            assert code == 1
+            # no temporary file, no truncated summary, the old ensemble.csv
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_config_errors_exit_2_with_json_report(self, tmp_path, capsys):
         code, out = invoke(tmp_path, "[run]\ncommand = warp\nn_samples = 0\n")
         assert code == 2

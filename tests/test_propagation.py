@@ -8,9 +8,13 @@ import pytest
 
 from bohmlab import (
     HamiltonianSpec,
+    PacketSpec,
+    SGNumerics,
+    SGSetup,
     SpinorField,
     WaveTimeline,
     apply_hamiltonian,
+    build_timeline,
     energy,
     evolve,
     gaussian_packet,
@@ -19,7 +23,7 @@ from bohmlab import (
     plane_wave,
     step,
 )
-from helpers import free_width, l2_distance, moments
+from helpers import free_width, l2_distance, moments, sg_field
 
 GRID = make_grid(512, -30.0, 30.0)
 
@@ -178,6 +182,21 @@ class TestOperatorAction:
         rhs = np.conj(inner_product(g, apply_hamiltonian(f, h)))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
+    def test_conjugate_drives_the_conjugated_field(self, rng):
+        xs = GRID.xs()
+        b = np.zeros((GRID.n, 3))
+        b[:, 1] = 0.9 * np.cos(2.0 * np.pi * xs / GRID.length)
+        b[:, 2] = 0.4
+        h = HamiltonianSpec(GRID, 0.3 * np.sin(2.0 * np.pi * xs / GRID.length), b, 1.3)
+        f = SpinorField(GRID, rng.normal(size=512) + 1j * rng.normal(size=512), 1j * rng.normal(size=512))
+        lhs = apply_hamiltonian(f.conjugate(), h.conjugate())
+        rhs = apply_hamiltonian(f, h).conjugate()
+        assert np.max(np.abs(lhs.comp1 - rhs.comp1)) <= 1e-12
+        assert np.max(np.abs(lhs.comp2 - rhs.comp2)) <= 1e-12
+        # sigma_y is the only imaginary Pauli matrix: without B_y, H* = H
+        plain = bounded_hamiltonian().conjugate()
+        assert np.array_equal(plain.field_b, bounded_hamiltonian().field_b)
+
     def test_plane_wave_kinetic_eigenvalue(self):
         f = plane_wave(GRID, 4)
         k = 2.0 * np.pi * 4 / GRID.length
@@ -253,6 +272,43 @@ class TestWaveTimeline:
         recovered = tl2.fields[-1].conjugate()
         assert l2_distance(recovered, timeline.fields[0]) <= 1e-8
 
+    def test_evolve_records_its_generator(self, timeline):
+        h = bounded_hamiltonian()
+        f = timeline.fields[0]
+        assert len(timeline.generators) == len(timeline.times) - 1
+        assert all(sign == 1 for sign, _ in timeline.generators)
+        back = evolve(f, h, -0.5, -1 / 128, 16)
+        assert [sign for sign, _ in back.generators] == [-1] * 4
+        assert all(g is h for _, g in back.generators)
+
+    def test_extend_keeps_and_time_reversed_conjugates_generators(self, timeline):
+        xs = GRID.xs()
+        b = np.zeros((GRID.n, 3))
+        b[:, 1] = 0.5 * np.cos(2.0 * np.pi * xs / GRID.length)
+        twisted = HamiltonianSpec(GRID, np.zeros(GRID.n), b, 1.0)
+        joined = timeline.extend(evolve(timeline.fields[-1], twisted, -0.25, -1 / 128, 16))
+        first = timeline.generators[0][1]
+        assert [g for _, g in joined.generators] == [first] * 8 + [twisted] * 2
+        assert [sign for sign, _ in joined.generators] == [1] * 8 + [-1] * 2
+        rev = joined.time_reversed()
+        assert [sign for sign, _ in rev.generators] == [-1] * 2 + [1] * 8
+        assert np.array_equal(rev.generators[0][1].field_b[:, 1], -b[:, 1])
+        assert np.array_equal(rev.generators[-1][1].field_b, first.field_b)
+        # one conjugate per distinct Hamiltonian
+        assert len({id(g) for _, g in rev.generators}) == 2
+
+    def test_generators_must_fit_the_records(self, timeline):
+        gens = timeline.generators
+        with pytest.raises(ValueError, match="per record interval"):
+            WaveTimeline(timeline.times, timeline.fields, None, gens[1:])
+        with pytest.raises(ValueError, match="sign"):
+            WaveTimeline(timeline.times, timeline.fields, None, ((0, gens[0][1]),) * len(gens))
+        bare = WaveTimeline(timeline.times, timeline.fields)
+        assert bare.generators is None
+        cont = evolve(timeline.fields[-1], bounded_hamiltonian(), 0.25, 1 / 128, 16)
+        assert bare.extend(cont).generators is None
+        assert bare.time_reversed().generators is None
+
     def test_requires_two_records(self):
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -262,3 +318,23 @@ class TestWaveTimeline:
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             WaveTimeline(np.array([0.0, 1.0, 3.0]), (f, f, f))
+
+
+class TestClosedForm:
+    """evolve against the closed-form Stern-Gerlach wave in helpers."""
+
+    def test_splitting_error_is_second_order(self):
+        # Strang splitting: the L2 error at t = tau + t_drift falls by 4
+        # per halving of dt (1.02e-5, 2.54e-6, 6.36e-7 measured); the free
+        # drift adds none, the magnet window all of it
+        setup, packet = SGSetup(), PacketSpec()
+        a, b = 0.5, math.sqrt(0.75)
+        errors = []
+        for dt in (1 / 256, 1 / 512, 1 / 1024):
+            numerics = SGNumerics(dt=dt, record_every=int(round(setup.tau / dt)))
+            final = build_timeline(setup, a, b, packet, numerics).fields[-1]
+            t = setup.tau + setup.t_drift
+            errors.append(l2_distance(final, sg_field(setup, packet, a, b, final.grid, t)))
+        assert errors[0] <= 1.1e-5
+        orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+        assert all(abs(order - 2.0) <= 0.05 for order in orders)

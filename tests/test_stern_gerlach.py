@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from bohmlab import (
+    ExperimentSpec,
+    HermitianOp,
+    Outcome,
     OutcomeStatistics,
     PacketSpec,
     SGNumerics,
     SGSetup,
     assign_outcomes,
     branch_overlap,
+    build_observable,
     build_timeline,
     contextuality_demo,
     gaussian_packet,
@@ -18,6 +22,7 @@ from bohmlab import (
     outcome_map,
     run_sg,
 )
+from helpers import sg_trajectories
 
 # halved grid keeps the module fast; the beam physics is unchanged
 COARSE = SGNumerics(grid_n=256, dt=1 / 256, record_every=16, substeps=4)
@@ -59,7 +64,7 @@ class TestSetup:
             SGNumerics(dt=0.0)
         with pytest.raises(ValueError, match="positive integers"):
             SGNumerics(record_every=0)
-        assert SGNumerics().dt_traj == pytest.approx(1 / 128)
+        assert SGNumerics().dt_traj == pytest.approx(1 / 32)
 
     def test_packet_width_positive(self):
         with pytest.raises(ValueError, match="width"):
@@ -201,6 +206,60 @@ class TestOutcomeMap:
             outcome_map(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0, 5.0], COARSE)
         with pytest.raises(ValueError, match="nonempty"):
             outcome_map(SGSetup(), SQ2, SQ2, PacketSpec(), [], COARSE)
+
+
+class TestOneOperatorTwoExperiments:
+    """The paper's claim at the operator layer: the base and the
+    polarity-reversed experiments are different experiments, with
+    pointwise opposite outcome maps, that induce one operator, sigma_z."""
+
+    @staticmethod
+    def detector_spec(setup: SGSetup) -> ExperimentSpec:
+        """Each detector's outcome is the projector onto the spin branch
+        that reaches it, with that detector's calibration."""
+        projector = {"up": np.diag([1.0, 0.0]), "down": np.diag([0.0, 1.0])}
+        upper = setup.upper_branch
+        lower = "down" if upper == "up" else "up"
+        return ExperimentSpec(2, (
+            Outcome("upper detector", projector[upper], setup.calibration_up),
+            Outcome("lower detector", projector[lower], setup.calibration_down),
+        ))
+
+    def test_same_operator_opposite_outcome_maps(self):
+        base = SGSetup(polarity=1, calibration_up=1.0, calibration_down=-1.0)
+        flipped = SGSetup(polarity=-1, calibration_up=-1.0, calibration_down=1.0)
+        specs = [self.detector_spec(setup) for setup in (base, flipped)]
+        assert [oc.projection[0, 0] for oc in specs[0].outcomes] == [1.0, 0.0]
+        assert [oc.projection[0, 0] for oc in specs[1].outcomes] == [0.0, 1.0]
+        observables = [build_observable(spec) for spec in specs]
+        sigma_z = HermitianOp(np.diag([1.0, -1.0]))
+        for op in observables:
+            assert np.array_equal(op.entries, sigma_z.entries)
+
+        qs = np.linspace(-2.5, 2.5, 41)
+        maps = [outcome_map(setup, SQ2, SQ2, PacketSpec(), qs) for setup in (base, flipped)]
+        nulls = [np.isnan(m) for m in maps]
+        assert np.array_equal(nulls[0], nulls[1]) and np.sum(nulls[0]) <= 1
+        assert np.all(maps[1][~nulls[1]] == -maps[0][~nulls[0]])
+        # the sign of the start decides the detector, opposite in the two
+        assert np.all(maps[0][qs > 0.1] == 1.0) and np.all(maps[1][qs > 0.1] == -1.0)
+
+
+class TestTransportAgainstClosedForm:
+    """The default numerics' transport against the closed-form trajectories."""
+
+    def test_default_numerics_within_a_tenth_of_the_linear_blend_error(self):
+        # the earlier linear time blend at record_every 8, substeps 4 was
+        # off by 5.2e-3 on these particles (5.6e-3 on 10k); the Hermite
+        # blend at the defaults by 4.6e-5
+        setup, packet = SGSetup(), PacketSpec()
+        _, ensemble = run_sg(setup, SQ2, SQ2, packet, 500, seed=0, keep_history=False)
+        truth = sg_trajectories(setup, packet, SQ2, SQ2, ensemble.q0, 384)
+        finer = sg_trajectories(setup, packet, SQ2, SQ2, ensemble.q0, 768)
+        assert np.max(np.abs(finer - truth)) <= 1e-6  # the truth has converged
+        assert np.max(np.abs(ensemble.q_final - truth)) <= 5.6e-4
+        outcomes, _ = assign_outcomes(truth, setup)
+        assert np.array_equal(outcomes, ensemble.outcomes)
 
 
 class TestNoCrossing:

@@ -8,7 +8,12 @@ import pytest
 
 from bohmlab import (
     HamiltonianSpec,
+    PacketSpec,
+    SGNumerics,
+    SGSetup,
     SpinorField,
+    WaveTimeline,
+    build_timeline,
     equivariance_check,
     evolve,
     gaussian_packet,
@@ -23,6 +28,7 @@ from bohmlab import trajectories
 from helpers import free_velocity, lagrange_flow, lagrange_velocity
 
 GRID = make_grid(512, -30.0, 30.0)
+SQ2 = 1.0 / np.sqrt(2.0)
 NYQUIST_CAP = 0.5 * np.pi / GRID.dx
 
 
@@ -334,6 +340,72 @@ class TestGatherReuse:
         assert len(reuses) == 4 * n_steps
         # k3 repeats k2's time in every step, k1 repeats k4's in all but the first
         assert sum(reuses) == 2 * n_steps - 1
+
+
+class TestTimeDerivatives:
+    """The Hermite blend's rates, on forward, backward and reversed timelines."""
+
+    @pytest.fixture(scope="class")
+    def driven(self):
+        # V and all three field components, so H* differs from H (B_y)
+        grid = make_grid(256, -20.0, 20.0)
+        xs = grid.xs()
+        b = np.zeros((grid.n, 3))
+        b[:, 0] = 0.7
+        b[:, 1] = 0.9 * np.cos(2.0 * np.pi * xs / grid.length)
+        b[:, 2] = 1.1 * np.sin(2.0 * np.pi * xs / grid.length)
+        h = HamiltonianSpec(grid, 0.02 * xs**2, b, 1.0)
+        f = gaussian_packet(grid, 0.5, 1.0, 1.5, 0.6, 0.8j)
+        dt = 1 / 512
+        forward, backward = evolve(f, h, 0.25, dt), evolve(f, h, -0.25, -dt)
+        return dt, {
+            "forward": forward,
+            "backward": backward,
+            "reversed": forward.time_reversed(),
+            "reversed backward": backward.time_reversed(),
+        }
+
+    @pytest.mark.parametrize("kind", ["forward", "backward", "reversed", "reversed backward"])
+    def test_rates_are_the_time_derivatives_of_the_values(self, driven, kind):
+        # centered differences over records dt apart agree to O(dt^2)
+        # (~5e-6 of the largest rate); a missing conjugate misses by
+        # 2.7e-2 or more, a wrong sign by 2
+        dt, timelines = driven
+        tables, first_end = trajectories._flow_tables(timelines[kind])
+        assert len(tables) == len(timelines[kind].fields)
+        assert np.array_equal(first_end, np.arange(len(first_end)))
+        values, rates = tables[:, 0], tables[:, 1]
+        centered = (values[2:] - values[:-2]) / (2.0 * dt)
+        scale = np.max(np.abs(rates), axis=(0, 1))
+        assert np.all(np.max(np.abs(centered - rates[1:-1]), axis=(0, 1)) <= 1e-4 * scale)
+
+    def test_magnet_switch_off_gets_one_sided_rates(self):
+        numerics = SGNumerics()
+        timeline = build_timeline(SGSetup(), SQ2, SQ2, PacketSpec(), numerics)
+        tables, first_end = trajectories._flow_tables(timeline)
+        switch = int(round(SGSetup().tau / timeline.spacing))  # the record at tau
+        assert len(tables) == len(timeline.fields) + 1
+        assert first_end[switch] == first_end[switch - 1] + 2
+        # both ends at tau hold the record's values, with the magnet's and
+        # the drift's rates
+        assert np.array_equal(tables[switch, 0], tables[switch + 1, 0])
+        assert not np.allclose(tables[switch, 1], tables[switch + 1, 1])
+
+    def test_stern_gerlach_round_trip(self):
+        # out through the magnet window and the drift, then back along the
+        # time-reversed timeline: 1.1e-7 at the defaults.  The reversed
+        # rates must mirror the forward ones, or the return misses.
+        numerics = SGNumerics()
+        timeline = build_timeline(SGSetup(), SQ2, SQ2, PacketSpec(), numerics)
+        q0 = sample(timeline.fields[0], 400, seed=3)
+        out = integrate_ensemble(timeline, q0, dt_traj=numerics.dt_traj)
+        back = integrate_ensemble(timeline.time_reversed(), out.q_final, dt_traj=numerics.dt_traj)
+        assert np.max(np.abs(back.q_final - q0)) <= 1e-6
+
+    def test_timeline_without_generators_is_refused(self, free_timeline):
+        bare = WaveTimeline(free_timeline.times, free_timeline.fields)
+        with pytest.raises(ValueError, match="generators"):
+            integrate_ensemble(bare, [0.0])
 
 
 class TestEquivariance:
