@@ -820,7 +820,9 @@ def _write_artifacts(out_dir: str, artifacts: dict[str, str], formats: tuple[str
     earlier run, and then this command's artifacts in the other formats
     are removed, so a file from an earlier run never sits beside this
     run's summary.  A failed write leaves out_dir as it was, without
-    temporary files.
+    temporary files.  Each replace is atomic on its own, not the set: if
+    one fails, the files replaced before it (in name order) are this
+    run's and the rest the earlier run's.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -160,19 +160,21 @@ class WaveTimeline:
     """Uniformly spaced record of an evolving field.
 
     times has the same length as fields; spacing is uniform and the last
-    record sits at the final evolution time.  boundary_mass holds the
-    outer-domain mass observed at each record.  generators, when known,
-    holds one (sign, h) pair per record interval: between records r and
-    r + 1 the field obeys psi_t = -i sign (h psi), sign being -1 where
-    the dynamics ran backward in time.  evolve sets them, extend keeps
-    them and time_reversed conjugates them; the transport reads them for
-    the time derivative of the flow.
+    record sits at the final evolution time.  generators holds the
+    dynamics as runs (sign, h, n_intervals): over the next n_intervals
+    record intervals the field obeys psi_t = -i sign (h psi), sign being
+    -1 where it ran backward in time.  The runs cover every interval.
+    Adjacent runs of one sign and one HamiltonianSpec object are merged,
+    so a run ends only where the dynamics change (a magnet switching
+    off); equal but distinct objects stay separate runs.  evolve records
+    one run, extend joins the runs and time_reversed conjugates them.
+    boundary_mass holds the outer-domain mass observed at each record.
     """
 
     times: np.ndarray
     fields: tuple[SpinorField, ...]
+    generators: tuple[tuple[int, HamiltonianSpec, int], ...]
     boundary_mass: np.ndarray | None = None
-    generators: tuple[tuple[int, HamiltonianSpec], ...] | None = None
 
     def __post_init__(self) -> None:
         t = np.array(self.times, dtype=np.float64, copy=True).reshape(-1)
@@ -194,19 +196,22 @@ class WaveTimeline:
         bm = np.array(bm, dtype=np.float64, copy=True).reshape(-1)
         if bm.shape != t.shape:
             raise ValueError("boundary_mass must match times in length")
-        gens = self.generators
-        if gens is not None:
-            gens = tuple((int(sign), h) for sign, h in gens)
-            if len(gens) != t.shape[0] - 1:
-                raise ValueError("generators must hold one (sign, h) per record interval")
-            if any(sign not in (1, -1) or h.grid != g for sign, h in gens):
-                raise ValueError("each generator needs a sign of +-1 and the records' grid")
+        runs = []
+        for sign, h, count in self.generators:
+            if sign not in (1, -1) or h.grid != g or count < 1:
+                raise ValueError("each run needs a sign of +-1, the records' grid and an interval")
+            if runs and runs[-1][0] == sign and runs[-1][1] is h:
+                runs[-1][2] += int(count)
+            else:
+                runs.append([int(sign), h, int(count)])
+        if sum(count for _, _, count in runs) != t.shape[0] - 1:
+            raise ValueError("the generator runs must cover every record interval")
         t.setflags(write=False)
         bm.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "fields", tuple(self.fields))
         object.__setattr__(self, "boundary_mass", bm)
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generators", tuple(tuple(run) for run in runs))
 
     @property
     def grid(self) -> Grid1D:
@@ -235,10 +240,8 @@ class WaveTimeline:
             raise ValueError(f"continuation does not start from the final record (dev {dev:.2e})")
         times = np.concatenate([self.times, self.times[-1] + other.times[1:] - other.times[0]])
         bm = np.concatenate([self.boundary_mass, other.boundary_mass[1:]])
-        gens = None
-        if self.generators is not None and other.generators is not None:
-            gens = self.generators + other.generators
-        return WaveTimeline(times, self.fields + other.fields[1:], bm, gens)
+        gens = self.generators + other.generators
+        return WaveTimeline(times, self.fields + other.fields[1:], gens, bm)
 
     def time_reversed(self) -> "WaveTimeline":
         """Timeline of the motion-reversed dynamics (conjugated fields).
@@ -249,11 +252,8 @@ class WaveTimeline:
         """
         times = self.times[-1] - self.times[::-1]
         fields = tuple(f.conjugate() for f in reversed(self.fields))
-        gens = self.generators
-        if gens is not None:
-            conjugates = {id(h): h.conjugate() for _, h in gens}
-            gens = tuple((sign, conjugates[id(h)]) for sign, h in reversed(gens))
-        return WaveTimeline(times, fields, self.boundary_mass[::-1], gens)
+        gens = tuple((sign, h.conjugate(), count) for sign, h, count in reversed(self.generators))
+        return WaveTimeline(times, fields, gens, self.boundary_mass[::-1])
 
 
 def _boundary_indices(n: int) -> np.ndarray:
@@ -343,8 +343,8 @@ def evolve(
             times.append(i * abs(dt))
             fields.append(SpinorField(psi.grid, c1, c2))
             bmass.append(bm)
-    generators = ((1 if dt > 0 else -1, h),) * (len(fields) - 1)
-    return WaveTimeline(np.array(times), tuple(fields), np.array(bmass), generators)
+    generators = ((1 if dt > 0 else -1, h, len(fields) - 1),)
+    return WaveTimeline(np.array(times), tuple(fields), generators, np.array(bmass))
 
 
 def _hamiltonian_rows(c: np.ndarray, c_hat: np.ndarray, h: HamiltonianSpec) -> np.ndarray:

@@ -134,27 +134,20 @@ def _flow_tables(timeline: WaveTimeline):
     2 Re(psi^dagger psi_t), with psi_t = -i sign (h psi) from the
     interval's generator; each end is what _cell_coefficients reads.
     Interval r runs from end first_end[r] to end first_end[r] + 1.  A
-    record inside a run of intervals with one generator is one end; a
-    record where the generator changes (a magnet switching off) is two,
-    with one-sided derivatives.  Records go through the transforms
+    record inside one of the timeline's generator runs is one end; a
+    record between two runs (a magnet switching off) is two, with
+    one-sided derivatives.  Records go through the transforms
     RECORD_BLOCK at a time, so the temporaries stay small.
     """
-    gens = timeline.generators
-    if gens is None:
-        raise ValueError("the timeline carries no generators; build it with evolve")
-    runs = []  # [first record, last record, sign, h] of each run of one generator
-    for r, (sign, h) in enumerate(gens):
-        if runs and runs[-1][2] == sign and runs[-1][3] is h:
-            runs[-1][1] = r + 1
-        else:
-            runs.append([r, r + 1, sign, h])
+    runs = timeline.generators
     grid = timeline.grid
     ik = 1j * grid.wavenumbers()
-    tables = np.empty((sum(last - first + 1 for first, last, _, _ in runs), 2, grid.n, 2))
-    first_end = np.empty(len(gens), dtype=np.int64)
-    end = 0
-    for first, last, sign, h in runs:
-        first_end[first:last] = end + np.arange(last - first)
+    tables = np.empty((len(timeline.fields) - 1 + len(runs), 2, grid.n, 2))
+    first_end = np.empty(len(timeline.fields) - 1, dtype=np.int64)
+    end = first = 0
+    for sign, h, count in runs:
+        last = first + count
+        first_end[first:last] = end + np.arange(count)
         for r in range(first, last + 1, RECORD_BLOCK):
             block = timeline.fields[r:min(r + RECORD_BLOCK, last + 1)]
             nodes = tables[end:end + len(block)]
@@ -173,6 +166,7 @@ def _flow_tables(timeline: WaveTimeline):
             rate += c_t  # psi^dagger d_x psi_t + psi_t^dagger d_x psi
             nodes[:, 1, :, 0] = rate[:, 0].imag + rate[:, 1].imag
             end += len(block)
+        first = last
     return tables, first_end
 
 
@@ -308,7 +302,6 @@ class _Flow:
         self.rise_f = np.empty_like(self.blend_f)
         self.end = -2  # the current interval's first end
         self.cells = ()  # values and rates at the first end, then at the second
-        self.table = self.blend  # what evaluations gather from
         self.key = None
         self.eps = 0.0
 
@@ -319,7 +312,7 @@ class _Flow:
         repeat = (r, lam) == self.key
         if not repeat:
             self._blend(r, lam)
-        return _interp_quotient(self.table, self.eps, self.grid, p, self.vmax, self.work, repeat)
+        return _interp_quotient(self.blend, self.eps, self.grid, p, self.vmax, self.work, repeat)
 
     def _blend(self, r: int, lam: float) -> None:
         e = int(self.first_end[r])
@@ -329,22 +322,18 @@ class _Flow:
             values, _, values_end, _ = (table.view(np.float64) for table in self.cells)
             np.subtract(values_end, values, out=self.rise_f)
             self.end = e
-        if lam == 0.0:
-            self.table = self.cells[0]  # the blend's value there, without the work
-        else:
-            # values + h01 rise + spacing (h10 rates + h11 rates_end), with
-            # h01 = lam^2 (3 - 2 lam), h10 = lam (1 - lam)^2, h11 = -lam^2 (1 - lam)
-            values, rates, _, rates_end = (table.view(np.float64) for table in self.cells)
-            mu = 1.0 - lam
-            blend, scaled = self.blend_f, self.scaled_f
-            np.multiply(self.rise_f, lam * lam * (3.0 - 2.0 * lam), out=blend)
-            np.add(blend, values, out=blend)
-            np.multiply(rates, self.spacing * lam * mu * mu, out=scaled)
-            np.add(blend, scaled, out=blend)
-            np.multiply(rates_end, -self.spacing * lam * lam * mu, out=scaled)
-            np.add(blend, scaled, out=blend)
-            self.table = self.blend
-        self.eps = _floor_eps(self.table[0].imag)  # the blended density at the nodes
+        # values + h01 rise + spacing (h10 rates + h11 rates_end), with
+        # h01 = lam^2 (3 - 2 lam), h10 = lam (1 - lam)^2, h11 = -lam^2 (1 - lam)
+        values, rates, _, rates_end = (table.view(np.float64) for table in self.cells)
+        mu = 1.0 - lam
+        blend, scaled = self.blend_f, self.scaled_f
+        np.multiply(self.rise_f, lam * lam * (3.0 - 2.0 * lam), out=blend)
+        np.add(blend, values, out=blend)
+        np.multiply(rates, self.spacing * lam * mu * mu, out=scaled)
+        np.add(blend, scaled, out=blend)
+        np.multiply(rates_end, -self.spacing * lam * lam * mu, out=scaled)
+        np.add(blend, scaled, out=blend)
+        self.eps = _floor_eps(self.blend[0].imag)  # the blended density at the nodes
         self.key = (r, lam)
 
 
@@ -433,8 +422,7 @@ def integrate_ensemble(
 ) -> EnsemblePaths:
     """Integrate many trajectories in lockstep from initial positions q0.
 
-    The timeline must carry its generators (evolve records them; extend
-    and time_reversed keep them): they give the flow's time derivatives.
+    The timeline's generators give the flow's time derivatives.
     threads caps the worker processes, which only split the ensemble into
     column chunks; each element sees identical arithmetic, so output is
     independent of the worker count and of the chunking.

@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import json
+import os
 import re
 from pathlib import Path
 
@@ -388,6 +389,26 @@ class TestFailureModes:
             assert code == 1
             # no temporary file, no truncated summary, the old ensemble.csv
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_replace_keeps_the_files_after_it(self, tmp_path, monkeypatch):
+        code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_replace = os.replace
+
+        def busy(src, dst):
+            if Path(dst).name == "summary.json":
+                raise OSError(errno.EBUSY, "Device or resource busy")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", busy)
+        code, _ = invoke(tmp_path, sg_config("born-check", seed=5), "--format", "csv,json")
+        assert code == 1
+        # replaces run in name order: the new ensemble.csv, the old summary
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(after) == ["ensemble.csv", "summary.json"]
+        assert after["summary.json"] == before["summary.json"]
+        assert after["ensemble.csv"] != before["ensemble.csv"]
 
     def test_config_errors_exit_2_with_json_report(self, tmp_path, capsys):
         code, out = invoke(tmp_path, "[run]\ncommand = warp\nn_samples = 0\n")

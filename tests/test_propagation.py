@@ -275,49 +275,46 @@ class TestWaveTimeline:
     def test_evolve_records_its_generator(self, timeline):
         h = bounded_hamiltonian()
         f = timeline.fields[0]
-        assert len(timeline.generators) == len(timeline.times) - 1
-        assert all(sign == 1 for sign, _ in timeline.generators)
+        (sign, _, count), = timeline.generators
+        assert (sign, count) == (1, len(timeline.times) - 1)
         back = evolve(f, h, -0.5, -1 / 128, 16)
-        assert [sign for sign, _ in back.generators] == [-1] * 4
-        assert all(g is h for _, g in back.generators)
+        assert back.generators == ((-1, h, 4),)
 
-    def test_extend_keeps_and_time_reversed_conjugates_generators(self, timeline):
+    def test_extend_joins_and_time_reversed_conjugates_generators(self, timeline):
         xs = GRID.xs()
         b = np.zeros((GRID.n, 3))
         b[:, 1] = 0.5 * np.cos(2.0 * np.pi * xs / GRID.length)
         twisted = HamiltonianSpec(GRID, np.zeros(GRID.n), b, 1.0)
-        joined = timeline.extend(evolve(timeline.fields[-1], twisted, -0.25, -1 / 128, 16))
-        first = timeline.generators[0][1]
-        assert [g for _, g in joined.generators] == [first] * 8 + [twisted] * 2
-        assert [sign for sign, _ in joined.generators] == [1] * 8 + [-1] * 2
-        rev = joined.time_reversed()
-        assert [sign for sign, _ in rev.generators] == [-1] * 2 + [1] * 8
-        assert np.array_equal(rev.generators[0][1].field_b[:, 1], -b[:, 1])
-        assert np.array_equal(rev.generators[-1][1].field_b, first.field_b)
-        # one conjugate per distinct Hamiltonian
-        assert len({id(g) for _, g in rev.generators}) == 2
+        (_, first, _), = timeline.generators
+        tail = evolve(timeline.fields[-1], twisted, -0.25, -1 / 128, 16)
+        joined = timeline.extend(tail)
+        assert joined.generators == ((1, first, 8), (-1, twisted, 2))
+        # runs of one generator object merge; those of another do not
+        more = tail.extend(evolve(tail.fields[-1], twisted, -0.25, -1 / 128, 16))
+        assert more.generators == ((-1, twisted, 4),)
+        (sign_a, h_a, n_a), (sign_b, h_b, n_b) = joined.time_reversed().generators
+        assert (sign_a, n_a, sign_b, n_b) == (-1, 2, 1, 8)
+        assert np.array_equal(h_a.field_b[:, 1], -b[:, 1])
+        assert np.array_equal(h_b.field_b, first.field_b)
 
-    def test_generators_must_fit_the_records(self, timeline):
-        gens = timeline.generators
-        with pytest.raises(ValueError, match="per record interval"):
-            WaveTimeline(timeline.times, timeline.fields, None, gens[1:])
+    def test_generators_must_cover_the_records(self, timeline):
+        (sign, h, count), = timeline.generators
+        with pytest.raises(ValueError, match="every record interval"):
+            WaveTimeline(timeline.times, timeline.fields, ((sign, h, count - 1),))
         with pytest.raises(ValueError, match="sign"):
-            WaveTimeline(timeline.times, timeline.fields, None, ((0, gens[0][1]),) * len(gens))
-        bare = WaveTimeline(timeline.times, timeline.fields)
-        assert bare.generators is None
-        cont = evolve(timeline.fields[-1], bounded_hamiltonian(), 0.25, 1 / 128, 16)
-        assert bare.extend(cont).generators is None
-        assert bare.time_reversed().generators is None
+            WaveTimeline(timeline.times, timeline.fields, ((0, h, count),))
+        with pytest.raises(ValueError, match="interval"):
+            WaveTimeline(timeline.times, timeline.fields, ((sign, h, 0), (sign, h, count)))
 
     def test_requires_two_records(self):
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            WaveTimeline(np.array([0.0]), (f,))
+        with pytest.raises(ValueError, match="two records"):
+            WaveTimeline(np.array([0.0]), (f,), ())
 
     def test_rejects_nonuniform_spacing(self):
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            WaveTimeline(np.array([0.0, 1.0, 3.0]), (f, f, f))
+        with pytest.raises(ValueError, match="uniform"):
+            WaveTimeline(np.array([0.0, 1.0, 3.0]), (f, f, f), ((1, HamiltonianSpec.free(GRID), 2),))
 
 
 class TestClosedForm:

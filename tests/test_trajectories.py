@@ -12,7 +12,6 @@ from bohmlab import (
     SGNumerics,
     SGSetup,
     SpinorField,
-    WaveTimeline,
     build_timeline,
     equivariance_check,
     evolve,
@@ -401,11 +400,6 @@ class TestTimeDerivatives:
         out = integrate_ensemble(timeline, q0, dt_traj=numerics.dt_traj)
         back = integrate_ensemble(timeline.time_reversed(), out.q_final, dt_traj=numerics.dt_traj)
         assert np.max(np.abs(back.q_final - q0)) <= 1e-6
-
-    def test_timeline_without_generators_is_refused(self, free_timeline):
-        bare = WaveTimeline(free_timeline.times, free_timeline.fields)
-        with pytest.raises(ValueError, match="generators"):
-            integrate_ensemble(bare, [0.0])
 
 
 class TestEquivariance:
