@@ -19,8 +19,6 @@ __all__ = [
     "make_grid",
     "check_packet_fits",
     "gaussian_packet",
-    "plane_wave",
-    "inner_product",
     "density",
 ]
 
@@ -131,17 +129,6 @@ def density(psi: SpinorField) -> np.ndarray:
     return c1.real**2 + c1.imag**2 + c2.real**2 + c2.imag**2
 
 
-def inner_product(phi: SpinorField, psi: SpinorField) -> complex:
-    """Discrete inner product <phi, psi> = sum_j phi_j^dagger psi_j dx.
-
-    Conjugate-linear in the first argument.
-    """
-    if phi.grid != psi.grid:
-        raise ValueError("inner product requires fields on the same grid")
-    acc = np.sum(np.conj(phi.comp1) * psi.comp1 + np.conj(phi.comp2) * psi.comp2)
-    return complex(acc * phi.grid.dx)
-
-
 def check_packet_fits(grid: Grid1D, center: float, sigma: float) -> None:
     """Require the packet support, center +- 5 sigma, strictly inside the grid.
 
@@ -180,15 +167,3 @@ def gaussian_packet(
     x = grid.xs()
     envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k * x)
     return SpinorField(grid, a * envelope, b * envelope).normalize()
-
-
-def plane_wave(grid: Grid1D, mode: int, a: complex = 1.0, b: complex = 0.0) -> SpinorField:
-    """Normalized plane wave exp(i k x) with k = 2*pi*mode/L, uniform spinor."""
-    a = complex(a)
-    b = complex(b)
-    if a == 0 and b == 0:
-        raise ValueError("spinor amplitudes (a, b) must not both vanish")
-    k = 2.0 * np.pi * mode / grid.length
-    wave = np.exp(1j * k * grid.xs())
-    amp = 1.0 / np.sqrt(grid.length * (abs(a) ** 2 + abs(b) ** 2))
-    return SpinorField(grid, a * amp * wave, b * amp * wave)

@@ -33,7 +33,6 @@ __all__ = [
     "spectral_decompose",
     "pointer_model",
     "reproducibility_check",
-    "spec_to_text",
     "spec_from_text",
 ]
 
@@ -345,26 +344,14 @@ def reproducibility_check(psi: StateVec, spec: ExperimentSpec) -> bool:
     return True
 
 
-def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
-
-
-def spec_to_text(spec: ExperimentSpec) -> str:
-    """Serialize a spec as structured text (one matrix row per line)."""
-    lines = [f"dim {spec.dim}"]
-    for oc in spec.outcomes:
-        if any(ch.isspace() for ch in oc.label) or not oc.label:
-            raise ValueError(f"label {oc.label!r} cannot be serialized (whitespace or empty)")
-        lines.append(f"outcome {oc.label} {oc.calibration!r}")
-        for row in oc.projection:
-            lines.append(" ".join(_fmt_complex(z) for z in row))
-    return "\n".join(lines) + "\n"
-
-
 def spec_from_text(text: str) -> ExperimentSpec:
-    """Parse the structured text produced by spec_to_text (validates fully)."""
+    """Parse a spec from structured text and validate it fully.
+
+    The text holds a line `dim <n>`, then per outcome a line
+    `outcome <label> <calibration>` followed by the n rows of its
+    projection, one row of n complex entries per line; blank lines and
+    `#` comments are skipped.
+    """
     dim: int | None = None
     pending: list[tuple[str, float, list[np.ndarray]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -25,8 +25,6 @@ __all__ = [
     "WitnessReport",
     "standard_grid",
     "verify_grid",
-    "grid_constraints",
-    "count_sign_assignments",
     "assignment_search",
     "contextual_witness",
     "joint_value_distribution",
@@ -160,7 +158,7 @@ def verify_grid(grid: ObservableGrid) -> GridReport:
     return GridReport(checks=checks, row_signs=tuple(signs["row"]), col_signs=tuple(signs["column"]))
 
 
-def grid_constraints(grid: ObservableGrid) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _grid_constraints(grid: ObservableGrid) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Product constraints as (variable indices, target sign) pairs.
 
     Variables number the nine entries row-major, 0 through 8.
@@ -173,7 +171,7 @@ def grid_constraints(grid: ObservableGrid) -> tuple[tuple[tuple[int, ...], int],
     return tuple(constraints)
 
 
-def count_sign_assignments(
+def _count_sign_assignments(
     n_vars: int, constraints: tuple[tuple[tuple[int, ...], int], ...]
 ) -> tuple[int, int]:
     """Exhaustively count +-1 assignments satisfying all constraints.
@@ -198,7 +196,7 @@ def assignment_search(grid: ObservableGrid) -> tuple[int, int]:
     if not report.ok:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         raise ValueError(f"grid fails operator verification: {failed}")
-    return count_sign_assignments(9, grid_constraints(grid))
+    return _count_sign_assignments(9, _grid_constraints(grid))
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,7 @@ def contextual_witness(grid: ObservableGrid | None = None) -> WitnessReport:
         )
     parity = 1
     lines = []
-    for idx, target in grid_constraints(grid):
+    for idx, target in _grid_constraints(grid):
         entries = " * ".join(f"v({grid.labels[k // 3][k % 3]})" for k in idx)
         lines.append(f"{entries} = {target:+d}")
         parity *= target

@@ -18,17 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, SpinorField, density, inner_product
+from .grids import Grid1D, SpinorField
 
-__all__ = [
-    "HamiltonianSpec",
-    "WaveTimeline",
-    "step",
-    "window_steps",
-    "evolve",
-    "apply_hamiltonian",
-    "energy",
-]
+__all__ = ["HamiltonianSpec", "WaveTimeline", "window_steps", "evolve"]
 
 # Accuracy guard: warn when max|V_eff| * dt exceeds this bound.
 GUARD_LIMIT = 0.5
@@ -123,8 +115,8 @@ def _step_arrays(c1, c2, kin_phase, pot):
 def _guard_violation(h: HamiltonianSpec, dt: float) -> str | None:
     """Why steps of size dt break the accuracy guard for h, or None.
 
-    The one rule for the guard: evolve and step warn with this message,
-    and the CLI rejects a config with it before any work.
+    The one rule for the guard: evolve warns with this message, and the
+    CLI rejects a config with it before any work.
     """
     ratio = h.max_effective_potential() * abs(dt)
     if ratio < GUARD_LIMIT:
@@ -133,26 +125,6 @@ def _guard_violation(h: HamiltonianSpec, dt: float) -> str | None:
         f"split-step accuracy guard violated: max|V_eff| * dt = "
         f"{ratio:.3g} >= {GUARD_LIMIT}; reduce dt"
     )
-
-
-def _warn_if_guard_violated(h: HamiltonianSpec, dt: float) -> None:
-    message = _guard_violation(h, dt)
-    if message is not None:
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def step(psi: SpinorField, h: HamiltonianSpec, dt: float) -> SpinorField:
-    """Advance one Strang split step of size dt > 0."""
-    if psi.grid != h.grid:
-        raise ValueError("field and Hamiltonian live on different grids")
-    if not dt > 0:
-        raise ValueError(f"step size must be positive, got {dt}")
-    _warn_if_guard_violated(h, dt)
-    k = h.grid.wavenumbers()
-    kin_phase = np.exp(-0.5j * dt * k * k)
-    pot = _half_potential_factors(h, dt)
-    c1, c2 = _step_arrays(psi.comp1, psi.comp2, kin_phase, pot)
-    return SpinorField(psi.grid, c1, c2)
 
 
 @dataclass(frozen=True)
@@ -307,7 +279,9 @@ def evolve(
         raise ValueError("field and Hamiltonian live on different grids")
     n_steps = window_steps(t_total, dt, record_every)
 
-    _warn_if_guard_violated(h, dt)
+    message = _guard_violation(h, dt)
+    if message is not None:
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     k = h.grid.wavenumbers()
     kin_phase = np.exp(-0.5j * dt * k * k)
     pot = _half_potential_factors(h, dt)
@@ -357,17 +331,3 @@ def _hamiltonian_rows(c: np.ndarray, c_hat: np.ndarray, h: HamiltonianSpec) -> n
     out[..., 0, :] += (v + h.mu * bz) * c1 + h.mu * (bx - 1j * by) * c2
     out[..., 1, :] += h.mu * (bx + 1j * by) * c1 + (v - h.mu * bz) * c2
     return out
-
-
-def apply_hamiltonian(psi: SpinorField, h: HamiltonianSpec) -> SpinorField:
-    """H psi with the kinetic part evaluated spectrally (not normalized)."""
-    if psi.grid != h.grid:
-        raise ValueError("field and Hamiltonian live on different grids")
-    c = np.stack((psi.comp1, psi.comp2))
-    h_psi = _hamiltonian_rows(c, np.fft.fft(c), h)
-    return SpinorField(psi.grid, h_psi[0], h_psi[1])
-
-
-def energy(psi: SpinorField, h: HamiltonianSpec) -> float:
-    """<psi, H psi> (real part; the imaginary part is rounding noise)."""
-    return inner_product(psi, apply_hamiltonian(psi, h)).real

@@ -5,20 +5,18 @@ density (periodic closure at the right edge).  That law's CDF is
 piecewise quadratic; ks_distance's reference interpolates the same node
 CDF linearly, so the two agree at the nodes, not between them.
 Randomness comes from a counter-based generator: draw i is a pure
-function of (master_seed, i), ensembles are reproducible bit-for-bit
+function of (seed, i), ensembles are reproducible bit-for-bit
 regardless of how the draws are later consumed or parallelized, and the
 first n draws of a longer run coincide with a shorter run's draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import SpinorField, density
 
-__all__ = ["SeededSampler", "sample", "ks_distance", "KS_COEFF"]
+__all__ = ["sample", "ks_distance", "KS_COEFF"]
 
 # Acceptance band used across the suite: KS distance below KS_COEFF/sqrt(n).
 KS_COEFF = 1.63
@@ -26,39 +24,26 @@ KS_COEFF = 1.63
 NORM_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class SeededSampler:
-    """Counter-based uniform source (Philox) keyed by a master seed."""
-
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.master_seed}")
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """First `count` uniforms of the stream keyed by master_seed."""
-        gen = np.random.Generator(np.random.Philox(key=int(self.master_seed)))
-        return gen.random(count)
-
-
 def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
     """Draw n positions distributed as the position density of psi.
 
-    psi must be normalized to within 1e-6.  Draw i consumes uniforms
-    (2i, 2i+1) of the seeded stream: one picks a cell by inverse CDF of
-    the per-cell masses, one is mapped through the inverse CDF of the
-    linear density inside that cell.
+    psi must be normalized to within 1e-6 and seed must fit in an
+    unsigned 64-bit integer; it keys a counter-based (Philox) stream of
+    uniforms.  Draw i consumes uniforms (2i, 2i+1) of that stream: one
+    picks a cell by inverse CDF of the per-cell masses, one is mapped
+    through the inverse CDF of the linear density inside that cell.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"sample count must be a positive integer, got {n!r}")
     nrm = psi.norm()
     if abs(nrm - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"field must be normalized (norm = {nrm:.8f})")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     grid = psi.grid
     rho = density(psi)
     cdf = _node_cdf(rho, grid.dx)
-    u = SeededSampler(seed).uniforms(2 * n)
+    u = np.random.Generator(np.random.Philox(key=int(seed))).random(2 * n)
     cells = np.searchsorted(cdf[1:], u[0::2], side="right")  # cell j ends at node j + 1
     a = rho[cells]
     b = np.roll(rho, -1)[cells]

@@ -21,6 +21,7 @@ positive z under polarity +1, so the upper detector registers spin-up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +39,6 @@ __all__ = [
     "TrajectoryEnsemble",
     "ContextualityReport",
     "build_timeline",
-    "assign_outcomes",
     "run_sg",
     "outcome_map",
     "contextuality_demo",
@@ -128,7 +128,10 @@ class SGNumerics:
     5.6e-3 against the closed-form trajectories, 10k particles, equal
     weights).  Measured there: 6.6e-5, with no detector outcome changed;
     (8, 1) reaches 2.1e-4 in as many steps, and every choice of 48 steps
-    misses the bound ((16, 1) 9.0e-4, (32, 2) 4.8e-3).
+    misses the bound ((16, 1) 9.0e-4, (32, 2) 4.8e-3).  The 6.6e-5 is
+    partly a cancellation: the time blend's error at this record spacing
+    (about 3e-4) and the spatial cubic's at n = 512 (about 2.2e-4) partly
+    cancel, so refining either one alone makes the total worse.
     """
 
     grid_n: int = 512
@@ -160,6 +163,8 @@ def _check_spin(a: complex, b: complex) -> tuple[complex, complex]:
     return a, b
 
 
+# Preconditions of the experiment's entry points.  parse_config calls the
+# same functions, so each is stated once.
 def _check_packet_symmetric(packet: PacketSpec) -> None:
     if packet.center != 0.0 or packet.k != 0.0:
         raise ValueError(
@@ -168,9 +173,29 @@ def _check_packet_symmetric(packet: PacketSpec) -> None:
         )
 
 
-def _check_reversal_setup(setup: SGSetup) -> None:
+def _check_symmetric_field(setup: SGSetup) -> None:
     if setup.b0 != 0:
-        raise ValueError("the reversal demonstration requires b0 = 0")
+        raise ValueError(f"the mirror-symmetric experiment requires b0 = 0, got {setup.b0}")
+
+
+def _check_equal_weights(a: complex, b: complex) -> None:
+    """|a| = |b| to MIRROR_TOL relative to the spinor's norm."""
+    if abs(abs(a) - abs(b)) > MIRROR_TOL * math.hypot(abs(a), abs(b)):
+        raise ValueError("the mirror-symmetric experiment requires |spin_up| = |spin_down|")
+
+
+def _check_in_support(q, packet: PacketSpec) -> None:
+    """Initial positions strictly within center +- 5 sigma."""
+    worst = float(np.max(np.abs(np.asarray(q, dtype=np.float64) - packet.center)))
+    if worst >= 5 * packet.sigma:
+        raise ValueError(
+            f"initial positions must lie within the packet support, |q - center| < "
+            f"5 sigma = {5 * packet.sigma}, got {worst}"
+        )
+
+
+def _check_reversal_setup(setup: SGSetup) -> None:
+    _check_symmetric_field(setup)
     if setup.reverse_geometry:
         raise ValueError("pass the unreversed setup; the demo drives the reversal itself")
 
@@ -187,10 +212,9 @@ def build_timeline(
     a: complex,
     b: complex,
     packet: PacketSpec,
-    numerics: SGNumerics | None = None,
+    numerics: SGNumerics = SGNumerics(),
 ) -> WaveTimeline:
     """Evolve the packet through the magnet window and the free drift."""
-    numerics = numerics or SGNumerics()
     grid = numerics.grid()
     psi0 = gaussian_packet(grid, packet.center, packet.sigma, packet.k, a, b)
     h_int = _magnet_hamiltonian(setup, grid)
@@ -203,7 +227,7 @@ def build_timeline(
     return timeline
 
 
-def assign_outcomes(q_final, setup: SGSetup) -> tuple[np.ndarray, np.ndarray]:
+def _assign_outcomes(q_final, setup: SGSetup) -> tuple[np.ndarray, np.ndarray]:
     """Detector labels and calibrated values for final positions.
 
     Returns (outcomes, lambdas) where outcomes is an array of 'up',
@@ -290,7 +314,7 @@ def run_sg(
     packet: PacketSpec,
     n: int,
     seed: int,
-    numerics: SGNumerics | None = None,
+    numerics: SGNumerics = SGNumerics(),
     keep_history: bool = True,
     threads: int = 1,
     timeline: WaveTimeline | None = None,
@@ -308,14 +332,13 @@ def run_sg(
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"ensemble size must be a positive integer, got {n!r}")
     setup.upper_branch  # validates that the setup splits at all
-    numerics = numerics or SGNumerics()
     if timeline is None:
         timeline = build_timeline(setup, a, b, packet, numerics)
     q0 = sample(timeline.fields[0], n, seed)
     paths = integrate_ensemble(
         timeline, q0, dt_traj=numerics.dt_traj, keep_history=keep_history, threads=threads
     )
-    outcomes, lambdas = assign_outcomes(paths.q_final, setup)
+    outcomes, lambdas = _assign_outcomes(paths.q_final, setup)
     null_fraction = float(np.mean(outcomes == "null"))
     if null_fraction > NULL_FRACTION_LIMIT:
         raise RuntimeError(
@@ -345,7 +368,7 @@ def outcome_map(
     b: complex,
     packet: PacketSpec,
     q_grid,
-    numerics: SGNumerics | None = None,
+    numerics: SGNumerics = SGNumerics(),
     threads: int = 1,
     timeline: WaveTimeline | None = None,
 ) -> np.ndarray:
@@ -359,14 +382,12 @@ def outcome_map(
     q = np.asarray(q_grid, dtype=np.float64).reshape(-1)
     if q.size == 0:
         raise ValueError("q_grid must be nonempty")
-    if np.any(np.abs(q - packet.center) >= 5 * packet.sigma):
-        raise ValueError("q_grid must lie within the packet support (center +- 5 sigma)")
+    _check_in_support(q, packet)
     setup.upper_branch
-    numerics = numerics or SGNumerics()
     if timeline is None:
         timeline = build_timeline(setup, a, b, packet, numerics)
     paths = integrate_ensemble(timeline, q, dt_traj=numerics.dt_traj, threads=threads)
-    _, lambdas = assign_outcomes(paths.q_final, setup)
+    _, lambdas = _assign_outcomes(paths.q_final, setup)
     return lambdas
 
 
@@ -409,7 +430,7 @@ def contextuality_demo(
     q_grid,
     n: int = 10_000,
     seed: int = 0,
-    numerics: SGNumerics | None = None,
+    numerics: SGNumerics = SGNumerics(),
     threads: int = 1,
 ) -> ContextualityReport:
     """Run the polarity-reversal pair and compare their outcome maps.
@@ -424,9 +445,7 @@ def contextuality_demo(
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
     _check_reversal_setup(setup)
-    if abs(abs(a) - abs(b)) > MIRROR_TOL:
-        raise ValueError("the reversal demonstration requires |a| = |b|")
-    numerics = numerics or SGNumerics()
+    _check_equal_weights(a, b)
     base = replace(setup, polarity=1, calibration_up=1.0, calibration_down=-1.0)
     flipped = replace(setup, polarity=-1, calibration_up=-1.0, calibration_down=1.0)
 
@@ -480,13 +499,9 @@ def no_crossing_check(ensemble: TrajectoryEnsemble) -> bool:
     """
     if ensemble.positions is None:
         raise ValueError("ensemble was integrated without position history")
-    setup, packet = ensemble.setup, ensemble.packet
-    if setup.b0 != 0:
-        raise ValueError("no-crossing check requires the symmetric field (b0 = 0)")
-    if packet.center != 0 or packet.k != 0:
-        raise ValueError("no-crossing check requires an even packet centered on the plane z = 0")
-    if abs(abs(ensemble.spin_up) - abs(ensemble.spin_down)) > MIRROR_TOL:
-        raise ValueError("no-crossing check requires |a| = |b|")
+    _check_symmetric_field(ensemble.setup)
+    _check_packet_symmetric(ensemble.packet)
+    _check_equal_weights(ensemble.spin_up, ensemble.spin_down)
     positions = ensemble.positions
     above = np.zeros(positions.shape[1], dtype=bool)
     below = np.zeros(positions.shape[1], dtype=bool)

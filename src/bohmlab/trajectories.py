@@ -20,11 +20,14 @@ exact for the timeline's generator, psi_t = -i sign (h psi):
 
 At a record where the generator changes, such as the end of a magnet
 window, each side uses its own generator, so the blend is one-sided
-there.  Against the closed-form Stern-Gerlach trajectories, the
-Hermite blend at 96 RK4 steps is off by 6.6e-5 where the earlier linear
-blend at 384 was off by 5.6e-3 (10k particles, equal weights).  The
-flow tables, values and derivatives at every interval end, are built
-before the transport, with batched transforms over blocks of records.
+there.  A run of sign -1 records psi(t0 - s) at elapsed time s, and the
+particles retrace the physical motion along it, so the numerator and
+its rate carry that sign; the density and its rate do not.  Against the
+closed-form Stern-Gerlach trajectories, the Hermite blend at 96 RK4
+steps is off by 6.6e-5 where the earlier linear blend at 384 was off by
+5.6e-3 (10k particles, equal weights).  The flow tables, values and
+derivatives at every interval end, are built before the transport, with
+batched transforms over blocks of records.
 
 The cubics are evaluated in Horner form.  The values and the derivatives
 at an interval end become two (4, n) complex tables, row k holding
@@ -128,9 +131,9 @@ def _flow_tables(timeline: WaveTimeline):
     """Flow tables at both ends of every record interval.
 
     Returns (tables, first_end).  tables has shape (n_ends, 2, n, 2): at
-    each end, the (numerator, density) pairs Im(psi^dagger d_x psi) and
-    psi^dagger psi at every node, then their time derivatives
-    Im(psi_t^dagger d_x psi + psi^dagger d_x psi_t) and
+    each end, the (numerator, density) pairs sign Im(psi^dagger d_x psi)
+    and psi^dagger psi at every node, then their time derivatives
+    sign Im(psi_t^dagger d_x psi + psi^dagger d_x psi_t) and
     2 Re(psi^dagger psi_t), with psi_t = -i sign (h psi) from the
     interval's generator; each end is what _cell_coefficients reads.
     Interval r runs from end first_end[r] to end first_end[r] + 1.  A
@@ -165,6 +168,8 @@ def _flow_tables(timeline: WaveTimeline):
             c_t *= dc
             rate += c_t  # psi^dagger d_x psi_t + psi_t^dagger d_x psi
             nodes[:, 1, :, 0] = rate[:, 0].imag + rate[:, 1].imag
+            if sign < 0:  # particles retrace the recorded motion: v = -Im(...)/rho
+                nodes[..., 0] *= -1.0
             end += len(block)
         first = last
     return tables, first_end

@@ -2,8 +2,9 @@
 
 Everything here is computed independently of the package internals:
 finite differences instead of spectral derivatives, closed-form
-Gaussian results, plain sums for moments, a node-by-node Lagrange
-interpolant for the guidance velocity, and the closed-form
+Gaussian results and plane waves, plain sums for moments and inner
+products, a writer for the experiment-spec text format, a node-by-node
+Lagrange interpolant for the guidance velocity, and the closed-form
 Stern-Gerlach wave with its guidance velocity and trajectories.
 """
 
@@ -12,6 +13,25 @@ import math
 import numpy as np
 
 from bohmlab import ExperimentSpec, Outcome, SpinorField, StateVec
+
+
+def plane_wave(grid, mode: int, a: complex = 1.0, b: complex = 0.0) -> SpinorField:
+    """Normalized plane wave exp(i k x) with k = 2*pi*mode/L, uniform spinor."""
+    k = 2.0 * np.pi * mode / grid.length
+    wave = np.exp(1j * k * grid.xs())
+    amp = 1.0 / np.sqrt(grid.length * (abs(a) ** 2 + abs(b) ** 2))
+    return SpinorField(grid, a * amp * wave, b * amp * wave)
+
+
+def inner_product(phi: SpinorField, psi: SpinorField) -> complex:
+    """Discrete inner product <phi, psi> = sum_j phi_j^dagger psi_j dx.
+
+    Conjugate-linear in the first argument.
+    """
+    if phi.grid != psi.grid:
+        raise ValueError("inner product requires fields on the same grid")
+    acc = np.sum(np.conj(phi.comp1) * psi.comp1 + np.conj(phi.comp2) * psi.comp2)
+    return complex(acc * phi.grid.dx)
 
 
 def fd_momentum(field: SpinorField) -> float:
@@ -72,6 +92,22 @@ def random_spec(rng: np.random.Generator, dim: int) -> ExperimentSpec:
         outcomes.append(Outcome(f"a{idx}", cols @ cols.conj().T, lam))
         lam += 0.5 + float(rng.random())
     return ExperimentSpec(dim=dim, outcomes=tuple(outcomes))
+
+
+def _fmt_complex(z: complex) -> str:
+    z = complex(z)
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
+
+
+def spec_text(spec: ExperimentSpec) -> str:
+    """A spec in the text format spec_from_text reads (one matrix row per line)."""
+    lines = [f"dim {spec.dim}"]
+    for oc in spec.outcomes:
+        lines.append(f"outcome {oc.label} {oc.calibration!r}")
+        for row in oc.projection:
+            lines.append(" ".join(_fmt_complex(z) for z in row))
+    return "\n".join(lines) + "\n"
 
 
 def lagrange_flow(field: SpinorField, q):

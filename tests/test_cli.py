@@ -7,9 +7,20 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bohmlab import PacketSpec, SGNumerics, SGSetup, build_timeline, cli
+from bohmlab import (
+    PacketSpec,
+    SGNumerics,
+    SGSetup,
+    TrajectoryEnsemble,
+    build_timeline,
+    cli,
+    contextuality_demo,
+    no_crossing_check,
+    outcome_map,
+)
 from bohmlab.cli import ConfigError, main, parse_config
 
 # small grid and short windows keep every invocation under a second
@@ -199,6 +210,71 @@ class TestParseConfig:
         assert cfg.formats == ("json",)
         with pytest.raises(ConfigError, match="unknown format"):
             parse_config("[run]\ncommand = nogo\nformat = yaml\n")
+
+
+
+SQ2 = 0.70710678118654752
+
+
+def mirror_ensemble(**changes) -> TrajectoryEnsemble:
+    """A mirror-symmetric two-record ensemble of one particle, then changes."""
+    one = np.ones(1)
+    ensemble = TrajectoryEnsemble(
+        times=np.array([0.0, 1.0]), q0=one, q_final=one, outcomes=np.array(["up"]),
+        lambdas=one, positions=np.ones((2, 1)), setup=SGSetup(), spin_up=SQ2,
+        spin_down=SQ2, packet=PacketSpec(), seed=0,
+    )
+    return dataclasses.replace(ensemble, **changes)
+
+
+class TestSharedPreconditions:
+    """parse_config and the library state each Stern-Gerlach precondition
+    in one function, so both refuse a violation with one message."""
+
+    @pytest.mark.parametrize("config, where, library", [
+        pytest.param(
+            "[run]\ncommand = contextuality\n[packet]\nspin_up = 0.6\nspin_down = 0.8\n",
+            "line 4: [packet] spin_up",
+            [
+                lambda: contextuality_demo(SGSetup(), 0.6, 0.8, PacketSpec(), [0.0]),
+                lambda: no_crossing_check(mirror_ensemble(spin_up=0.6, spin_down=0.8)),
+            ],
+            id="equal-weights",
+        ),
+        pytest.param(
+            "[run]\ncommand = born-check\n[packet]\ncenter = 1.0\n",
+            "line 4: [packet] center",
+            [
+                lambda: outcome_map(SGSetup(), 1.0, 0.0, PacketSpec(center=1.0), [1.0]),
+                lambda: no_crossing_check(mirror_ensemble(packet=PacketSpec(center=1.0))),
+            ],
+            id="centered-packet",
+        ),
+        pytest.param(
+            sg_config("contextuality", extra="[setup]\nb0 = 0.5\n"),
+            "line 17: [setup] b0",
+            [
+                lambda: contextuality_demo(SGSetup(b0=0.5), SQ2, SQ2, PacketSpec(), [0.0]),
+                lambda: no_crossing_check(mirror_ensemble(setup=SGSetup(b0=0.5))),
+            ],
+            id="zero-offset",
+        ),
+        pytest.param(
+            sg_config("contextuality", extra="[contextuality]\nq_span = 5.0\n"),
+            "line 17: [contextuality] q_span",
+            [lambda: outcome_map(SGSetup(), SQ2, SQ2, PacketSpec(), [-5.0, 5.0])],
+            id="q-in-support",
+        ),
+    ])
+    def test_config_and_library_refuse_alike(self, config, where, library):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config)
+        (message,) = err.value.errors
+        assert message.startswith(where + ": ")
+        for call in library:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message[len(where) + 2:]
 
 
 class TestCommands:
@@ -425,7 +501,7 @@ class TestFailureModes:
         assert not out.exists()
         messages = json.loads(capsys.readouterr().err)["messages"]
         assert messages == [
-            "[packet] spin_up: the reversal demonstration requires |spin_up| = |spin_down|"
+            "[packet] spin_up: the mirror-symmetric experiment requires |spin_up| = |spin_down|"
         ]
 
     @pytest.mark.parametrize(

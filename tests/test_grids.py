@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmlab import (
-    SpinorField,
-    density,
-    gaussian_packet,
-    inner_product,
-    make_grid,
-    plane_wave,
-)
-from helpers import fd_momentum, moments
+from bohmlab import SpinorField, density, gaussian_packet, make_grid
+from helpers import fd_momentum, inner_product, moments, plane_wave
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +87,8 @@ class TestSpinorField:
 
 
 class TestInnerProduct:
+    """The helpers' inner product, which the Hamiltonian tests rely on."""
+
     def test_norm_consistency(self, grid, rng):
         f = SpinorField(grid, rng.normal(size=512), rng.normal(size=512))
         assert abs(inner_product(f, f).real - f.norm_sq()) <= 1e-12 * f.norm_sq()
@@ -162,6 +157,9 @@ class TestGaussianPacket:
 
 
 class TestPlaneWave:
+    """The helpers' plane wave, a closed-form input of the velocity and
+    sampling tests."""
+
     def test_uniform_density_and_unit_norm(self, grid):
         f = plane_wave(grid, 3)
         assert abs(f.norm() - 1.0) <= 1e-12

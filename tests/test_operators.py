@@ -1,4 +1,4 @@
-"""Experiment specs, Born weights, pointer coupling, serialization."""
+"""Experiment specs, Born weights, pointer coupling, the spec text format."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,9 @@ from bohmlab import (
     pointer_model,
     reproducibility_check,
     spec_from_text,
-    spec_to_text,
     spectral_decompose,
 )
-from helpers import random_spec, random_state
+from helpers import random_spec, random_state, spec_text
 
 UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 DOWN = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -217,7 +216,7 @@ class TestReproducibility:
 class TestTextRoundTrip:
     def test_round_trip_preserves_statistics(self, rng):
         spec = random_spec(rng, 4)
-        text = spec_to_text(spec)
+        text = spec_text(spec)
         back = spec_from_text(text)
         assert back.dim == spec.dim
         assert back.labels() == spec.labels()
@@ -226,11 +225,11 @@ class TestTextRoundTrip:
             assert np.max(np.abs(a.projection - b.projection)) <= 1e-15
 
     def test_round_trip_is_exact_for_simple_entries(self):
-        text = spec_to_text(spin_spec())
-        assert spec_to_text(spec_from_text(text)) == text
+        text = spec_text(spin_spec())
+        assert spec_text(spec_from_text(text)) == text
 
     def test_comments_and_blank_lines_ignored(self):
-        text = spec_to_text(spin_spec())
+        text = spec_text(spin_spec())
         padded = "# header\n\n" + text + "\n# trailer\n"
         assert spec_from_text(padded).labels() == ("up", "down")
 
@@ -258,10 +257,10 @@ class TestTextRoundTrip:
         with pytest.raises(ExperimentSpecError, match="identity"):
             spec_from_text(text)
 
-    def test_whitespace_label_rejected_on_write(self):
+    def test_whitespace_label_rejected_on_read(self):
         spec = ExperimentSpec(
             dim=2,
             outcomes=(Outcome("has space", UP, 1.0), Outcome("down", DOWN, -1.0)),
         )
-        with pytest.raises(ValueError, match="serialized"):
-            spec_to_text(spec)
+        with pytest.raises(ValueError, match="line 2: expected 'outcome <label> <calibration>'"):
+            spec_from_text(spec_text(spec))

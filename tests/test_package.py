@@ -1,6 +1,20 @@
-"""The package's public surface: each module's __all__, re-exported once."""
+"""The package's public surface: each module's __all__, re-exported once,
+and no public function that only its own module's unit tests call."""
+
+import importlib
+import inspect
+import re
+from pathlib import Path
 
 import bohmlab
+
+ROOT = Path(__file__).resolve().parents[1]
+# Public functions kept for a test of a paper claim: name -> that test's class.
+CLAIM_TESTS = {
+    "build_observable": "test_stern_gerlach.TestOneOperatorTwoExperiments",
+    "spectral_decompose": "test_stern_gerlach.TestOneOperatorTwoExperiments",
+    "joint_value_distribution": "test_peres_mermin.TestValuesBelongToContexts",
+}
 
 
 def test_every_public_name_is_listed_once_and_resolves():
@@ -14,3 +28,25 @@ def test_every_public_name_is_listed_once_and_resolves():
     for module in modules:
         for name in module.__all__:
             assert getattr(bohmlab, name) is getattr(module, name)
+
+
+def test_every_public_function_has_a_user():
+    # a user is another library module, a script, the benchmark, the
+    # acceptance criteria or the paper-claim test named in CLAIM_TESTS
+    paths = [
+        *(ROOT / "src" / "bohmlab").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+        *(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py",
+    ]
+    unused = []
+    for name in bohmlab.__all__:
+        func = getattr(bohmlab, name)
+        if not inspect.isfunction(func):
+            continue
+        home = Path(inspect.getsourcefile(func)).resolve()
+        users = [path.read_text() for path in paths if path.resolve() != home]
+        if name in CLAIM_TESTS:
+            module, cls = CLAIM_TESTS[name].split(".")
+            users.append(inspect.getsource(getattr(importlib.import_module(module), cls)))
+        if not any(re.search(rf"\b{name}\b", text) for text in users):
+            unused.append(name)
+    assert unused == []

@@ -9,11 +9,11 @@ from bohmlab import (
     ObservableGrid,
     assignment_search,
     contextual_witness,
-    count_sign_assignments,
     joint_value_distribution,
     standard_grid,
     verify_grid,
 )
+from bohmlab.peres_mermin import _count_sign_assignments
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +119,14 @@ class TestAssignmentSearch:
             ((1, 4, 7), 1),
             ((2, 5, 8), 1),
         )
-        examined, consistent = count_sign_assignments(9, constraints)
+        examined, consistent = _count_sign_assignments(9, constraints)
         assert examined == 512
         assert consistent == 16
 
     def test_single_variable_base_case(self):
-        assert count_sign_assignments(1, (((0,), 1),)) == (2, 1)
-        assert count_sign_assignments(1, (((0,), -1),)) == (2, 1)
-        assert count_sign_assignments(1, ()) == (2, 2)
+        assert _count_sign_assignments(1, (((0,), 1),)) == (2, 1)
+        assert _count_sign_assignments(1, (((0,), -1),)) == (2, 1)
+        assert _count_sign_assignments(1, ()) == (2, 2)
 
     def test_broken_grid_refused(self, grid):
         entries = np.array(grid.entries, copy=True)
@@ -233,3 +233,28 @@ class TestJointDistribution:
             joint_value_distribution(grid, "row", 0, np.ones(3))
         with pytest.raises(ValueError, match="normalized"):
             joint_value_distribution(grid, "row", 0, np.ones(4))
+
+
+
+class TestValuesBelongToContexts:
+    """The paper's claim on the observable square: in every row and
+    column, the context a joint measurement realizes, each value triple
+    that occurs multiplies to that context's target; yet no assignment of
+    values to the nine observables alone meets all six targets."""
+
+    def test_every_context_obeys_its_target_and_no_global_map_exists(self, grid):
+        rng = np.random.default_rng(23)
+        states = [bell_state(), np.array([1.0, 0.0, 0.0, 0.0]), np.full(4, 0.5)]
+        for _ in range(5):
+            vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+            states.append(vec / np.linalg.norm(vec))
+        contexts = [("row", i, grid.row_targets[i]) for i in range(3)]
+        contexts += [("col", j, grid.col_targets[j]) for j in range(3)]
+        for kind, index, target in contexts:
+            for vec in states:
+                probs = joint_value_distribution(grid, kind, index, vec)
+                assert abs(sum(probs.values()) - 1.0) <= 1e-12
+                occurring = [triple for triple, p in probs.items() if p > 1e-12]
+                assert occurring
+                assert all(a * b * c == target for a, b, c in occurring)
+        assert assignment_search(grid) == (512, 0)

@@ -3,35 +3,10 @@
 import numpy as np
 import pytest
 
-from bohmlab import (
-    SeededSampler,
-    SpinorField,
-    gaussian_packet,
-    ks_distance,
-    make_grid,
-    plane_wave,
-    sample,
-)
+from bohmlab import SpinorField, gaussian_packet, ks_distance, make_grid, sample
+from helpers import plane_wave
 
 GRID = make_grid(512, -30.0, 30.0)
-
-
-class TestSeededSampler:
-    def test_uniforms_in_unit_interval(self):
-        u = SeededSampler(42).uniforms(1000)
-        assert u.shape == (1000,)
-        assert np.all((0.0 <= u) & (u < 1.0))
-
-    def test_counter_based_prefix(self):
-        s = SeededSampler(42)
-        assert np.array_equal(s.uniforms(1000)[:100], SeededSampler(42).uniforms(100))
-
-    def test_seed_range_enforced(self):
-        with pytest.raises(ValueError, match="64-bit"):
-            SeededSampler(-1)
-        with pytest.raises(ValueError, match="64-bit"):
-            SeededSampler(2**64)
-        SeededSampler(2**64 - 1)
 
 
 class TestSample:
@@ -41,6 +16,14 @@ class TestSample:
         assert np.array_equal(a, sample(f, 300, seed=5))
         assert np.array_equal(a[:100], sample(f, 100, seed=5))
         assert not np.array_equal(a, sample(f, 300, seed=6))
+
+    def test_seed_range_enforced(self):
+        f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="64-bit"):
+            sample(f, 10, seed=-1)
+        with pytest.raises(ValueError, match="64-bit"):
+            sample(f, 10, seed=2**64)
+        sample(f, 10, seed=2**64 - 1)
 
     def test_uniform_density_passes_ks(self):
         f = plane_wave(GRID, 2)

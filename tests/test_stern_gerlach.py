@@ -11,7 +11,6 @@ from bohmlab import (
     PacketSpec,
     SGNumerics,
     SGSetup,
-    assign_outcomes,
     branch_overlap,
     build_observable,
     build_timeline,
@@ -21,7 +20,9 @@ from bohmlab import (
     no_crossing_check,
     outcome_map,
     run_sg,
+    spectral_decompose,
 )
+from bohmlab.stern_gerlach import _assign_outcomes
 from helpers import sg_trajectories
 
 # halved grid keeps the module fast; the beam physics is unchanged
@@ -104,7 +105,7 @@ class TestTimeline:
 class TestAssignOutcomes:
     def test_three_regions(self):
         setup = SGSetup()
-        outcomes, lambdas = assign_outcomes([9.0, -9.0, 0.3, 4.5, -4.5], setup)
+        outcomes, lambdas = _assign_outcomes([9.0, -9.0, 0.3, 4.5, -4.5], setup)
         assert list(outcomes) == ["up", "down", "null", "null", "null"]
         assert lambdas[0] == 1.0
         assert lambdas[1] == -1.0
@@ -112,7 +113,7 @@ class TestAssignOutcomes:
 
     def test_calibrations_flow_through(self):
         setup = SGSetup(calibration_up=7.0, calibration_down=-3.0)
-        _, lambdas = assign_outcomes([9.0, -9.0], setup)
+        _, lambdas = _assign_outcomes([9.0, -9.0], setup)
         assert list(lambdas) == [7.0, -3.0]
 
 
@@ -244,6 +245,21 @@ class TestOneOperatorTwoExperiments:
         # the sign of the start decides the detector, opposite in the two
         assert np.all(maps[0][qs > 0.1] == 1.0) and np.all(maps[1][qs > 0.1] == -1.0)
 
+    def test_the_operator_does_not_know_which_detector_reads_up(self):
+        # decomposing sigma_z recovers one experiment spec whichever of the
+        # two experiments built it: the upper detector's identity is lost
+        base = SGSetup(polarity=1, calibration_up=1.0, calibration_down=-1.0)
+        flipped = SGSetup(polarity=-1, calibration_up=-1.0, calibration_down=1.0)
+        specs = [self.detector_spec(setup) for setup in (base, flipped)]
+        upper = [spec.outcomes[0].projection for spec in specs]
+        assert not np.array_equal(upper[0], upper[1])
+        recovered = [spectral_decompose(build_observable(spec)) for spec in specs]
+        assert recovered[0].labels() == recovered[1].labels()
+        assert np.array_equal(recovered[0].calibrations(), recovered[1].calibrations())
+        for a, b in zip(recovered[0].outcomes, recovered[1].outcomes):
+            assert np.array_equal(a.projection, b.projection)
+        assert sorted(recovered[0].calibrations()) == [-1.0, 1.0]
+
 
 class TestTransportAgainstClosedForm:
     """The default numerics' transport against the closed-form trajectories."""
@@ -258,7 +274,7 @@ class TestTransportAgainstClosedForm:
         finer = sg_trajectories(setup, packet, SQ2, SQ2, ensemble.q0, 768)
         assert np.max(np.abs(finer - truth)) <= 1e-6  # the truth has converged
         assert np.max(np.abs(ensemble.q_final - truth)) <= 5.6e-4
-        outcomes, _ = assign_outcomes(truth, setup)
+        outcomes, _ = _assign_outcomes(truth, setup)
         assert np.array_equal(outcomes, ensemble.outcomes)
 
 
@@ -278,10 +294,10 @@ class TestNoCrossing:
         with pytest.raises(ValueError, match="b0 = 0"):
             no_crossing_check(tilted)
         off_center = replace(ensemble, packet=PacketSpec(center=0.5))
-        with pytest.raises(ValueError, match="centered on the plane"):
+        with pytest.raises(ValueError, match="centered at 0"):
             no_crossing_check(off_center)
         lopsided = replace(ensemble, spin_up=1.0, spin_down=0.0)
-        with pytest.raises(ValueError, match=r"\|a\| = \|b\|"):
+        with pytest.raises(ValueError, match=r"\|spin_up\| = \|spin_down\|"):
             no_crossing_check(lopsided)
 
 
@@ -342,7 +358,7 @@ class TestContextualityDemo:
             contextuality_demo(
                 SGSetup(reverse_geometry=True), SQ2, SQ2, PacketSpec(), qs, numerics=COARSE
             )
-        with pytest.raises(ValueError, match=r"\|a\| = \|b\|"):
+        with pytest.raises(ValueError, match=r"\|spin_up\| = \|spin_down\|"):
             contextuality_demo(SGSetup(), 0.6, 0.8, PacketSpec(), qs, numerics=COARSE)
 
 

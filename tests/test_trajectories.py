@@ -19,12 +19,12 @@ from bohmlab import (
     integrate_ensemble,
     ks_distance,
     make_grid,
-    plane_wave,
     sample,
     velocity,
 )
 from bohmlab import trajectories
-from helpers import free_velocity, lagrange_flow, lagrange_velocity
+from bohmlab.stern_gerlach import _magnet_hamiltonian
+from helpers import free_velocity, lagrange_flow, lagrange_velocity, plane_wave
 
 GRID = make_grid(512, -30.0, 30.0)
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -430,6 +430,26 @@ class TestEquivariance:
         q0 = sample(longer.fields[0], 4000, seed=100)
         assert ks_distance(q0, longer.fields[-1]) > 8.0 / np.sqrt(4000)
         assert equivariance_check(longer, q0) < 1.63 / np.sqrt(4000)
+
+
+class TestBackwardTimeline:
+    def test_stern_gerlach_stepped_back_is_equivariant(self):
+        # the default run's final record stepped back through the drift and
+        # then the magnet: generator runs of sign -1, whose particles must
+        # retrace the motion (KS 0.5075 if they follow +Im(psi^dagger psi')/rho)
+        setup, numerics = SGSetup(), SGNumerics()
+        final = build_timeline(setup, SQ2, SQ2, PacketSpec(), numerics).fields[-1]
+        grid = final.grid
+        drift = evolve(final, HamiltonianSpec.free(grid), -setup.t_drift, -numerics.dt, numerics.record_every)
+        magnet = evolve(
+            drift.fields[-1], _magnet_hamiltonian(setup, grid), -setup.tau, -numerics.dt,
+            numerics.record_every,
+        )
+        back = drift.extend(magnet)
+        assert [sign for sign, _, _ in back.generators] == [-1, -1]
+        q0 = sample(back.fields[0], 4000, seed=1)
+        ks = equivariance_check(back, q0, dt_traj=numerics.dt_traj)
+        assert ks <= 1.63 / np.sqrt(4000)
 
 
 class TestValidation:
