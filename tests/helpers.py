@@ -2,10 +2,11 @@
 
 Everything here is computed independently of the package internals:
 finite differences instead of spectral derivatives, closed-form
-Gaussian results and plane waves, plain sums for moments and inner
-products, a writer for the experiment-spec text format, a node-by-node
-Lagrange interpolant for the guidance velocity, and the closed-form
-Stern-Gerlach wave with its guidance velocity and trajectories.
+Gaussian results (the freely moving packet among them) and plane waves,
+plain sums for moments and inner products, a writer for the
+experiment-spec text format, a node-by-node Lagrange interpolant for the
+guidance velocity, and the closed-form Stern-Gerlach wave with its
+guidance velocity and trajectories.
 """
 
 import math
@@ -168,6 +169,31 @@ def _free_gaussian(a, b, c, t):
     return a / d, b / d, c + 0.5j * b * b * t / d - 0.5 * np.log(d)
 
 
+def _packet_gaussian(packet, amplitude):
+    """(A, B, C) of the normalized packet, times amplitude, at t = 0."""
+    s2 = packet.sigma**2
+    a = -1.0 / (4.0 * s2) + 0j
+    b = packet.center / (2.0 * s2) + 1j * packet.k
+    c = -packet.center**2 / (4.0 * s2) + np.log(complex(amplitude)) - 0.25 * np.log(2 * np.pi * s2)
+    return a, b, c
+
+
+def free_packet(packet, a_up, a_down, grid, t: float) -> SpinorField:
+    """The packet with spinor (a_up, a_down) after free motion for time t.
+
+    Negative t is the state that reaches the packet after time |t|.
+    """
+    x = grid.xs()
+    comps = []
+    for amplitude in (a_up, a_down):
+        if amplitude == 0:
+            comps.append(np.zeros(grid.n, complex))
+            continue
+        a, b, c = _free_gaussian(*_packet_gaussian(packet, amplitude), t)
+        comps.append(np.exp(a * x * x + b * x + c))
+    return SpinorField(grid, *comps)
+
+
 def sg_component(setup, packet, amplitude, spin: int, t: float):
     """(A, B, C) of the spin component exp(A x^2 + B x + C) at time t.
 
@@ -176,10 +202,7 @@ def sg_component(setup, packet, amplitude, spin: int, t: float):
     the linear potential v0 + g x enters through the Avron-Herbst form
     psi(x, t) = exp(-i (g t x + g^2 t^3 / 6 + v0 t)) psi_free(x + g t^2 / 2, t).
     """
-    s2 = packet.sigma**2
-    a = -1.0 / (4.0 * s2) + 0j
-    b = packet.center / (2.0 * s2) + 1j * packet.k
-    c = -packet.center**2 / (4.0 * s2) + np.log(complex(amplitude)) - 0.25 * np.log(2 * np.pi * s2)
+    a, b, c = _packet_gaussian(packet, amplitude)
     coupling = spin * setup.mu * setup.field_sign
     g, v0 = coupling * setup.b_grad, coupling * setup.b0
     tm = min(t, setup.tau)

@@ -204,7 +204,7 @@ def test_06_propagator_accuracy(free_timeline):
 
     ok = norm_ok and width_ok and order_ok
     report(
-        6, "split-step integrator holds its accuracy contracts", ok,
+        6, "propagator holds its accuracy contracts", ok,
         f"drift {drift:.2e}; width dev {width_dev:.2e}; "
         f"stepping ratios {', '.join(f'{r:.2f}' for r in ratios)}",
     )

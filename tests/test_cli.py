@@ -20,6 +20,7 @@ from bohmlab import (
     contextuality_demo,
     no_crossing_check,
     outcome_map,
+    run_sg,
 )
 from bohmlab.cli import ConfigError, main, parse_config
 
@@ -158,20 +159,9 @@ class TestParseConfig:
         assert cfg.setup.t_drift == 0.0
 
     def test_splitting_preconditions(self):
-        with pytest.raises(ConfigError, match="centered at 0"):
-            parse_config("[run]\ncommand = born-check\n[packet]\ncenter = 2.0\nsigma = 0.5\n")
+        # the four preconditions shared with the library: TestSharedPreconditions
         with pytest.raises(ConfigError, match="never splits"):
             parse_config("[run]\ncommand = born-check\n[setup]\nb_grad = 0\n")
-
-    def test_contextuality_preconditions(self):
-        with pytest.raises(ConfigError, match="\\|spin_up\\| = \\|spin_down\\|"):
-            parse_config(
-                "[run]\ncommand = contextuality\n[packet]\nspin_up = 0.6\nspin_down = 0.8\n"
-            )
-        with pytest.raises(ConfigError, match="q_span"):
-            parse_config("[run]\ncommand = contextuality\n[contextuality]\nq_span = 5.0\n")
-        with pytest.raises(ConfigError, match="b0 = 0"):
-            parse_config("[run]\ncommand = contextuality\n[setup]\nb0 = 1.0\n")
 
     def test_accuracy_guard_is_the_library_rule(self):
         # the default magnet holds the guard: 1 * 4 * 30 / 256 = 0.469
@@ -229,7 +219,8 @@ def mirror_ensemble(**changes) -> TrajectoryEnsemble:
 
 class TestSharedPreconditions:
     """parse_config and the library state each Stern-Gerlach precondition
-    in one function, so both refuse a violation with one message."""
+    in one function, so both refuse a violation with one message.  Each
+    case lists every library entry point that checks its precondition."""
 
     @pytest.mark.parametrize("config, where, library", [
         pytest.param(
@@ -245,7 +236,9 @@ class TestSharedPreconditions:
             "[run]\ncommand = born-check\n[packet]\ncenter = 1.0\n",
             "line 4: [packet] center",
             [
+                lambda: run_sg(SGSetup(), 1.0, 0.0, PacketSpec(center=1.0), 10, 0),
                 lambda: outcome_map(SGSetup(), 1.0, 0.0, PacketSpec(center=1.0), [1.0]),
+                lambda: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(center=1.0), [1.0]),
                 lambda: no_crossing_check(mirror_ensemble(packet=PacketSpec(center=1.0))),
             ],
             id="centered-packet",
@@ -262,7 +255,10 @@ class TestSharedPreconditions:
         pytest.param(
             sg_config("contextuality", extra="[contextuality]\nq_span = 5.0\n"),
             "line 17: [contextuality] q_span",
-            [lambda: outcome_map(SGSetup(), SQ2, SQ2, PacketSpec(), [-5.0, 5.0])],
+            [
+                lambda: outcome_map(SGSetup(), SQ2, SQ2, PacketSpec(), [-5.0, 5.0]),
+                lambda: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [-5.0, 5.0]),
+            ],
             id="q-in-support",
         ),
     ])
@@ -325,6 +321,34 @@ class TestCommands:
         index, q0, q_final, outcome, lam = row.split(",")
         assert index == "0"
         assert outcome in ("up", "down", "null")
+
+    def test_ensemble_rows_print_floats_as_repr(self, tmp_path, monkeypatch):
+        # NaN, signed zeros, subnormals, infinities and huge values print as
+        # repr(float(x)) of the numpy element, and a NaN calibration as ""
+        special = np.array([np.nan, -0.0, 0.0, 5e-324, 2.5e-310, -2.2250738585072014e-308,
+                            1e300, 0.1, 1 / 3, -np.inf])
+        real, seen = cli.run_sg, []
+
+        def crafted(*args, **kwargs):
+            stats, ensemble = real(*args, **kwargs)
+            values = np.resize(special, ensemble.q0.size)
+            seen.append(dataclasses.replace(
+                ensemble, q0=values, q_final=-values, lambdas=np.roll(values, 1)
+            ))
+            return stats, seen[-1]
+
+        monkeypatch.setattr(cli, "run_sg", crafted)
+        monkeypatch.setattr(cli, "RENDER_CHUNK", 7)  # 57 full chunks and one of 1
+        code, out = invoke(tmp_path, sg_config("stern-gerlach"))
+        assert code == 0
+        (e,) = seen
+        expected = [
+            f"{i},{repr(float(q0))},{repr(float(q1))},{outcome},"
+            + ("" if np.isnan(lam) else repr(float(lam)))
+            for i, (q0, q1, outcome, lam) in enumerate(zip(e.q0, e.q_final, e.outcomes, e.lambdas))
+        ]
+        assert (out / "ensemble.csv").read_text().splitlines()[2:] == expected
+        assert expected[3].split(",")[1:3] == ["5e-324", "-5e-324"]
 
     def test_contextuality(self, tmp_path):
         extra = "[contextuality]\nq_points = 15\nq_span = 1.5\n"

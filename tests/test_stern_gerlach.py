@@ -178,8 +178,6 @@ class TestRunStatistics:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="spinor"):
             run_sg(SGSetup(), 1.0, 1.0, PacketSpec(), n=10, seed=0, numerics=COARSE)
-        with pytest.raises(ValueError, match="centered at 0"):
-            run_sg(SGSetup(), SQ2, SQ2, PacketSpec(center=1.0), n=10, seed=0, numerics=COARSE)
         with pytest.raises(ValueError, match="ensemble size"):
             run_sg(SGSetup(), SQ2, SQ2, PacketSpec(), n=0, seed=0, numerics=COARSE)
         with pytest.raises(ValueError, match="no splitting"):
@@ -287,18 +285,10 @@ class TestNoCrossing:
         _, ensemble = balanced_run
         from dataclasses import replace
 
+        # b0, |a| = |b| and the packet: TestSharedPreconditions in test_cli.py
         no_hist = replace(ensemble, positions=None)
         with pytest.raises(ValueError, match="without position history"):
             no_crossing_check(no_hist)
-        tilted = replace(ensemble, setup=SGSetup(b0=0.3))
-        with pytest.raises(ValueError, match="b0 = 0"):
-            no_crossing_check(tilted)
-        off_center = replace(ensemble, packet=PacketSpec(center=0.5))
-        with pytest.raises(ValueError, match="centered at 0"):
-            no_crossing_check(off_center)
-        lopsided = replace(ensemble, spin_up=1.0, spin_down=0.0)
-        with pytest.raises(ValueError, match=r"\|spin_up\| = \|spin_down\|"):
-            no_crossing_check(lopsided)
 
 
     def test_blocked_scan_equals_full_comparison(self, balanced_run, monkeypatch):
@@ -350,16 +340,23 @@ class TestContextualityDemo:
         assert "pointwise opposite" in text
         assert "not of the operator" in text
 
-    def test_preconditions(self):
-        qs = [0.0]
-        with pytest.raises(ValueError, match="b0 = 0"):
-            contextuality_demo(SGSetup(b0=1.0), SQ2, SQ2, PacketSpec(), qs, numerics=COARSE)
+    def test_preconditions(self, monkeypatch):
+        # b0, |a| = |b|, the packet and the support: TestSharedPreconditions
+        # in test_cli.py.  Every refusal comes before any evolution.
+        from bohmlab import stern_gerlach
+
+        def never(*args, **kwargs):
+            raise AssertionError("a timeline was built before the preconditions held")
+
+        monkeypatch.setattr(stern_gerlach, "build_timeline", never)
         with pytest.raises(ValueError, match="unreversed"):
             contextuality_demo(
-                SGSetup(reverse_geometry=True), SQ2, SQ2, PacketSpec(), qs, numerics=COARSE
+                SGSetup(reverse_geometry=True), SQ2, SQ2, PacketSpec(), [0.0], numerics=COARSE
             )
-        with pytest.raises(ValueError, match=r"\|spin_up\| = \|spin_down\|"):
-            contextuality_demo(SGSetup(), 0.6, 0.8, PacketSpec(), qs, numerics=COARSE)
+        with pytest.raises(ValueError, match="support"):
+            contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0, 5.0], numerics=COARSE)
+        with pytest.raises(ValueError, match="nonempty"):
+            contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [], numerics=COARSE)
 
 
 class TestBranchOverlap:

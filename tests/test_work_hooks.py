@@ -1,8 +1,9 @@
 """The private functions a tracer wraps to count the work done.
 
-bench/child.py counts split steps through propagation._step_arrays and
-velocity evaluations through trajectories._interp_quotient, whose batch
-it reads from the 4th positional argument q.  A rename, or a call that
+bench/child.py counts split steps through propagation._step_arrays (a
+free evolve is exact and takes none) and velocity evaluations through
+trajectories._interp_quotient, whose batch it reads from the 4th
+positional argument q.  A rename, or a call that
 bypasses the module attribute, would make those counts read 0 without an
 error, so both hooks are pinned here.
 """
@@ -11,8 +12,11 @@ import inspect
 
 import numpy as np
 
-from bohmlab import HamiltonianSpec, evolve, gaussian_packet, integrate_ensemble, make_grid
+from bohmlab import (
+    HamiltonianSpec, SGSetup, evolve, gaussian_packet, integrate_ensemble, make_grid,
+)
 from bohmlab import propagation, trajectories
+from bohmlab.stern_gerlach import _magnet_hamiltonian
 
 GRID = make_grid(256, -20.0, 20.0)
 
@@ -31,8 +35,14 @@ def test_every_split_step_goes_through_step_arrays(monkeypatch):
     calls = []
     counting(monkeypatch, propagation, "_step_arrays", lambda args, kwargs: calls.append(1))
     psi = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-    evolve(psi, HamiltonianSpec.free(GRID), 0.25, 1 / 64, record_every=4)
+    # max|V_eff| * dt = 20 / 64 holds the accuracy guard
+    magnet = _magnet_hamiltonian(SGSetup(b_grad=1.0), GRID)
+    evolve(psi, magnet, 0.25, 1 / 64, record_every=4)
     assert len(calls) == 16
+    # a free window is exact: it takes no split step
+    calls.clear()
+    evolve(psi, HamiltonianSpec.free(GRID), 0.25, 1 / 64, record_every=4)
+    assert calls == []
 
 
 def test_every_velocity_evaluation_goes_through_interp_quotient(monkeypatch):
