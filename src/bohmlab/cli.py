@@ -29,19 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
+# operators and peres_mermin are imported inside the pointer-model and
+# nogo drivers, so no other command loads them.
 from . import __version__
 from .grids import check_packet_fits, density, gaussian_packet
-from .operators import (
-    ExperimentSpec,
-    Outcome,
-    StateVec,
-    born_probabilities,
-    expectation,
-    pointer_model,
-    reproducibility_check,
-    spec_from_text,
-)
-from .peres_mermin import contextual_witness
 from .propagation import HamiltonianSpec, _guard_violation, evolve, window_steps
 from .sampling import KS_COEFF, ks_distance, sample
 from .stern_gerlach import (
@@ -633,13 +624,18 @@ def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[st
     )
     overlap = branch_overlap(timeline.fields[-1])
     # Python floats from tolist() print as _ffmt prints numpy's, in less time.
-    columns = (ensemble.q0, ensemble.q_final, ensemble.outcomes, ensemble.lambdas)
+    columns = (ensemble.q0, ensemble.q_final, ensemble.outcomes)
+    lam_text = {
+        "up": _lfmt(config.setup.calibration_up),
+        "down": _lfmt(config.setup.calibration_down),
+        "null": "",
+    }
     rows = []
     for lo in range(0, config.n_samples, RENDER_CHUNK):
         chunk = zip(*(c[lo:lo + RENDER_CHUNK].tolist() for c in columns))
         rows += [
-            f"{i},{q0!r},{q1!r},{outcome},{_lfmt(lam)}"
-            for i, (q0, q1, outcome, lam) in enumerate(chunk, lo)
+            f"{i},{q0!r},{q1!r},{outcome},{lam_text[outcome]}"
+            for i, (q0, q1, outcome) in enumerate(chunk, lo)
         ]
     p = stats.born["up"]
     n_detected = stats.counts["up"] + stats.counts["down"]
@@ -736,17 +732,24 @@ def _run_contextuality(config: RunConfig, threads: int) -> dict[str, str]:
     }
 
 
-def _default_pointer_spec() -> ExperimentSpec:
-    up = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-    down = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-    return ExperimentSpec(dim=2, outcomes=(Outcome("up", up, 1.0), Outcome("down", down, -1.0)))
-
-
 def _run_pointer(config: RunConfig, threads: int) -> dict[str, str]:
+    from .operators import (
+        ExperimentSpec,
+        Outcome,
+        StateVec,
+        born_probabilities,
+        expectation,
+        pointer_model,
+        reproducibility_check,
+        spec_from_text,
+    )
+
     if config.spec_file is not None:
         spec = spec_from_text(Path(config.spec_file).read_text())
     else:
-        spec = _default_pointer_spec()
+        up = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+        down = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+        spec = ExperimentSpec(dim=2, outcomes=(Outcome("up", up, 1.0), Outcome("down", down, -1.0)))
     psi = StateVec.normalized(config.pointer_state)
     born = born_probabilities(psi, spec)
     result = pointer_model(psi, spec)
@@ -780,6 +783,8 @@ def _run_pointer(config: RunConfig, threads: int) -> dict[str, str]:
 
 
 def _run_nogo(config: RunConfig, threads: int) -> dict[str, str]:
+    from .peres_mermin import contextual_witness
+
     witness = contextual_witness()
     checks = {
         "all_candidates_examined": witness.n_candidates == 512,

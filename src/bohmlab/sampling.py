@@ -4,10 +4,14 @@ Positions are drawn from the piecewise-linear interpolant of the node
 density (periodic closure at the right edge).  That law's CDF is
 piecewise quadratic; ks_distance's reference interpolates the same node
 CDF linearly, so the two agree at the nodes, not between them.
-Randomness comes from a counter-based generator: draw i is a pure
-function of (seed, i), ensembles are reproducible bit-for-bit
-regardless of how the draws are later consumed or parallelized, and the
-first n draws of a longer run coincide with a shorter run's draws.
+Randomness comes from a counter-based generator, Philox4x64-10 (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC11), computed
+here in numpy and giving the same stream as numpy's
+`Generator(Philox(key=seed)).random` without importing numpy.random.
+Draw i is a pure function of (seed, i), ensembles are reproducible
+bit-for-bit regardless of how the draws are later consumed or
+parallelized, and the first n draws of a longer run coincide with a
+shorter run's draws.
 """
 
 from __future__ import annotations
@@ -23,15 +27,27 @@ KS_COEFF = 1.63
 
 NORM_TOLERANCE = 1e-6
 
+# Philox4x64 round multipliers and Weyl key increments (Random123).
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+# Counters per block of _philox_uniforms; each temporary holds this many words.
+_PHILOX_BLOCK = 4096
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
 
 def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
     """Draw n positions distributed as the position density of psi.
 
     psi must be normalized to within 1e-6 and seed must fit in an
-    unsigned 64-bit integer; it keys a counter-based (Philox) stream of
-    uniforms.  Draw i consumes uniforms (2i, 2i+1) of that stream: one
-    picks a cell by inverse CDF of the per-cell masses, one is mapped
-    through the inverse CDF of the linear density inside that cell.
+    unsigned 64-bit integer; it keys the Philox4x64-10 stream of uniforms
+    that numpy's Philox(key=seed) gives.  Draw i consumes uniforms
+    (2i, 2i+1) of that stream: one picks a cell by inverse CDF of the
+    per-cell masses, one is mapped through the inverse CDF of the linear
+    density inside that cell.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"sample count must be a positive integer, got {n!r}")
@@ -43,7 +59,7 @@ def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
     grid = psi.grid
     rho = density(psi)
     cdf = _node_cdf(rho, grid.dx)
-    u = np.random.Generator(np.random.Philox(key=int(seed))).random(2 * n)
+    u = _philox_uniforms(int(seed), 2 * n)
     cells = np.searchsorted(cdf[1:], u[0::2], side="right")  # cell j ends at node j + 1
     a = rho[cells]
     b = np.roll(rho, -1)[cells]
@@ -59,6 +75,40 @@ def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
         (root - a) / np.where(denom == 0.0, 1.0, denom),
     )
     return grid.x_min + (cells + s) * grid.dx
+
+
+def _philox_uniforms(seed: int, count: int) -> np.ndarray:
+    """The first count doubles in [0, 1) of the Philox4x64-10 stream keyed by seed.
+
+    Bit for bit numpy's Generator(Philox(key=seed)).random(count): key
+    (seed, 0), counters (1, 0, 0, 0), (2, 0, 0, 0), ..., each giving
+    four words in order, and word x giving the double (x >> 11) * 2**-53.
+    """
+    keys = [
+        (np.uint64((seed + r * _PHILOX_W0) % 2**64), np.uint64(r * _PHILOX_W1 % 2**64))
+        for r in range(_PHILOX_ROUNDS)
+    ]
+    words = np.empty(-(-count // 4) * 4, dtype=np.uint64)
+    per_counter = words.reshape(-1, 4)
+    for lo in range(0, len(per_counter), _PHILOX_BLOCK):
+        hi = min(lo + _PHILOX_BLOCK, len(per_counter))
+        x0 = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        x1 = x2 = x3 = np.zeros(hi - lo, dtype=np.uint64)
+        for k0, k1 in keys:
+            hi0, lo0 = _mulhilo(_PHILOX_M0, x0)
+            hi1, lo1 = _mulhilo(_PHILOX_M1, x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        per_counter[lo:hi] = np.stack((x0, x1, x2, x3), axis=1)
+    return (words[:count] >> np.uint64(11)) * 2.0**-53
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    mid = a_hi * b_lo + ((a_lo * b_lo) >> _SHIFT32)
+    cross = a_lo * b_hi + (mid & _LOW32)
+    return a_hi * b_hi + (mid >> _SHIFT32) + (cross >> _SHIFT32), a * b
 
 
 def _node_cdf(rho, dx: float) -> np.ndarray:

@@ -3,10 +3,10 @@
 Everything here is computed independently of the package internals:
 finite differences instead of spectral derivatives, closed-form
 Gaussian results (the freely moving packet among them) and plane waves,
-plain sums for moments and inner products, a writer for the
-experiment-spec text format, a node-by-node Lagrange interpolant for the
-guidance velocity, and the closed-form Stern-Gerlach wave with its
-guidance velocity and trajectories.
+plain sums for moments and inner products, numpy's own Philox stream,
+a writer for the experiment-spec text format, a node-by-node Lagrange
+interpolant for the guidance velocity, and the closed-form Stern-Gerlach
+wave with its guidance velocity and trajectories.
 """
 
 import math
@@ -93,6 +93,11 @@ def random_spec(rng: np.random.Generator, dim: int) -> ExperimentSpec:
         outcomes.append(Outcome(f"a{idx}", cols @ cols.conj().T, lam))
         lam += 0.5 + float(rng.random())
     return ExperimentSpec(dim=dim, outcomes=tuple(outcomes))
+
+
+def numpy_philox_uniforms(seed: int, count: int) -> np.ndarray:
+    """The first count uniforms of numpy's Generator(Philox(key=seed))."""
+    return np.random.Generator(np.random.Philox(key=seed)).random(count)
 
 
 def _fmt_complex(z: complex) -> str:

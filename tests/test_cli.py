@@ -324,22 +324,26 @@ class TestCommands:
 
     def test_ensemble_rows_print_floats_as_repr(self, tmp_path, monkeypatch):
         # NaN, signed zeros, subnormals, infinities and huge values print as
-        # repr(float(x)) of the numpy element, and a NaN calibration as ""
+        # repr(float(x)) of the numpy element; lambda prints the outcome's
+        # calibration as repr(float(x)), and "" for the null outcome
         special = np.array([np.nan, -0.0, 0.0, 5e-324, 2.5e-310, -2.2250738585072014e-308,
                             1e300, 0.1, 1 / 3, -np.inf])
+        calibrations = "[setup]\ncalibration_up = 0.3333333333333333\ncalibration_down = -2.5e-310\n"
         real, seen = cli.run_sg, []
 
         def crafted(*args, **kwargs):
             stats, ensemble = real(*args, **kwargs)
             values = np.resize(special, ensemble.q0.size)
+            outcomes = np.resize(np.array(["up", "down", "null"]), values.size)
+            lambdas = np.select([outcomes == "up", outcomes == "down"], [1 / 3, -2.5e-310], np.nan)
             seen.append(dataclasses.replace(
-                ensemble, q0=values, q_final=-values, lambdas=np.roll(values, 1)
+                ensemble, q0=values, q_final=-values, outcomes=outcomes, lambdas=lambdas
             ))
             return stats, seen[-1]
 
         monkeypatch.setattr(cli, "run_sg", crafted)
         monkeypatch.setattr(cli, "RENDER_CHUNK", 7)  # 57 full chunks and one of 1
-        code, out = invoke(tmp_path, sg_config("stern-gerlach"))
+        code, out = invoke(tmp_path, sg_config("stern-gerlach", extra=calibrations))
         assert code == 0
         (e,) = seen
         expected = [

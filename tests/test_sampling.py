@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bohmlab import SpinorField, gaussian_packet, ks_distance, make_grid, sample
-from helpers import plane_wave
+from bohmlab import SpinorField, gaussian_packet, ks_distance, make_grid, sample, sampling
+from helpers import numpy_philox_uniforms, plane_wave
 
 GRID = make_grid(512, -30.0, 30.0)
 
@@ -64,6 +64,24 @@ class TestSample:
         unnormalized = SpinorField(GRID, 2.0 * f.comp1, 2.0 * f.comp2)
         with pytest.raises(ValueError, match="normalized"):
             sample(unnormalized, 10, seed=1)
+
+
+@pytest.mark.filterwarnings("error")
+class TestPhiloxStream:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1])
+    def test_equals_numpy_philox(self, seed):
+        # whole and partial counters of four words each, and more than one block
+        for count in (1, 2, 3, 4, 5, 8, 4097, 4 * sampling._PHILOX_BLOCK + 5):
+            got = sampling._philox_uniforms(seed, count)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), numpy_philox_uniforms(seed, count).view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_sample_draws_equal_the_numpy_stream_draws(self, seed, monkeypatch):
+        f = gaussian_packet(GRID, 0.7, 1.3, 0.0)
+        ours = sample(f, 10_000, seed)
+        monkeypatch.setattr(sampling, "_philox_uniforms", numpy_philox_uniforms)
+        assert np.array_equal(ours.view(np.uint64), sample(f, 10_000, seed).view(np.uint64))
 
 
 class TestKSDistance:
