@@ -471,9 +471,26 @@ def _csv_file(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _normalized_spin(a: complex, b: complex) -> tuple[complex, complex]:
-    norm = math.hypot(abs(a), abs(b))
-    return a / norm, b / norm
+def _ensemble_csv(q0, q_final, outcomes, lam_text: dict) -> str:
+    """ensemble.csv: lam_text renders each outcome's calibration.
+
+    Rows are rendered RENDER_CHUNK at a time; Python floats from tolist()
+    print as _ffmt prints numpy's, in less time.
+    """
+    rows = []
+    for lo in range(0, q0.size, RENDER_CHUNK):
+        chunk = zip(*(c[lo:lo + RENDER_CHUNK].tolist() for c in (q0, q_final, outcomes)))
+        rows += [
+            f"{i},{a!r},{b!r},{outcome},{lam_text[outcome]}"
+            for i, (a, b, outcome) in enumerate(chunk, lo)
+        ]
+    return _csv_file("index,q0,q_final,outcome,lambda", rows)
+
+
+def _normalized_spin(config: RunConfig) -> tuple[complex, complex]:
+    """The packet's spinor scaled to unit norm, as the packet commands use it."""
+    norm = math.hypot(abs(config.spin_up), abs(config.spin_down))
+    return config.spin_up / norm, config.spin_down / norm
 
 
 def _echo_params(config: RunConfig) -> dict:
@@ -483,6 +500,8 @@ def _echo_params(config: RunConfig) -> dict:
         for section, (cls, keys) in _FIELD_SECTIONS.items()
     }
     params["packet"].update(spin_up=_cfmt(config.spin_up), spin_down=_cfmt(config.spin_down))
+    if config.command in _FREE_COMMANDS + _SPLITTING_COMMANDS:
+        params["spin_normalized"] = [_cfmt(z) for z in _normalized_spin(config)]
     params["n_samples"] = config.n_samples
     params["formats"] = list(config.formats)
     return params
@@ -532,15 +551,14 @@ def _moments(field) -> tuple[float, float, float]:
 def _free_timeline(config: RunConfig):
     nm = config.numerics
     grid = nm.grid()
-    a, b = _normalized_spin(config.spin_up, config.spin_down)
     psi0 = gaussian_packet(
-        grid, config.packet.center, config.packet.sigma, config.packet.k, a, b
+        grid, config.packet.center, config.packet.sigma, config.packet.k, *_normalized_spin(config)
     )
-    return evolve(psi0, HamiltonianSpec.free(grid), config.t_total, nm.dt, nm.record_every), (a, b)
+    return evolve(psi0, HamiltonianSpec.free(grid), config.t_total, nm.dt, nm.record_every)
 
 
 def _run_propagate(config: RunConfig, threads: int) -> dict[str, str]:
-    timeline, (a, b) = _free_timeline(config)
+    timeline = _free_timeline(config)
     norms, centers, widths = zip(*(_moments(field) for field in timeline.fields))
     rows = [
         f"{i},{_ffmt(t)},{_ffmt(norm)},{_ffmt(center)},{_ffmt(width)}"
@@ -571,7 +589,7 @@ def _run_propagate(config: RunConfig, threads: int) -> dict[str, str]:
         "norm_drift_max": norm_drift,
         "boundary_mass_final": float(timeline.boundary_mass[-1]),
     }
-    extra = {"t_total": config.t_total, "spin_normalized": [_cfmt(a), _cfmt(b)]}
+    extra = {"t_total": config.t_total}
     return {
         "timeline.csv": _csv_file("index,time,norm,center,width", rows),
         "summary.json": _summary_json(config, theoretical, empirical, {}, checks, extra),
@@ -579,17 +597,13 @@ def _run_propagate(config: RunConfig, threads: int) -> dict[str, str]:
 
 
 def _run_trajectories(config: RunConfig, threads: int) -> dict[str, str]:
-    timeline, (a, b) = _free_timeline(config)
+    timeline = _free_timeline(config)
     q0 = sample(timeline.fields[0], config.n_samples, config.seed)
     paths = integrate_ensemble(
         timeline, q0, dt_traj=config.numerics.dt_traj, keep_history=False, threads=threads
     )
     ks = ks_distance(paths.q_final, timeline.fields[-1])
     band = KS_COEFF / math.sqrt(config.n_samples)
-    rows = [
-        f"{i},{_ffmt(paths.q0[i])},{_ffmt(paths.q_final[i])},,"
-        for i in range(config.n_samples)
-    ]
     checks = {"equivariance_ks_within_band": ks <= band}
     theoretical = {
         "ks_band": _claim(
@@ -600,15 +614,17 @@ def _run_trajectories(config: RunConfig, threads: int) -> dict[str, str]:
     }
     empirical = {"ks_distance": ks}
     stderr = {"ks_distance": band / 3.0}
-    extra = {"t_total": config.t_total, "spin_normalized": [_cfmt(a), _cfmt(b)]}
+    extra = {"t_total": config.t_total}
+    # no detectors: the outcome and lambda cells stay empty
+    no_outcome = np.full(config.n_samples, "")
     return {
-        "ensemble.csv": _csv_file("index,q0,q_final,outcome,lambda", rows),
+        "ensemble.csv": _ensemble_csv(paths.q0, paths.q_final, no_outcome, {"": ""}),
         "summary.json": _summary_json(config, theoretical, empirical, stderr, checks, extra),
     }
 
 
 def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[str, str]:
-    a, b = _normalized_spin(config.spin_up, config.spin_down)
+    a, b = _normalized_spin(config)
     timeline = build_timeline(config.setup, a, b, config.packet, config.numerics)
     stats, ensemble = run_sg(
         config.setup,
@@ -623,30 +639,17 @@ def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[st
         timeline=timeline,
     )
     overlap = branch_overlap(timeline.fields[-1])
-    # Python floats from tolist() print as _ffmt prints numpy's, in less time.
-    columns = (ensemble.q0, ensemble.q_final, ensemble.outcomes)
     lam_text = {
         "up": _lfmt(config.setup.calibration_up),
         "down": _lfmt(config.setup.calibration_down),
         "null": "",
     }
-    rows = []
-    for lo in range(0, config.n_samples, RENDER_CHUNK):
-        chunk = zip(*(c[lo:lo + RENDER_CHUNK].tolist() for c in columns))
-        rows += [
-            f"{i},{q0!r},{q1!r},{outcome},{lam_text[outcome]}"
-            for i, (q0, q1, outcome) in enumerate(chunk, lo)
-        ]
-    p = stats.born["up"]
-    n_detected = stats.counts["up"] + stats.counts["down"]
-    freq_detected = stats.counts["up"] / n_detected if n_detected else float("nan")
-    band = 3.0 * math.sqrt(p * (1.0 - p) / config.n_samples)
     checks = {
-        "born_within_3sigma": n_detected > 0 and abs(freq_detected - p) <= band,
+        "born_within_3sigma": stats.born_within_3sigma,
         "null_fraction_le_1pct": stats.null_fraction <= 0.01,
     }
     theoretical = {
-        "p_up": _claim(p, BORN_DEF),
+        "p_up": _claim(stats.born["up"], BORN_DEF),
         "p_down": _claim(stats.born["down"], BORN_DEF),
         "null_fraction": _claim(
             0.0, "ideal_detection: fully separated branches land on the detectors"
@@ -656,11 +659,11 @@ def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[st
         "counts": stats.counts,
         "freq_up": stats.frequencies["up"],
         "freq_down": stats.frequencies["down"],
-        "freq_up_detected": freq_detected,
+        "freq_up_detected": stats.freq_up_detected,
         "null_fraction": stats.null_fraction,
         "branch_overlap_final": overlap,
     }
-    stderr = {"freq_up": math.sqrt(p * (1.0 - p) / config.n_samples)}
+    stderr = {"freq_up": stats.stderr_freq_up}
     if calibrated:
         se = stats.stderr_mean
         checks["calibrated_mean_within_3se"] = (
@@ -670,26 +673,17 @@ def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[st
         theoretical["calibrated_expectation"] = _claim(stats.expectation_theory, EXPECT_DEF)
         empirical["calibrated_mean"] = stats.calibrated_mean
         stderr["calibrated_mean"] = se
-    extra = {"spin_normalized": [_cfmt(a), _cfmt(b)]}
     return {
-        "ensemble.csv": _csv_file("index,q0,q_final,outcome,lambda", rows),
-        "summary.json": _summary_json(config, theoretical, empirical, stderr, checks, extra),
+        "ensemble.csv": _ensemble_csv(ensemble.q0, ensemble.q_final, ensemble.outcomes, lam_text),
+        "summary.json": _summary_json(config, theoretical, empirical, stderr, checks),
     }
 
 
 def _run_contextuality(config: RunConfig, threads: int) -> dict[str, str]:
-    a, b = _normalized_spin(config.spin_up, config.spin_down)
     q_grid = np.linspace(-config.q_span, config.q_span, config.q_points)
     report = contextuality_demo(
-        config.setup,
-        a,
-        b,
-        config.packet,
-        q_grid,
-        n=config.n_samples,
-        seed=config.seed,
-        numerics=config.numerics,
-        threads=threads,
+        config.setup, *_normalized_spin(config), config.packet, q_grid,
+        n=config.n_samples, seed=config.seed, numerics=config.numerics, threads=threads,
     )
     rows = [
         f"{i},{_ffmt(q_grid[i])},{_lfmt(report.lambda_base[i])},{_lfmt(report.lambda_reversed[i])}"
@@ -698,8 +692,8 @@ def _run_contextuality(config: RunConfig, threads: int) -> dict[str, str]:
     sb, sr = report.stats_base, report.stats_reversed
     checks = {
         "pointwise_opposite": report.pointwise_opposite,
-        "born_base_within_3sigma": report.born_ok_base,
-        "born_reversed_within_3sigma": report.born_ok_reversed,
+        "born_base_within_3sigma": sb.born_within_3sigma,
+        "born_reversed_within_3sigma": sr.born_within_3sigma,
     }
     theoretical = {
         "p_up_base": _claim(sb.born["up"], BORN_DEF),
@@ -714,18 +708,13 @@ def _run_contextuality(config: RunConfig, threads: int) -> dict[str, str]:
         "n_null_base": report.n_null_base,
         "n_null_reversed": report.n_null_reversed,
     }
-    pb, pr = sb.born["up"], sr.born["up"]
     stderr = {
-        "freq_up_base": math.sqrt(pb * (1.0 - pb) / config.n_samples),
-        "freq_up_reversed": math.sqrt(pr * (1.0 - pr) / config.n_samples),
+        "freq_up_base": sb.stderr_freq_up,
+        "freq_up_reversed": sr.stderr_freq_up,
         "calibrated_mean_base": sb.stderr_mean,
         "calibrated_mean_reversed": sr.stderr_mean,
     }
-    extra = {
-        "q_points": config.q_points,
-        "q_span": config.q_span,
-        "spin_normalized": [_cfmt(a), _cfmt(b)],
-    }
+    extra = {"q_points": config.q_points, "q_span": config.q_span}
     return {
         "outcome_map.csv": _csv_file("index,q0,lambda_base,lambda_reversed", rows),
         "summary.json": _summary_json(config, theoretical, empirical, stderr, checks, extra),

@@ -187,6 +187,11 @@ def _check_equal_weights(a: complex, b: complex) -> None:
         raise ValueError("the mirror-symmetric experiment requires |spin_up| = |spin_down|")
 
 
+def _check_ensemble_size(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"ensemble size must be a positive integer, got {n!r}")
+
+
 def _check_in_support(q, packet: PacketSpec) -> None:
     """Initial positions strictly within center +- 5 sigma."""
     worst = float(np.max(np.abs(np.asarray(q, dtype=np.float64) - packet.center)))
@@ -276,11 +281,36 @@ class OutcomeStatistics:
     def null_fraction(self) -> float:
         return self.counts["null"] / self.n
 
+    @property
+    def freq_up_detected(self) -> float:
+        """Up-frequency among the detected particles; NaN when none was."""
+        detected = self.counts["up"] + self.counts["down"]
+        return self.counts["up"] / detected if detected else float("nan")
+
+    @property
+    def stderr_freq_up(self) -> float:
+        """Standard error of the up-frequency at the Born weight, sqrt(p (1 - p) / n)."""
+        p = self.born["up"]
+        return math.sqrt(p * (1.0 - p) / self.n)
+
+    @property
+    def born_within_3sigma(self) -> bool:
+        """The Born acceptance: the detected up-frequency lies within 3
+        standard errors of the Born weight (False when none was detected)."""
+        return abs(self.freq_up_detected - self.born["up"]) <= 3.0 * self.stderr_freq_up
+
 
 def _statistics(setup: SGSetup, a: complex, b: complex, lambdas, outcomes) -> OutcomeStatistics:
+    """Statistics of one ensemble's readout; more than 5% of trajectories
+    ending between the detectors marks a misconfigured geometry and fails."""
     n = outcomes.size
     counts = {key: int(np.sum(outcomes == key)) for key in ("up", "down", "null")}
     freqs = {key: counts[key] / n for key in counts}
+    if freqs["null"] > NULL_FRACTION_LIMIT:
+        raise RuntimeError(
+            f"null-outcome fraction {freqs['null']:.1%} exceeds {NULL_FRACTION_LIMIT:.0%}; "
+            f"detector boundary z_det = {setup.z_det} does not match the beam geometry"
+        )
     p_up_spin = abs(a) ** 2
     p_upper = p_up_spin if setup.upper_branch == "up" else 1.0 - p_up_spin
     born = {"up": p_upper, "down": 1.0 - p_upper, "null": 0.0}
@@ -300,6 +330,19 @@ def _statistics(setup: SGSetup, a: complex, b: complex, lambdas, outcomes) -> Ou
         expectation_theory=theory,
         stderr_mean=stderr,
     )
+
+
+def _readout(setup: SGSetup, timeline: WaveTimeline, q0, numerics: SGNumerics, threads: int,
+             keep_history: bool = False):
+    """Transport q0 along timeline and read the detectors.
+
+    Returns (paths, outcomes, lambdas).  The transport is elementwise, so
+    positions read together get the same outcomes as read apart.
+    """
+    paths = integrate_ensemble(
+        timeline, q0, dt_traj=numerics.dt_traj, keep_history=keep_history, threads=threads
+    )
+    return (paths, *_assign_outcomes(paths.q_final, setup))
 
 
 @dataclass(frozen=True)
@@ -341,22 +384,12 @@ def run_sg(
     """
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"ensemble size must be a positive integer, got {n!r}")
+    _check_ensemble_size(n)
     setup.upper_branch  # validates that the setup splits at all
     if timeline is None:
         timeline = build_timeline(setup, a, b, packet, numerics)
     q0 = sample(timeline.fields[0], n, seed)
-    paths = integrate_ensemble(
-        timeline, q0, dt_traj=numerics.dt_traj, keep_history=keep_history, threads=threads
-    )
-    outcomes, lambdas = _assign_outcomes(paths.q_final, setup)
-    null_fraction = float(np.mean(outcomes == "null"))
-    if null_fraction > NULL_FRACTION_LIMIT:
-        raise RuntimeError(
-            f"null-outcome fraction {null_fraction:.1%} exceeds {NULL_FRACTION_LIMIT:.0%}; "
-            f"detector boundary z_det = {setup.z_det} does not match the beam geometry"
-        )
+    paths, outcomes, lambdas = _readout(setup, timeline, q0, numerics, threads, keep_history)
     stats = _statistics(setup, a, b, lambdas, outcomes)
     ensemble = TrajectoryEnsemble(
         times=paths.times,
@@ -382,7 +415,6 @@ def outcome_map(
     q_grid,
     numerics: SGNumerics = SGNumerics(),
     threads: int = 1,
-    timeline: WaveTimeline | None = None,
 ) -> np.ndarray:
     """Calibrated outcome as a function of the initial position.
 
@@ -393,11 +425,8 @@ def outcome_map(
     _check_packet_symmetric(packet)
     q = _initial_positions(q_grid, packet)
     setup.upper_branch
-    if timeline is None:
-        timeline = build_timeline(setup, a, b, packet, numerics)
-    paths = integrate_ensemble(timeline, q, dt_traj=numerics.dt_traj, threads=threads)
-    _, lambdas = _assign_outcomes(paths.q_final, setup)
-    return lambdas
+    timeline = build_timeline(setup, a, b, packet, numerics)
+    return _readout(setup, timeline, q, numerics, threads)[2]
 
 
 @dataclass(frozen=True)
@@ -412,18 +441,16 @@ class ContextualityReport:
     n_null_reversed: int
     stats_base: OutcomeStatistics
     stats_reversed: OutcomeStatistics
-    born_ok_base: bool
-    born_ok_reversed: bool
 
     def summary(self) -> str:
+        base_ok, reversed_ok = (s.born_within_3sigma for s in (self.stats_base, self.stats_reversed))
         lines = [
             "Same operator, two experiments:",
-            f"  base (polarity +1, calibrations +1/-1):     freq_up = "
-            f"{self.stats_base.frequencies['up']:.4f}, Born p = {self.stats_base.born['up']:.4f}",
-            f"  reversed (polarity -1, calibrations -1/+1): freq_up = "
-            f"{self.stats_reversed.frequencies['up']:.4f}, Born p = {self.stats_reversed.born['up']:.4f}",
-            f"  statistics agree with the Born weights: base {self.born_ok_base}, "
-            f"reversed {self.born_ok_reversed}",
+            f"  base (polarity +1, calibrations +1/-1):     detected freq_up = "
+            f"{self.stats_base.freq_up_detected:.4f}, Born p = {self.stats_base.born['up']:.4f}",
+            f"  reversed (polarity -1, calibrations -1/+1): detected freq_up = "
+            f"{self.stats_reversed.freq_up_detected:.4f}, Born p = {self.stats_reversed.born['up']:.4f}",
+            f"  statistics agree with the Born weights: base {base_ok}, reversed {reversed_ok}",
             f"  outcome maps are pointwise opposite on {self.q_grid.size} initial "
             f"positions: {self.pointwise_opposite}",
             "  the position-level value map is a property of the experiment, not of the operator",
@@ -449,42 +476,30 @@ def contextuality_demo(
     (+1, -1); the reversed one uses polarity -1 with calibrations
     flipped.  Both reproduce the Born statistics of the same operator
     while their position-level outcome maps are opposite at every
-    non-null initial position.
+    non-null initial position.  Each experiment transports its sampled
+    ensemble and the map grid together, in one call.
     """
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
     _check_reversal_setup(setup)
     _check_equal_weights(a, b)
     q = _initial_positions(q_grid, packet)
+    _check_ensemble_size(n)
+    setup.upper_branch
     base = replace(setup, polarity=1, calibration_up=1.0, calibration_down=-1.0)
     flipped = replace(setup, polarity=-1, calibration_up=-1.0, calibration_down=1.0)
 
-    tl_base = build_timeline(base, a, b, packet, numerics)
-    tl_flip = build_timeline(flipped, a, b, packet, numerics)
-    lam_base = outcome_map(base, a, b, packet, q, numerics, threads, timeline=tl_base)
-    lam_flip = outcome_map(flipped, a, b, packet, q, numerics, threads, timeline=tl_flip)
+    readouts = []
+    for experiment in (base, flipped):
+        timeline = build_timeline(experiment, a, b, packet, numerics)
+        starts = np.concatenate((sample(timeline.fields[0], n, seed), q))
+        _, outcomes, lambdas = _readout(experiment, timeline, starts, numerics, threads)
+        readouts.append((_statistics(experiment, a, b, lambdas[:n], outcomes[:n]), lambdas[n:]))
+    (stats_base, lam_base), (stats_flip, lam_flip) = readouts
 
-    null_base = np.isnan(lam_base)
-    null_flip = np.isnan(lam_flip)
+    null_base, null_flip = np.isnan(lam_base), np.isnan(lam_flip)
     same_support = bool(np.array_equal(null_base, null_flip))
-    ok = same_support and bool(
-        np.all(lam_flip[~null_flip] == -lam_base[~null_base])
-    )
-
-    stats_base, _ = run_sg(
-        base, a, b, packet, n, seed, numerics,
-        keep_history=False, threads=threads, timeline=tl_base,
-    )
-    stats_flip, _ = run_sg(
-        flipped, a, b, packet, n, seed, numerics,
-        keep_history=False, threads=threads, timeline=tl_flip,
-    )
-
-    def born_ok(stats: OutcomeStatistics) -> bool:
-        p = stats.born["up"]
-        band = 3.0 * np.sqrt(p * (1.0 - p) / stats.n)
-        return abs(stats.frequencies["up"] - p) <= band
-
+    ok = same_support and bool(np.all(lam_flip[~null_flip] == -lam_base[~null_base]))
     return ContextualityReport(
         q_grid=q,
         lambda_base=lam_base,
@@ -494,8 +509,6 @@ def contextuality_demo(
         n_null_reversed=int(np.sum(null_flip)),
         stats_base=stats_base,
         stats_reversed=stats_flip,
-        born_ok_base=born_ok(stats_base),
-        born_ok_reversed=born_ok(stats_flip),
     )
 
 

@@ -85,17 +85,14 @@ NODE_EPS_FACTOR = 1e-12
 
 # A second worker pays once its share of the ensemble outweighs the
 # per-worker cost of the RK4 loop's Python overhead and the fork.
-# Measured on the default Stern-Gerlach run (2-vCPU Xeon VM, Python 3.11,
-# numpy 2.4), integrate_ensemble on 1 vs 2 worker processes, ranges of
-# 2 to 9 medians of 5: 2k 123-148 vs 128-152 ms, 3k 153-183 vs 148-171,
-# 4k 167-237 vs 166-190, 6k 215-288 vs 192-215, 8k 270-328 vs 225-240,
-# 10k 388-396 vs 260-263, 20k 752-786 vs 423-439.  The near tie at 3k is
-# left below the cut.
+# integrate_ensemble in process on the default Stern-Gerlach run, 1 vs 2
+# workers, median of 7 (2-vCPU Xeon VM, Python 3.11, numpy 2.4): at the
+# shipped numerics (16, 2), 2k 47 vs 54 ms, 4k 63 vs 65, 8k 96 vs 78,
+# 10k 112 vs 82; at (8, 4), 10k 421 vs 286 and 20k 836 vs 443.
 MIN_PER_WORKER = 2048
 # Largest chunk: its buffers, ~145 B per particle, take 2.4 MB, about one
-# core's 2 MB L2.  One thread, same run: 20k in one chunk 689-763 ms, in
-# two 667-828; 40k in one 1353-1646, in three 1419-1600; 80k in one
-# 3900-4591, in five 3033-3421.
+# core's 2 MB L2.  One worker, shipped numerics, median of 5, tiled vs one
+# chunk: 40k 403 vs 401 ms, 80k 771 vs 936.
 TILE = 16384
 # Records per batch of the flow-table transforms: one call transforms the
 # batch, and its temporaries, ~16 KB per record each, stay near 128 KB.

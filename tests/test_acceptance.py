@@ -233,7 +233,8 @@ def test_08_outcome_map_reversal():
         SGSetup(), np.sqrt(0.5), np.sqrt(0.5), PacketSpec(), qs,
         n=N_PER_RUN, seed=0,
     )
-    ok = demo.pointwise_opposite and demo.born_ok_base and demo.born_ok_reversed
+    born = demo.stats_base.born_within_3sigma and demo.stats_reversed.born_within_3sigma
+    ok = demo.pointwise_opposite and born
     report(
         8, "field reversal flips the outcome map but not the statistics", ok,
         f"{qs.size} grid points, nulls {demo.n_null_base}/{demo.n_null_reversed}",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bohmlab import (
+    OutcomeStatistics,
     PacketSpec,
     SGNumerics,
     SGSetup,
@@ -282,6 +283,7 @@ class TestCommands:
         summary = read_summary(out)
         assert summary["command"] == "propagate"
         assert all(summary["checks_passed"].values())
+        assert summary["params"]["spin_normalized"] == ["(1+0j)", "0j"]
         lines = (out / "timeline.csv").read_text().splitlines()
         assert lines[0].startswith("# bohmlab-csv v1:")
         assert lines[1] == "index,time,norm,center,width"
@@ -354,6 +356,24 @@ class TestCommands:
         assert (out / "ensemble.csv").read_text().splitlines()[2:] == expected
         assert expected[3].split(",")[1:3] == ["5e-324", "-5e-324"]
 
+        # the trajectories command renders the same columns, without detectors
+        real_paths = cli.integrate_ensemble
+
+        def crafted_paths(*args, **kwargs):
+            paths = real_paths(*args, **kwargs)
+            values = np.resize(special, paths.q0.size)
+            return dataclasses.replace(paths, q0=values, q_final=-values)
+
+        monkeypatch.setattr(cli, "integrate_ensemble", crafted_paths)
+        monkeypatch.setattr(cli, "ks_distance", lambda samples, field: 0.0)  # NaN has no CDF
+        text = "[run]\ncommand = trajectories\nn_samples = 400\n" + FAST_NUMERICS
+        code, out = invoke(tmp_path, text + "[trajectories]\nt_total = 1.0\n")
+        assert code == 0
+        values = np.resize(special, 400)
+        assert (out / "ensemble.csv").read_text().splitlines()[2:] == [
+            f"{i},{repr(float(q))},{repr(float(-q))},," for i, q in enumerate(values)
+        ]
+
     def test_contextuality(self, tmp_path):
         extra = "[contextuality]\nq_points = 15\nq_span = 1.5\n"
         code, out = invoke(tmp_path, sg_config("contextuality", n_samples=800, extra=extra))
@@ -366,6 +386,36 @@ class TestCommands:
         rows = (out / "outcome_map.csv").read_text().splitlines()
         assert rows[1] == "index,q0,lambda_base,lambda_reversed"
         assert len(rows) == 2 + 15
+
+    @pytest.mark.parametrize("up, down, verdict", [
+        (160, 160, True),  # detected 0.5; over all particles 0.4, off by 1.33 bands
+        (190, 130, False),  # detected 0.594, off by 1.25 bands; over all 0.475
+    ])
+    def test_one_born_rule_for_the_demo_and_the_cli(self, tmp_path, monkeypatch, up, down, verdict):
+        # 80 nulls in 400 split the frequency over all particles from the
+        # detected one; the band is 3 sqrt(0.25 / 400) = 0.075
+        from bohmlab import stern_gerlach
+
+        crafted = OutcomeStatistics(
+            n=400, counts={"up": up, "down": down, "null": 80},
+            frequencies={"up": up / 400, "down": down / 400, "null": 0.2},
+            born={"up": 0.5, "down": 0.5, "null": 0.0},
+            calibrated_mean=0.0, expectation_theory=0.0, stderr_mean=0.05,
+        )
+        monkeypatch.setattr(stern_gerlach, "_statistics", lambda *args: crafted)
+        report = contextuality_demo(
+            SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], n=400, seed=100,
+            numerics=SGNumerics(grid_n=256, substeps=4),
+        )
+        verdicts = [report.stats_base.born_within_3sigma, report.stats_reversed.born_within_3sigma]
+        extra = "[contextuality]\nq_points = 3\nq_span = 1.0\n"
+        for command in ("born-check", "stern-gerlach", "contextuality"):
+            code, out = invoke(tmp_path, sg_config(command, extra=extra), "--format", "json")
+            assert code == 0
+            checks = read_summary(out)["checks_passed"]
+            verdicts += [value for key, value in checks.items() if key.startswith("born_")]
+        assert verdicts == [verdict] * 6
+        assert crafted.born_within_3sigma is verdict
 
     def test_pointer_model(self, tmp_path):
         text = "[run]\ncommand = pointer-model\n[pointer]\nstate = 0.6 0.8\n"
@@ -395,6 +445,7 @@ class TestCommands:
         assert summary["checks_passed"]["all_candidates_examined"] is True
         assert summary["checks_passed"]["parity_obstruction"] is True
         assert summary["empirical"]["consistent_assignments"] == 0
+        assert "spin_normalized" not in summary["params"]  # nogo takes no packet
         certificate = (out / "certificate.txt").read_text()
         assert "512 assignments examined" in certificate
 

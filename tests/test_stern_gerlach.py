@@ -329,8 +329,8 @@ class TestContextualityDemo:
             SGSetup(), SQ2, SQ2, PacketSpec(), qs, n=1500, seed=100, numerics=COARSE
         )
         assert report.pointwise_opposite
-        assert report.born_ok_base
-        assert report.born_ok_reversed
+        assert report.stats_base.born_within_3sigma
+        assert report.stats_reversed.born_within_3sigma
         assert report.n_null_base == report.n_null_reversed
         detected = ~np.isnan(report.lambda_base)
         assert np.all(
@@ -339,6 +339,40 @@ class TestContextualityDemo:
         text = report.summary()
         assert "pointwise opposite" in text
         assert "not of the operator" in text
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_transport_per_experiment_equals_separate_runs(self, threads, monkeypatch):
+        # each experiment transports its ensemble and the map grid in one
+        # call; outcome_map and run_sg, called apart, give the same bits
+        from bohmlab import stern_gerlach, trajectories
+
+        monkeypatch.setattr(trajectories, "MIN_PER_WORKER", 256)  # two workers
+        monkeypatch.setattr(trajectories, "TILE", 300)  # and several chunks each
+        real, transported = stern_gerlach.integrate_ensemble, []
+
+        def counted(timeline, q0, **kwargs):
+            transported.append(np.size(q0))
+            return real(timeline, q0, **kwargs)
+
+        monkeypatch.setattr(stern_gerlach, "integrate_ensemble", counted)
+        qs, n, seed = np.linspace(-1.5, 1.5, 13), 1500, 100
+        report = contextuality_demo(
+            SGSetup(), SQ2, SQ2, PacketSpec(), qs, n=n, seed=seed, numerics=COARSE, threads=threads
+        )
+        assert transported == [n + qs.size] * 2
+        base = SGSetup(polarity=1, calibration_up=1.0, calibration_down=-1.0)
+        flipped = SGSetup(polarity=-1, calibration_up=-1.0, calibration_down=1.0)
+        for setup, lam, stats in (
+            (base, report.lambda_base, report.stats_base),
+            (flipped, report.lambda_reversed, report.stats_reversed),
+        ):
+            apart = outcome_map(setup, SQ2, SQ2, PacketSpec(), qs, COARSE, threads)
+            assert lam.tobytes() == apart.tobytes()
+            alone, _ = run_sg(
+                setup, SQ2, SQ2, PacketSpec(), n, seed, COARSE, keep_history=False, threads=threads
+            )
+            assert stats == alone
+            assert np.isfinite(stats.stderr_mean)  # so == compares every field
 
     def test_preconditions(self, monkeypatch):
         # b0, |a| = |b|, the packet and the support: TestSharedPreconditions
@@ -357,6 +391,8 @@ class TestContextualityDemo:
             contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0, 5.0], numerics=COARSE)
         with pytest.raises(ValueError, match="nonempty"):
             contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [], numerics=COARSE)
+        with pytest.raises(ValueError, match="ensemble size must be a positive integer"):
+            contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], n=0, numerics=COARSE)
 
 
 class TestBranchOverlap:
