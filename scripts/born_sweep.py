@@ -24,23 +24,22 @@ def main() -> None:
     setup = SGSetup()
 
     print(f"n = {args.n} trajectories, {args.seeds} seeds per weight")
-    print(f"{'p_up':>6} {'mean freq':>10} {'spread':>8} {'3sigma band':>12} {'in band':>8} {'null%':>7}")
+    print(f"{'p_up':>6} {'det. freq':>10} {'spread':>8} {'stderr':>8} {'in 3 SE':>8} {'null%':>7}")
     for p in WEIGHTS:
         a, b = np.sqrt(p), np.sqrt(1.0 - p)
         timeline = build_timeline(setup, a, b, PacketSpec(), numerics)
         freqs, nulls, hits = [], [], 0
-        band = 3.0 * np.sqrt(p * (1.0 - p) / args.n)
         for seed in range(args.seeds):
             stats, _ = run_sg(
                 setup, a, b, PacketSpec(), args.n, seed,
                 numerics=numerics, keep_history=False, timeline=timeline,
             )
-            freqs.append(stats.frequencies["up"])
+            freqs.append(stats.freq_up_detected)
             nulls.append(stats.null_fraction)
-            hits += abs(stats.frequencies["up"] - p) <= band
+            hits += stats.born_within_3sigma
         print(
             f"{p:6.2f} {np.mean(freqs):10.4f} {np.std(freqs):8.4f} "
-            f"{band:12.4f} {hits:>5}/{args.seeds} {100 * np.mean(nulls):6.2f}%"
+            f"{stats.stderr_freq_up:8.4f} {hits:>5}/{args.seeds} {100 * np.mean(nulls):6.2f}%"
         )
 
 

@@ -8,18 +8,7 @@ import argparse
 
 import numpy as np
 
-from bohmlab import (
-    HamiltonianSpec,
-    density,
-    evolve,
-    gaussian_packet,
-    integrate_ensemble,
-    make_grid,
-)
-
-
-def width_law(sigma0: float, t: float) -> float:
-    return sigma0 * np.sqrt(1.0 + (t / (2.0 * sigma0**2)) ** 2)
+from bohmlab import HamiltonianSpec, PacketSpec, evolve, gaussian_packet, integrate_ensemble, make_grid
 
 
 def main() -> None:
@@ -30,7 +19,8 @@ def main() -> None:
     args = ap.parse_args()
 
     grid = make_grid(512, -30.0, 30.0)
-    psi0 = gaussian_packet(grid, 0.0, args.sigma, 0.0)
+    packet = PacketSpec(sigma=args.sigma)
+    psi0 = gaussian_packet(grid, packet.center, packet.sigma, packet.k)
     steps = int(round(args.t / args.dt))
     record = max(1, steps // 16)
     timeline = evolve(
@@ -38,19 +28,15 @@ def main() -> None:
         args.dt, record_every=record,
     )
 
-    xs = grid.xs()
     print(f"{'t':>7} {'width':>10} {'theory':>10} {'rel err':>10}")
     for t, field in zip(timeline.times, timeline.fields):
-        rho = density(field)
-        mean = float(np.sum(xs * rho) * grid.dx)
-        var = float(np.sum((xs - mean) ** 2 * rho) * grid.dx)
-        width = np.sqrt(var)
-        theory = width_law(args.sigma, float(t))
+        width = field.moments()[2]
+        theory = packet.free_center_width(float(t))[1]
         print(f"{t:7.3f} {width:10.6f} {theory:10.6f} {abs(width - theory) / theory:10.2e}")
 
     starts = args.sigma * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
     paths = integrate_ensemble(timeline, starts, keep_history=True)
-    stretch = width_law(args.sigma, float(timeline.times[-1])) / args.sigma
+    stretch = packet.free_center_width(float(timeline.times[-1]))[1] / packet.sigma
     print()
     print(f"trajectory fan at t = {timeline.times[-1]:.3f} (profile stretch {stretch:.4f}):")
     print(f"{'q0':>8} {'q_final':>10} {'q0 * stretch':>13}")

@@ -9,6 +9,7 @@ zero second component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,15 @@ class SpinorField:
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
+
+    def moments(self) -> tuple[float, float, float]:
+        """(norm, center, width): the norm, and the mean and standard
+        deviation of position under the density divided by norm_sq()."""
+        total = self.norm_sq()
+        rho, xs, dx = density(self), self.grid.xs(), self.grid.dx
+        center = float(np.sum(xs * rho) * dx / total)
+        var = float(np.sum((xs - center) ** 2 * rho) * dx / total)
+        return math.sqrt(total), center, math.sqrt(max(var, 0.0))
 
     def normalize(self) -> "SpinorField":
         """Return the unit-norm rescaling of this field."""

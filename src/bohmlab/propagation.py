@@ -32,7 +32,7 @@ BOUNDARY_MASS_LIMIT = 1e-6
 # Bytes of the (steps, 2, n) buffer of states a free evolve transforms at
 # once; its two phase tables take as much again.  Larger blocks measured no
 # faster at n = 512 and raised a run's peak memory.
-RECORD_BLOCK = 1 << 17
+STATE_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -240,10 +240,10 @@ def _boundary_indices(n: int) -> np.ndarray:
     return np.concatenate([np.arange(m), np.arange(n - m, n)])
 
 
-def _edge_mass(c1: np.ndarray, c2: np.ndarray, edge: np.ndarray, dx: float) -> float:
-    e1, e2 = c1[edge], c2[edge]
-    rho = e1.real**2 + e1.imag**2 + e2.real**2 + e2.imag**2
-    return float(np.sum(rho) * dx)
+def _edge_mass(states: np.ndarray, edge: np.ndarray, dx: float) -> np.ndarray:
+    """Mass on the edge points of each spinor in a stack of shape (..., 2, n)."""
+    e = states[..., edge]
+    return np.sum(e.real**2 + e.imag**2, axis=(-2, -1)) * dx
 
 
 def _escape(bm: float, t: float) -> RuntimeError:
@@ -268,7 +268,7 @@ def _split_records(psi: SpinorField, h: HamiltonianSpec, dt: float, n_steps: int
     c1, c2 = psi.comp1, psi.comp2
     for i in range(1, n_steps + 1):
         c1, c2 = _step_arrays(c1, c2, kin_phase, pot)
-        bm = _edge_mass(c1, c2, edge, dx)
+        bm = float(_edge_mass(np.stack((c1, c2)), edge, dx))
         if bm > BOUNDARY_MASS_LIMIT:
             raise _escape(bm, i * dt)
         if i % record_every == 0:
@@ -280,14 +280,15 @@ def _free_records(psi: SpinorField, dt: float, n_steps: int, record_every: int,
     """Yield (step, field, boundary mass) at every record of free motion.
 
     The state after step i is exactly ifft(exp(-i k^2 t/2) fft(psi)) at
-    t = i dt.  Every step time is transformed, in blocks of RECORD_BLOCK
-    bytes (one step time at least), so the boundary mass is checked where
-    the split steps check it; only the records are kept.
+    t = i dt.  Every step time is transformed, in blocks of
+    STATE_BLOCK_BYTES of states (one step time at least), so the boundary
+    mass is checked where the split steps check it; only the records are
+    kept.
     """
     grid = psi.grid
     c_hat = np.fft.fft(np.stack((psi.comp1, psi.comp2)))
     half_k2 = -0.5 * grid.wavenumbers() ** 2
-    rows = min(n_steps, max(1, RECORD_BLOCK // c_hat.nbytes))
+    rows = min(n_steps, max(1, STATE_BLOCK_BYTES // c_hat.nbytes))
     # exp(-i k^2 (t0 + j dt)/2) = exp(-i k^2 t0/2) exp(-i k^2 j dt/2): one
     # table of offsets j = 1..rows serves every block start t0
     offsets = np.exp(1j * np.multiply.outer(np.arange(1, rows + 1) * dt, half_k2))
@@ -299,8 +300,7 @@ def _free_records(psi: SpinorField, dt: float, n_steps: int, record_every: int,
         states = block[:m]
         np.multiply(phase[:m, None, :], c_hat, out=states)
         np.fft.ifft(states, out=states)
-        e = states[:, :, edge]
-        masses = np.sum(e.real**2 + e.imag**2, axis=(1, 2)) * grid.dx
+        masses = _edge_mass(states, edge, grid.dx)
         over = np.flatnonzero(masses > BOUNDARY_MASS_LIMIT)
         if over.size:
             j = int(over[0])
@@ -362,7 +362,7 @@ def evolve(
     if message is not None:
         warnings.warn(message, RuntimeWarning, stacklevel=2)
     edge = _boundary_indices(h.grid.n)
-    bm = _edge_mass(psi.comp1, psi.comp2, edge, h.grid.dx)
+    bm = float(_edge_mass(np.stack((psi.comp1, psi.comp2)), edge, h.grid.dx))
     if bm > BOUNDARY_MASS_LIMIT:
         raise RuntimeError(
             f"boundary mass {bm:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e} before evolution; "

@@ -66,6 +66,12 @@ class PacketSpec:
         if not self.sigma > 0:
             raise ValueError(f"packet width must be positive, got {self.sigma}")
 
+    def free_center_width(self, t: float) -> tuple[float, float]:
+        """Closed-form center and width after free motion for time t:
+        center + k t and sigma sqrt(1 + (t / (2 sigma^2))^2)."""
+        spread = math.sqrt(1.0 + (t / (2.0 * self.sigma**2)) ** 2)
+        return self.center + self.k * t, self.sigma * spread
+
 
 @dataclass(frozen=True)
 class SGSetup:
@@ -298,6 +304,13 @@ class OutcomeStatistics:
         """The Born acceptance: the detected up-frequency lies within 3
         standard errors of the Born weight (False when none was detected)."""
         return abs(self.freq_up_detected - self.born["up"]) <= 3.0 * self.stderr_freq_up
+
+    @property
+    def calibrated_within_3se(self) -> bool:
+        """The calibrated mean lies within 3 of its standard errors of the
+        expectation (False when the standard error is not finite)."""
+        se = self.stderr_mean
+        return math.isfinite(se) and abs(self.calibrated_mean - self.expectation_theory) <= 3.0 * se
 
 
 def _statistics(setup: SGSetup, a: complex, b: complex, lambdas, outcomes) -> OutcomeStatistics:

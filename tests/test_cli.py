@@ -412,9 +412,12 @@ class TestCommands:
         for command in ("born-check", "stern-gerlach", "contextuality"):
             code, out = invoke(tmp_path, sg_config(command, extra=extra), "--format", "json")
             assert code == 0
-            checks = read_summary(out)["checks_passed"]
-            verdicts += [value for key, value in checks.items() if key.startswith("born_")]
+            summary = read_summary(out)
+            verdicts += [value for key, value in summary["checks_passed"].items() if key.startswith("born_")]
         assert verdicts == [verdict] * 6
+        # the contextuality summary reports the frequency its checks judge
+        judged = [summary["empirical"][f"freq_up_detected_{s}"] for s in ("base", "reversed")]
+        assert judged == [crafted.freq_up_detected] * 2 == [up / (up + down)] * 2
         assert crafted.born_within_3sigma is verdict
 
     def test_pointer_model(self, tmp_path):

@@ -23,7 +23,7 @@ from bohmlab import (
     spectral_decompose,
 )
 from bohmlab.stern_gerlach import _assign_outcomes
-from helpers import sg_trajectories
+from helpers import free_packet, free_width, moments, sg_trajectories
 
 # halved grid keeps the module fast; the beam physics is unchanged
 COARSE = SGNumerics(grid_n=256, dt=1 / 256, record_every=16, substeps=4)
@@ -70,6 +70,48 @@ class TestSetup:
     def test_packet_width_positive(self):
         with pytest.raises(ValueError, match="width"):
             PacketSpec(sigma=0.0)
+
+
+class TestLibraryLaws:
+    """The laws and acceptance rules the CLI and the scripts read from the
+    library, against the closed forms and hand-set statistics."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 2.0, 4.0])
+    def test_free_packet_moments_follow_the_packet_law(self, t):
+        packet = PacketSpec(center=-2.0, sigma=0.8, k=1.5)
+        field = free_packet(packet, 1.2, 1.6j, make_grid(512, -30.0, 30.0), t)  # norm 2
+        norm, center, width = field.moments()
+        assert np.allclose((norm, center, width), moments(field), rtol=1e-13, atol=1e-13)
+        law_center, law_width = packet.free_center_width(t)
+        assert law_center == pytest.approx(-2.0 + 1.5 * t, rel=1e-15, abs=1e-15)
+        assert law_width == pytest.approx(free_width(0.8, t), rel=1e-15)
+        assert (center, width) == pytest.approx((law_center, law_width), rel=1e-10, abs=1e-10)
+        assert norm == pytest.approx(2.0, rel=1e-12)
+
+    @staticmethod
+    def statistics(mean, expectation, stderr):
+        return OutcomeStatistics(
+            n=400, counts={"up": 200, "down": 200, "null": 0},
+            frequencies={"up": 0.5, "down": 0.5, "null": 0.0},
+            born={"up": 0.5, "down": 0.5, "null": 0.0},
+            calibrated_mean=mean, expectation_theory=expectation, stderr_mean=stderr,
+        )
+
+    @pytest.mark.parametrize("expectation, stderr", [(0.0, 0.1), (0.25, 1.0), (-0.5, 2.0)])
+    def test_calibrated_mean_within_3se_edge(self, expectation, stderr):
+        edge = 3.0 * stderr
+        for sign in (1.0, -1.0):
+            at_edge = expectation + sign * edge
+            beyond = float(np.nextafter(at_edge, sign * np.inf))
+            # the distances are exact: the edge itself, and one ulp past it
+            assert abs(at_edge - expectation) == edge
+            assert abs(beyond - expectation) == np.nextafter(edge, np.inf)
+            assert self.statistics(at_edge, expectation, stderr).calibrated_within_3se is True
+            assert self.statistics(beyond, expectation, stderr).calibrated_within_3se is False
+
+    @pytest.mark.parametrize("stderr", [np.nan, np.inf])
+    def test_calibrated_mean_needs_a_finite_stderr(self, stderr):
+        assert self.statistics(0.0, 0.0, stderr).calibrated_within_3se is False
 
 
 class TestTimeline:
