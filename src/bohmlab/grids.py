@@ -23,6 +23,13 @@ __all__ = [
     "density",
 ]
 
+# Bytes of stacked temporaries one batched numpy pass may hold: the
+# (steps, 2, n) states of a free evolve (propagation._free_records), the
+# records of a flow-table batch (trajectories._flow_tables) and the
+# Philox words of a counter block (sampling._philox_uniforms).  Larger
+# blocks measured no faster at n = 512 and raised a run's peak memory.
+STATE_BLOCK_BYTES = 1 << 17
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, SpinorField
+from .grids import STATE_BLOCK_BYTES, Grid1D, SpinorField
 
 __all__ = ["HamiltonianSpec", "WaveTimeline", "window_steps", "evolve"]
 
@@ -29,10 +29,6 @@ __all__ = ["HamiltonianSpec", "WaveTimeline", "window_steps", "evolve"]
 GUARD_LIMIT = 0.5
 # Mass allowed in the outer 5% of the domain (each side) before evolution aborts.
 BOUNDARY_MASS_LIMIT = 1e-6
-# Bytes of the (steps, 2, n) buffer of states a free evolve transforms at
-# once; its two phase tables take as much again.  Larger blocks measured no
-# faster at n = 512 and raised a run's peak memory.
-STATE_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -281,9 +277,9 @@ def _free_records(psi: SpinorField, dt: float, n_steps: int, record_every: int,
 
     The state after step i is exactly ifft(exp(-i k^2 t/2) fft(psi)) at
     t = i dt.  Every step time is transformed, in blocks of
-    STATE_BLOCK_BYTES of states (one step time at least), so the boundary
-    mass is checked where the split steps check it; only the records are
-    kept.
+    STATE_BLOCK_BYTES of states (one step time at least; the two phase
+    tables take as much again), so the boundary mass is checked where the
+    split steps check it; only the records are kept.
     """
     grid = psi.grid
     c_hat = np.fft.fft(np.stack((psi.comp1, psi.comp2)))

@@ -11,14 +11,15 @@ here in numpy and giving the same stream as numpy's
 Draw i is a pure function of (seed, i), ensembles are reproducible
 bit-for-bit regardless of how the draws are later consumed or
 parallelized, and the first n draws of a longer run coincide with a
-shorter run's draws.
+shorter run's draws.  The stream is computed in blocks of counters whose
+words fill grids.STATE_BLOCK_BYTES.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import SpinorField, density
+from .grids import STATE_BLOCK_BYTES, SpinorField, density
 
 __all__ = ["sample", "ks_distance", "KS_COEFF"]
 
@@ -33,8 +34,6 @@ _PHILOX_M1 = np.uint64(0xCA5A826395121157)
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
-# Counters per block of _philox_uniforms; each temporary holds this many words.
-_PHILOX_BLOCK = 4096
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
@@ -83,6 +82,8 @@ def _philox_uniforms(seed: int, count: int) -> np.ndarray:
     Bit for bit numpy's Generator(Philox(key=seed)).random(count): key
     (seed, 0), counters (1, 0, 0, 0), (2, 0, 0, 0), ..., each giving
     four words in order, and word x giving the double (x >> 11) * 2**-53.
+    Counters go in blocks whose four 8-byte words fill STATE_BLOCK_BYTES:
+    4096 counters, and as many words in each temporary.
     """
     keys = [
         (np.uint64((seed + r * _PHILOX_W0) % 2**64), np.uint64(r * _PHILOX_W1 % 2**64))
@@ -90,8 +91,9 @@ def _philox_uniforms(seed: int, count: int) -> np.ndarray:
     ]
     words = np.empty(-(-count // 4) * 4, dtype=np.uint64)
     per_counter = words.reshape(-1, 4)
-    for lo in range(0, len(per_counter), _PHILOX_BLOCK):
-        hi = min(lo + _PHILOX_BLOCK, len(per_counter))
+    block = STATE_BLOCK_BYTES // 32
+    for lo in range(0, len(per_counter), block):
+        hi = min(lo + block, len(per_counter))
         x0 = np.arange(lo + 1, hi + 1, dtype=np.uint64)
         x1 = x2 = x3 = np.zeros(hi - lo, dtype=np.uint64)
         for k0, k1 in keys:

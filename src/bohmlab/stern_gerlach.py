@@ -48,8 +48,6 @@ __all__ = [
 
 NULL_FRACTION_LIMIT = 0.05
 NO_CROSSING_BAND = 1e-9
-# history elements per block of the no-crossing scan (1 MB of float64)
-NO_CROSSING_BLOCK = 1 << 17
 SPIN_NORM_TOL = 1e-9
 MIRROR_TOL = 1e-12
 
@@ -141,6 +139,9 @@ class SGNumerics:
     partly a cancellation: the time blend's error at this record spacing
     (about 3e-4) and the spatial cubic's at n = 512 (about 2.2e-4) partly
     cancel, so refining either one alone makes the total worse.
+
+    substeps is the package's only RK4 substep default: integrate_ensemble
+    has none, and run_sg, the CLI and the scripts derive dt_traj from it.
     """
 
     grid_n: int = 512
@@ -538,13 +539,8 @@ def no_crossing_check(ensemble: TrajectoryEnsemble) -> bool:
     _check_packet_symmetric(ensemble.packet)
     _check_equal_weights(ensemble.spin_up, ensemble.spin_down)
     positions = ensemble.positions
-    above = np.zeros(positions.shape[1], dtype=bool)
-    below = np.zeros(positions.shape[1], dtype=bool)
-    rows = max(1, NO_CROSSING_BLOCK // positions.shape[1])
-    for lo in range(0, positions.shape[0], rows):
-        block = positions[lo:lo + rows]
-        above |= (block > NO_CROSSING_BAND).any(axis=0)
-        below |= (block < -NO_CROSSING_BAND).any(axis=0)
+    above = positions.max(axis=0) > NO_CROSSING_BAND
+    below = positions.min(axis=0) < -NO_CROSSING_BAND
     return not bool(np.any(above & below))
 
 

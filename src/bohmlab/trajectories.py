@@ -27,7 +27,8 @@ closed-form Stern-Gerlach trajectories, the Hermite blend at 96 RK4
 steps is off by 6.6e-5 where the earlier linear blend at 384 was off by
 5.6e-3 (10k particles, equal weights).  The flow tables, values and
 derivatives at every interval end, are built before the transport, with
-batched transforms over blocks of records.
+batched transforms over blocks of records that keep their temporaries
+within grids.STATE_BLOCK_BYTES.
 
 The cubics are evaluated in Horner form.  The values and the derivatives
 at an interval end become two (4, n) complex tables, row k holding
@@ -45,8 +46,9 @@ blend and the gathered coefficients and gathers again only for the
 particles whose cell changed, which gives the same bits as a fresh
 gather.  Every buffer is allocated once per worker.
 
-Trajectories follow classical RK4 with a fixed substep.  All
-per-trajectory arithmetic is elementwise, so results are bit-identical
+Trajectories follow classical RK4 with a fixed substep dt_traj, which
+every caller states: SGNumerics.dt_traj is the package's one default.
+All per-trajectory arithmetic is elementwise, so results are bit-identical
 whether a position is integrated alone, inside a batch, or split across
 workers.  The ensemble is cut into chunks of at most TILE particles, and
 the chunks into one contiguous block per worker.
@@ -75,11 +77,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, SpinorField
+from .grids import STATE_BLOCK_BYTES, Grid1D, SpinorField
 from .propagation import WaveTimeline, _hamiltonian_rows
-from .sampling import ks_distance
 
-__all__ = ["EnsemblePaths", "velocity", "integrate_ensemble", "equivariance_check"]
+__all__ = ["EnsemblePaths", "velocity", "integrate_ensemble"]
 
 NODE_EPS_FACTOR = 1e-12
 
@@ -94,9 +95,6 @@ MIN_PER_WORKER = 2048
 # core's 2 MB L2.  One worker, shipped numerics, median of 5, tiled vs one
 # chunk: 40k 403 vs 401 ms, 80k 771 vs 936.
 TILE = 16384
-# Records per batch of the flow-table transforms: one call transforms the
-# batch, and its temporaries, ~16 KB per record each, stay near 128 KB.
-RECORD_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -136,20 +134,22 @@ def _flow_tables(timeline: WaveTimeline):
     Interval r runs from end first_end[r] to end first_end[r] + 1.  A
     record inside one of the timeline's generator runs is one end; a
     record between two runs (a magnet switching off) is two, with
-    one-sided derivatives.  Records go through the transforms
-    RECORD_BLOCK at a time, so the temporaries stay small.
+    one-sided derivatives.  Records go through the transforms in batches
+    whose temporaries, 2 n complex values per record each, stay within
+    STATE_BLOCK_BYTES: 8 records at n = 512.
     """
     runs = timeline.generators
     grid = timeline.grid
     ik = 1j * grid.wavenumbers()
+    batch = max(1, STATE_BLOCK_BYTES // (2 * grid.n * 16))
     tables = np.empty((len(timeline.fields) - 1 + len(runs), 2, grid.n, 2))
     first_end = np.empty(len(timeline.fields) - 1, dtype=np.int64)
     end = first = 0
     for sign, h, count in runs:
         last = first + count
         first_end[first:last] = end + np.arange(count)
-        for r in range(first, last + 1, RECORD_BLOCK):
-            block = timeline.fields[r:min(r + RECORD_BLOCK, last + 1)]
+        for r in range(first, last + 1, batch):
+            block = timeline.fields[r:min(r + batch, last + 1)]
             nodes = tables[end:end + len(block)]
             c = np.array([(f.comp1, f.comp2) for f in block])
             c_hat = np.fft.fft(c)
@@ -339,10 +339,8 @@ class _Flow:
         self.key = (r, lam)
 
 
-def _resolve_substep(timeline: WaveTimeline, dt_traj: float | None) -> tuple[float, int]:
+def _resolve_substep(timeline: WaveTimeline, dt_traj: float) -> tuple[float, int]:
     spacing = timeline.spacing
-    if dt_traj is None:
-        dt_traj = spacing / 4.0
     dt_traj = float(dt_traj)
     if not dt_traj > 0:
         raise ValueError(f"dt_traj must be positive, got {dt_traj}")
@@ -418,13 +416,15 @@ def _run_blocks(advance, blocks) -> None:
 def integrate_ensemble(
     timeline: WaveTimeline,
     q0,
-    dt_traj: float | None = None,
+    dt_traj: float,
     keep_history: bool = False,
     threads: int = 1,
 ) -> EnsemblePaths:
     """Integrate many trajectories in lockstep from initial positions q0.
 
-    The timeline's generators give the flow's time derivatives.
+    dt_traj is the RK4 substep; it must divide the timeline's duration
+    and not exceed its record spacing.  The timeline's generators give
+    the flow's time derivatives.
     threads caps the worker processes, which only split the ensemble into
     column chunks; each element sees identical arithmetic, so output is
     independent of the worker count and of the chunking.
@@ -491,18 +491,3 @@ def integrate_ensemble(
     if history is not None:
         history.setflags(write=False)
     return EnsemblePaths(times=times, q0=starts, q_final=q_final, positions=history)
-
-
-def equivariance_check(
-    timeline: WaveTimeline,
-    samples,
-    dt_traj: float | None = None,
-    threads: int = 1,
-) -> float:
-    """KS distance between evolved sample positions and the final density.
-
-    Samples drawn from |psi_0|^2 and transported by the flow should be
-    distributed as |psi_T|^2; the return value quantifies the mismatch.
-    """
-    paths = integrate_ensemble(timeline, samples, dt_traj=dt_traj, threads=threads)
-    return ks_distance(paths.q_final, timeline.fields[-1])

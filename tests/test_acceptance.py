@@ -19,11 +19,11 @@ from bohmlab import (
     born_probabilities,
     build_timeline,
     contextuality_demo,
-    equivariance_check,
     evolve,
     expectation,
     gaussian_packet,
     integrate_ensemble,
+    ks_distance,
     make_grid,
     no_crossing_check,
     pointer_model,
@@ -163,7 +163,8 @@ def test_05_equivariance(free_timeline, sg_timelines):
         hits = 0
         for s in KS_SEEDS:
             q0 = sample(timeline.fields[0], 4000, seed=s)
-            hits += equivariance_check(timeline, q0) <= band
+            paths = integrate_ensemble(timeline, q0, dt_traj=timeline.spacing / 4)
+            hits += ks_distance(paths.q_final, timeline.fields[-1]) <= band
         results[name] = hits
     ok = all(h >= 18 for h in results.values())
     report(

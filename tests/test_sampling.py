@@ -70,8 +70,9 @@ class TestSample:
 class TestPhiloxStream:
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1])
     def test_equals_numpy_philox(self, seed):
-        # whole and partial counters of four words each, and more than one block
-        for count in (1, 2, 3, 4, 5, 8, 4097, 4 * sampling._PHILOX_BLOCK + 5):
+        # whole and partial counters of four words each, and more than four
+        # blocks of STATE_BLOCK_BYTES of words
+        for count in (1, 2, 3, 4, 5, 8, 4097, 4 * sampling.STATE_BLOCK_BYTES // 8 + 5):
             got = sampling._philox_uniforms(seed, count)
             assert got.dtype == np.float64
             assert np.array_equal(got.view(np.uint64), numpy_philox_uniforms(seed, count).view(np.uint64))

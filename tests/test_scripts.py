@@ -14,13 +14,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> list[list[str]]:
-    """The script's stdout, one list of words per line; fails on a nonzero exit."""
+def run(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-W", "error", str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name: str, *args: str) -> list[list[str]]:
+    """The script's stdout, one list of words per line; fails on a nonzero exit."""
+    done = run(name, *args)
     assert done.returncode == 0, done.stderr
     return [line.split() for line in done.stdout.splitlines()]
 
@@ -37,3 +41,11 @@ def test_script_prints_its_table(name, args, header, rows):
     table = lines[start:start + rows]
     assert len(table) == rows
     assert all(len(row) == len(table[0]) for row in table)
+
+
+def test_free_study_refuses_a_time_its_steps_do_not_tile():
+    # 0.3 is 76.8 steps of 1/256: no whole number of steps ends there
+    done = run("free_gaussian_study.py", "--t", "0.3")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "error: dt = 0.00390625 does not divide --t = 0.3" in done.stderr

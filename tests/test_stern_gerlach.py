@@ -333,7 +333,7 @@ class TestNoCrossing:
             no_crossing_check(no_hist)
 
 
-    def test_blocked_scan_equals_full_comparison(self, balanced_run, monkeypatch):
+    def test_blocked_scan_equals_full_comparison(self, balanced_run):
         from dataclasses import replace
 
         from bohmlab import stern_gerlach
@@ -350,15 +350,15 @@ class TestNoCrossing:
         inside[:, 4] = np.linspace(-1e-9, 1e-9, 23)
         inside[5, 0], inside[7, 1] = -1e-9, 1e-9  # on the band edge, not across it
         cases = [(base, True), (inside, True)]
-        for row in range(1, 23):  # row 22 is the last
+        for row in range(23):  # row 22 is the last
             excursion = base.copy()  # particle 2 is across in this row only
             excursion[row, 2] = -excursion[row, 2]
             cases.append((excursion, False))
+        for row in range(1, 23):  # a switch from row 0 keeps one side
             for particle in (2, 3):  # across from this row on, from either side
                 switch = base.copy()
                 switch[row:, particle] = -switch[row:, particle]
                 cases.append((switch, False))
-        monkeypatch.setattr(stern_gerlach, "NO_CROSSING_BLOCK", 20)  # 3-row blocks
         for history, expected in cases:
             assert unblocked(history) is expected
             assert no_crossing_check(replace(ensemble, positions=history)) is expected

@@ -13,7 +13,6 @@ from bohmlab import (
     SGSetup,
     SpinorField,
     build_timeline,
-    equivariance_check,
     evolve,
     gaussian_packet,
     integrate_ensemble,
@@ -29,12 +28,19 @@ from helpers import free_velocity, lagrange_flow, lagrange_velocity, plane_wave
 GRID = make_grid(512, -30.0, 30.0)
 SQ2 = 1.0 / np.sqrt(2.0)
 NYQUIST_CAP = 0.5 * np.pi / GRID.dx
+# RK4 substep on free_timeline: a quarter of its record spacing, 16 / 256
+DT_TRAJ = 1 / 64
 
 
 @pytest.fixture(scope="module")
 def free_timeline():
     f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
     return evolve(f, HamiltonianSpec.free(GRID), 1.0, 1 / 256, record_every=16)
+
+
+def transported_ks(timeline, q0, dt_traj=DT_TRAJ):
+    """KS distance of q0, transported along timeline, from its final density."""
+    return ks_distance(integrate_ensemble(timeline, q0, dt_traj).q_final, timeline.fields[-1])
 
 
 class TestVelocity:
@@ -124,25 +130,25 @@ class TestFlow:
     def test_trajectory_rides_the_width_profile(self, free_timeline):
         # self-similar spreading: Q(t)/q0 = sigma(t)/sigma(0)
         q0 = np.array([-2.0, -0.7, 0.4, 1.5])
-        paths = integrate_ensemble(free_timeline, q0)
+        paths = integrate_ensemble(free_timeline, q0, DT_TRAJ)
         expected = q0 * np.sqrt(1.25)
         assert np.max(np.abs(paths.q_final - expected)) <= 1e-3
 
     def test_substep_refinement_already_converged(self, free_timeline):
         q0 = np.linspace(-2.0, 2.0, 7)
-        coarse = integrate_ensemble(free_timeline, q0)
+        coarse = integrate_ensemble(free_timeline, q0, DT_TRAJ)
         fine = integrate_ensemble(free_timeline, q0, dt_traj=free_timeline.spacing / 32.0)
         assert np.max(np.abs(coarse.q_final - fine.q_final)) <= 1e-8
 
     def test_reversed_timeline_returns_home(self, free_timeline):
         q0 = np.array([-1.5, 0.3, 2.0])
-        forward = integrate_ensemble(free_timeline, q0)
-        back = integrate_ensemble(free_timeline.time_reversed(), forward.q_final)
+        forward = integrate_ensemble(free_timeline, q0, DT_TRAJ)
+        back = integrate_ensemble(free_timeline.time_reversed(), forward.q_final, DT_TRAJ)
         assert np.max(np.abs(back.q_final - q0)) <= 1e-4
 
     def test_order_preserved(self, free_timeline):
         q0 = np.sort(np.linspace(-3.0, 3.0, 41))
-        paths = integrate_ensemble(free_timeline, q0)
+        paths = integrate_ensemble(free_timeline, q0, DT_TRAJ)
         assert np.all(np.diff(paths.q_final) > -1e-9)
 
     def test_stationary_state_has_frozen_particles(self):
@@ -154,16 +160,16 @@ class TestFlow:
         f0 = gaussian_packet(GRID, 0.0, 1.0 / np.sqrt(2.0 * omega), 0.0)
         tl = evolve(f0, h, 1.0, 1 / 256, record_every=32)
         q0 = np.array([-2.5, -1.0, 0.5, 3.0])
-        paths = integrate_ensemble(tl, q0)
+        paths = integrate_ensemble(tl, q0, tl.spacing / 4)
         assert np.max(np.abs(paths.q_final - q0)) <= 1e-7
 
     def test_history_shape_and_opt_out(self, free_timeline):
         q0 = np.array([0.1, 0.9])
-        kept = integrate_ensemble(free_timeline, q0, keep_history=True)
+        kept = integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=True)
         assert kept.positions.shape == (len(kept.times), 2)
         assert np.array_equal(kept.positions[0], q0)
         assert np.array_equal(kept.positions[-1], kept.q_final)
-        assert integrate_ensemble(free_timeline, q0).positions is None
+        assert integrate_ensemble(free_timeline, q0, DT_TRAJ).positions is None
 
 
 @pytest.fixture
@@ -196,22 +202,22 @@ def assert_no_children():
 class TestDeterminism:
     def test_bitwise_repeatable(self, free_timeline):
         q0 = sample(free_timeline.fields[0], 64, seed=7)
-        a = integrate_ensemble(free_timeline, q0, keep_history=True)
-        b = integrate_ensemble(free_timeline, q0, keep_history=True)
+        a = integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=True)
+        b = integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=True)
         assert np.array_equal(a.positions, b.positions)
 
     def test_membership_independent(self, free_timeline):
         q0 = np.array([-1.2, 0.4, 1.7])
-        full = integrate_ensemble(free_timeline, q0)
-        solo = integrate_ensemble(free_timeline, [0.4])
+        full = integrate_ensemble(free_timeline, q0, DT_TRAJ)
+        solo = integrate_ensemble(free_timeline, [0.4], DT_TRAJ)
         assert full.q_final[1] == solo.q_final[0]
 
     def test_thread_count_invisible(self, free_timeline, forks):
         q0 = sample(free_timeline.fields[0], 257, seed=11)
-        one = integrate_ensemble(free_timeline, q0, threads=1)
+        one = integrate_ensemble(free_timeline, q0, DT_TRAJ, threads=1)
         assert forks == []
         assert trajectories._chunks(257, 4)[0] == 4
-        four = integrate_ensemble(free_timeline, q0, threads=4)
+        four = integrate_ensemble(free_timeline, q0, DT_TRAJ, threads=4)
         assert len(forks) == 3
         assert np.array_equal(one.q_final, four.q_final)
 
@@ -221,10 +227,10 @@ class TestDeterminism:
         workers, bounds = trajectories._chunks(203, 3)
         assert workers == 3 and len(bounds) - 1 == 6
         assert len(set(np.diff(bounds).tolist())) == 2  # 203 does not split evenly
-        split = integrate_ensemble(free_timeline, q0, keep_history=True, threads=3)
+        split = integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=True, threads=3)
         assert len(forks) == 2
         monkeypatch.setattr(trajectories, "TILE", 1 << 20)
-        whole = integrate_ensemble(free_timeline, q0, keep_history=True, threads=1)
+        whole = integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=True, threads=1)
         assert np.array_equal(split.positions, whole.positions)
         assert np.array_equal(split.q_final, whole.q_final)
 
@@ -244,7 +250,7 @@ class TestDeterminism:
         monkeypatch.setattr(trajectories, "_Flow", ChildFault)
         q0 = sample(free_timeline.fields[0], 100, seed=13)
         with pytest.raises(RuntimeError, match=r"exit codes \[1, 1\]"):
-            integrate_ensemble(free_timeline, q0, threads=3)
+            integrate_ensemble(free_timeline, q0, DT_TRAJ, threads=3)
         assert len(forks) == 2
         assert_no_children()
 
@@ -260,19 +266,19 @@ class TestDeterminism:
         monkeypatch.setattr(trajectories, "_Flow", ParentFault)
         q0 = sample(free_timeline.fields[0], 100, seed=13)
         with pytest.raises(FloatingPointError, match="caller fault"):
-            integrate_ensemble(free_timeline, q0, threads=3)
+            integrate_ensemble(free_timeline, q0, DT_TRAJ, threads=3)
         assert len(forks) == 2
         assert_no_children()
 
     def test_live_thread_means_one_worker(self, free_timeline, forks):
         q0 = sample(free_timeline.fields[0], 257, seed=11)
-        one = integrate_ensemble(free_timeline, q0, threads=1)
+        one = integrate_ensemble(free_timeline, q0, DT_TRAJ, threads=1)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30.0,))
         other.start()
         try:
             assert trajectories._chunks(257, 4)[0] == 1
-            four = integrate_ensemble(free_timeline, q0, threads=4)
+            four = integrate_ensemble(free_timeline, q0, DT_TRAJ, threads=4)
         finally:
             release.set()
             other.join(timeout=30.0)
@@ -334,7 +340,7 @@ class TestGatherReuse:
             return real(coef, eps, grid, q, vmax, work, reuse)
 
         monkeypatch.setattr(trajectories, "_interp_quotient", counted)
-        paths = integrate_ensemble(timeline, np.linspace(-2.0, 2.0, 100))
+        paths = integrate_ensemble(timeline, np.linspace(-2.0, 2.0, 100), timeline.spacing / 4)
         n_steps = len(paths.times) - 1
         assert len(reuses) == 4 * n_steps
         # k3 repeats k2's time in every step, k1 repeats k4's in all but the first
@@ -405,15 +411,15 @@ class TestTimeDerivatives:
 class TestEquivariance:
     def test_transported_samples_match_final_density(self, free_timeline):
         q0 = sample(free_timeline.fields[0], 4000, seed=100)
-        assert equivariance_check(free_timeline, q0) < 1.63 / np.sqrt(4000)
+        assert transported_ks(free_timeline, q0) < 1.63 / np.sqrt(4000)
 
     def test_mismatch_shrinks_with_ensemble_size(self, free_timeline):
         small, large = [], []
         for seed in range(12):
             qs = sample(free_timeline.fields[0], 100, seed=seed)
-            small.append(equivariance_check(free_timeline, qs))
+            small.append(transported_ks(free_timeline, qs))
             ql = sample(free_timeline.fields[0], 3600, seed=seed)
-            large.append(equivariance_check(free_timeline, ql))
+            large.append(transported_ks(free_timeline, ql))
         assert np.median(large) < np.median(small)
 
     def test_untransported_samples_fail(self, free_timeline):
@@ -429,7 +435,7 @@ class TestEquivariance:
         )
         q0 = sample(longer.fields[0], 4000, seed=100)
         assert ks_distance(q0, longer.fields[-1]) > 8.0 / np.sqrt(4000)
-        assert equivariance_check(longer, q0) < 1.63 / np.sqrt(4000)
+        assert transported_ks(longer, q0) < 1.63 / np.sqrt(4000)
 
 
 class TestBackwardTimeline:
@@ -448,23 +454,23 @@ class TestBackwardTimeline:
         back = drift.extend(magnet)
         assert [sign for sign, _, _ in back.generators] == [-1, -1]
         q0 = sample(back.fields[0], 4000, seed=1)
-        ks = equivariance_check(back, q0, dt_traj=numerics.dt_traj)
+        ks = transported_ks(back, q0, numerics.dt_traj)
         assert ks <= 1.63 / np.sqrt(4000)
 
 
 class TestValidation:
     def test_rejects_positions_outside_domain(self, free_timeline):
         with pytest.raises(ValueError, match="outside"):
-            integrate_ensemble(free_timeline, [0.0, 31.0])
+            integrate_ensemble(free_timeline, [0.0, 31.0], DT_TRAJ)
 
     def test_rejects_empty_ensemble(self, free_timeline):
         with pytest.raises(ValueError, match="at least one"):
-            integrate_ensemble(free_timeline, [])
+            integrate_ensemble(free_timeline, [], DT_TRAJ)
 
     def test_rejects_fewer_than_one_thread(self, free_timeline):
         for threads in (0, -5):
             with pytest.raises(ValueError, match="threads must be >= 1"):
-                integrate_ensemble(free_timeline, [0.0], threads=threads)
+                integrate_ensemble(free_timeline, [0.0], DT_TRAJ, threads=threads)
 
     def test_rejects_bad_substep(self, free_timeline):
         with pytest.raises(ValueError, match="positive"):

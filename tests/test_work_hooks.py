@@ -55,6 +55,6 @@ def test_every_velocity_evaluation_goes_through_interp_quotient(monkeypatch):
     )
     psi = gaussian_packet(GRID, 0.0, 1.0, 0.0)
     timeline = evolve(psi, HamiltonianSpec.free(GRID), 0.25, 1 / 64, record_every=4)
-    integrate_ensemble(timeline, np.linspace(-1.0, 1.0, 37))
+    integrate_ensemble(timeline, np.linspace(-1.0, 1.0, 37), dt_traj=timeline.spacing / 4)
     # four evaluations per RK4 step, four steps per record interval
     assert batches == [37] * 4 * 4 * (len(timeline.times) - 1)
