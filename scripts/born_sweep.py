@@ -17,10 +17,10 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=4000, help="trajectories per run")
     ap.add_argument("--seeds", type=int, default=8, help="independent runs per weight")
-    ap.add_argument("--coarse", action="store_true", help="halved grid, ~4x faster")
+    ap.add_argument("--coarse", action="store_true", help="halved grid, n = 256")
     args = ap.parse_args()
 
-    numerics = SGNumerics(grid_n=256, record_every=16) if args.coarse else SGNumerics()
+    numerics = SGNumerics(grid_n=256) if args.coarse else SGNumerics()
     setup = SGSetup()
 
     print(f"n = {args.n} trajectories, {args.seeds} seeds per weight")

@@ -21,10 +21,10 @@ def main() -> None:
     ap.add_argument("--points", type=int, default=21, help="outcome-map grid points")
     ap.add_argument("--span", type=float, default=2.5, help="half-width of the map grid")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--coarse", action="store_true", help="halved grid, ~4x faster")
+    ap.add_argument("--coarse", action="store_true", help="halved grid, n = 256")
     args = ap.parse_args()
 
-    numerics = SGNumerics(grid_n=256, record_every=16) if args.coarse else SGNumerics()
+    numerics = SGNumerics(grid_n=256) if args.coarse else SGNumerics()
     qs = np.linspace(-args.span, args.span, args.points)
     a = b = np.sqrt(0.5)
     report = contextuality_demo(

@@ -713,6 +713,7 @@ def _run_pointer(config: RunConfig, threads: int) -> dict[str, str]:
         Outcome,
         StateVec,
         born_probabilities,
+        build_observable,
         expectation,
         pointer_model,
         reproducibility_check,
@@ -729,8 +730,8 @@ def _run_pointer(config: RunConfig, threads: int) -> dict[str, str]:
     born = born_probabilities(psi, spec)
     result = pointer_model(psi, spec)
     deviation = float(np.max(np.abs(result.marginals - born)))
-    weighted = float(np.dot(born, spec.calibrations()))
-    quadratic = expectation(psi, spec)
+    weighted = expectation(psi, spec)
+    quadratic = float(np.vdot(psi.vec, build_observable(spec).entries @ psi.vec).real)
     checks = {
         "marginals_match_born": deviation <= 1e-12,
         "expectation_identity": abs(weighted - quadratic) <= 1e-12,
@@ -864,22 +865,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    def config_failure(messages) -> int:
-        report = {"error": "ConfigError", "messages": list(messages)}
-        print(json.dumps(report, sort_keys=True), file=sys.stderr)
-        return 2
-
+    # The config's problems and the flags' are reported together, the config's first.
+    errors: list[str] = []
     try:
-        text = Path(args.config).read_text()
+        config = parse_config(Path(args.config).read_text())
     except OSError as exc:
-        return config_failure([f"cannot read config file: {exc}"])
-    try:
-        config = parse_config(text)
+        errors.append(f"cannot read config file: {exc}")
     except ConfigError as exc:
-        return config_failure(exc.errors)
+        errors += exc.errors
 
     overrides: dict[str, object] = {}
-    override_errors: list[str] = []
     for flag, field, convert in (
         ("--seed", "seed", _as_seed), ("--out", "out", _as_out), ("--format", "formats", _parse_formats)
     ):
@@ -888,15 +883,14 @@ def main(argv=None) -> int:
             try:
                 overrides[field] = convert(raw)
             except ValueError as exc:
-                override_errors.append(f"{flag}: {exc}")
+                errors.append(f"{flag}: {exc}")
     if args.threads < 1:
-        override_errors.append(f"--threads must be >= 1, got {args.threads}")
-    if override_errors:
-        return config_failure(override_errors)
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+        errors.append(f"--threads must be >= 1, got {args.threads}")
+    if errors:
+        print(json.dumps({"error": "ConfigError", "messages": errors}, sort_keys=True), file=sys.stderr)
+        return 2
 
-    return run(config, threads=args.threads)
+    return run(dataclasses.replace(config, **overrides), threads=args.threads)
 
 
 if __name__ == "__main__":

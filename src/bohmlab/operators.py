@@ -10,7 +10,10 @@ deliberately many-to-one and forgets the experiment's identity.
 The module also provides the unitary pointer (measurement) model: the
 apparatus pointer starts in a ready state, the coupling maps
 psi (x) ready to sum_a (P_a psi) (x) pointer_a, and reading the pointer
-reproduces the Born weights exactly.
+reproduces the Born weights exactly.  The pointer has pd = n_outcomes + 1
+slots: slot 0 is the ready state and outcome a points to slot a + 1.  A
+composite vector is indexed i * pd + beta, for system index i and
+pointer slot beta.
 """
 
 from __future__ import annotations
@@ -48,12 +51,10 @@ class ExperimentSpecError(ValueError):
         super().__init__("invalid experiment spec: " + "; ".join(self.failures))
 
 
-def _as_square_complex(m, dim: int | None = None) -> np.ndarray:
+def _as_square_complex(m) -> np.ndarray:
     a = np.array(m, dtype=np.complex128, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {a.shape[0]}x{a.shape[0]}")
     return a
 
 
@@ -210,19 +211,16 @@ def expectation(psi: StateVec, spec: ExperimentSpec) -> float:
     return float(born_probabilities(psi, spec) @ spec.calibrations())
 
 
-def spectral_decompose(a: HermitianOp, tol: float | None = None) -> ExperimentSpec:
+def spectral_decompose(a: HermitianOp) -> ExperimentSpec:
     """Recover an experiment spec from a Hermitian operator.
 
-    Eigenvalues closer than tol are clustered into one outcome; the
-    default tol is 1e-9 * ||a||.  A warning is issued when two clusters
-    are separated by less than 10*tol, since the grouping is then
-    sensitive to the tolerance choice.
+    Eigenvalues closer than tol = 1e-9 * max|lambda| are clustered into
+    one outcome.  A warning is issued when two clusters are separated by
+    less than 10*tol, since the grouping is then sensitive to the
+    tolerance.
     """
     evals, vecs = np.linalg.eigh(a.entries)
-    scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if tol is None:
-        tol = 1e-9 * scale
-    tol = float(tol)
+    tol = 1e-9 * float(np.max(np.abs(evals), initial=0.0))
     clusters: list[list[int]] = [[0]]
     for i in range(1, evals.size):
         if evals[i] - evals[clusters[-1][-1]] <= tol:
@@ -278,38 +276,28 @@ def pointer_model(psi: StateVec, spec: ExperimentSpec) -> PointerResult:
     within 1e-12.
     """
     _check_state(psi, spec)
-    pd = spec.n_outcomes + 1
-    dim = spec.dim
+    dim, pd = spec.dim, spec.n_outcomes + 1
     total = dim * pd
     if total > MAX_COMPOSITE_DIM:
         raise ValueError(
             f"composite dimension {total} exceeds the supported maximum {MAX_COMPOSITE_DIM}"
         )
 
-    # Isometry columns: image of e_i (x) ready under the coupling.
-    coupling = np.zeros((total, dim), dtype=np.complex128)
-    for i in range(dim):
-        for a, oc in enumerate(spec.outcomes):
-            column = oc.projection[:, i]
-            coupling[:, i] += np.kron(column, _pointer_basis(pd, a + 1))
+    # Isometry columns, the images of e_i (x) ready: P_a in pointer slot
+    # a + 1, zeros in the ready slot.
+    slots = [np.zeros((dim, dim), dtype=np.complex128)] + [oc.projection for oc in spec.outcomes]
+    coupling = np.stack(slots, axis=1).reshape(total, dim)
 
-    # Orthonormal completion of the isometry range.
-    complement_proj = np.eye(total) - coupling @ coupling.conj().T
-    evals, evecs = np.linalg.eigh(complement_proj)
-    complement = evecs[:, evals > 0.5]
+    # The coupling fills the columns of the ready slot, an orthonormal
+    # completion of its range those of the outcome slots.
+    evals, evecs = np.linalg.eigh(np.eye(total) - coupling @ coupling.conj().T)
+    complement = evecs[:, evals > 0.5].reshape(total, dim, pd - 1)
+    unitary = np.concatenate((coupling[:, :, None], complement), axis=2).reshape(total, total)
 
-    unitary = np.zeros((total, total), dtype=np.complex128)
-    ready_slots = [i * pd for i in range(dim)]
-    other_slots = [i * pd + b for i in range(dim) for b in range(1, pd)]
-    for col, slot in enumerate(ready_slots):
-        unitary[:, slot] = coupling[:, col]
-    for col, slot in enumerate(other_slots):
-        unitary[:, slot] = complement[:, col]
-
-    initial = np.kron(psi.vec, _pointer_basis(pd, 0))
+    initial = np.zeros(total, dtype=np.complex128)
+    initial[::pd] = psi.vec
     final = unitary @ initial
-    blocks = final.reshape(dim, pd)
-    marginals = np.sum(np.abs(blocks) ** 2, axis=0)[1:]
+    marginals = np.sum(np.abs(final.reshape(dim, pd)) ** 2, axis=0)[1:]
     return PointerResult(
         state=final,
         marginals=marginals,
@@ -317,12 +305,6 @@ def pointer_model(psi: StateVec, spec: ExperimentSpec) -> PointerResult:
         system_dim=dim,
         pointer_dim=pd,
     )
-
-
-def _pointer_basis(pd: int, index: int) -> np.ndarray:
-    e = np.zeros(pd, dtype=np.complex128)
-    e[index] = 1.0
-    return e
 
 
 def reproducibility_check(psi: StateVec, spec: ExperimentSpec) -> bool:

@@ -262,9 +262,11 @@ def joint_value_distribution(
     """Joint probabilities of the three commuting observables in one row
     or column, in the given pure state.
 
-    The three observables are diagonalized simultaneously through the
-    combination A1 + 3 A2 + 9 A3, whose eigenvalues a + 3 b + 9 c with
-    a, b, c in {+1, -1} are distinct and identify the value triple.
+    Each value triple (a, b, c) in {+1, -1}^3 gets ||P_c P_b P_a psi||^2,
+    where P_s = (I + s A)/2 projects onto the s-eigenspace of its
+    observable A.  The three commute, so the eight projected vectors sum
+    to psi and the probabilities to 1.  When A1 A2 A3 = t I, a triple
+    with a b c != t gets probability zero to rounding.
     """
     if kind not in ("row", "col"):
         raise ValueError(f"kind must be 'row' or 'col', got {kind!r}")
@@ -278,21 +280,10 @@ def joint_value_distribution(
         raise ValueError(f"state must be normalized, got norm {norm!r}")
 
     triple = grid.row(index) if kind == "row" else grid.col(index)
-    combined = triple[0] + 3.0 * triple[1] + 9.0 * triple[2]
-    evals, evecs = np.linalg.eigh(combined)
-
     probs: dict[tuple[int, int, int], float] = {}
-    for m, v in zip(evals, evecs.T):
-        m_round = int(np.round(m))
-        if abs(m - m_round) > 1e-9:
-            raise RuntimeError(f"combined spectrum is off-integer at {m!r}")
-        c = 1 if m_round > 0 else -1
-        rem = m_round - 9 * c
-        b = 1 if rem > 0 else -1
-        a = rem - 3 * b
-        if a not in (1, -1):
-            raise RuntimeError(f"could not decode value triple from eigenvalue {m_round}")
-        key = (a, b, c)
-        amp = np.vdot(v, vec)
-        probs[key] = probs.get(key, 0.0) + float(abs(amp) ** 2)
+    for values in itertools.product((1, -1), repeat=3):
+        projected = vec
+        for sign, observable in zip(values, triple):
+            projected = (projected + sign * (observable @ projected)) / 2
+        probs[values] = float(np.vdot(projected, projected).real)
     return probs

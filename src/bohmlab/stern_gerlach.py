@@ -219,9 +219,15 @@ def _initial_positions(q_grid, packet: PacketSpec) -> np.ndarray:
 
 
 def _check_reversal_setup(setup: SGSetup) -> None:
+    """The demo's base experiment: b0 = 0, polarity +1, calibrations (+1, -1), unreversed."""
     _check_symmetric_field(setup)
     if setup.reverse_geometry:
         raise ValueError("pass the unreversed setup; the demo drives the reversal itself")
+    if (setup.polarity, setup.calibration_up, setup.calibration_down) != (1, 1.0, -1.0):
+        raise ValueError(
+            "the demo runs polarity +1 with calibrations (+1, -1), then their reversal; got "
+            f"polarity {setup.polarity}, calibrations ({setup.calibration_up}, {setup.calibration_down})"
+        )
 
 
 def _magnet_hamiltonian(setup: SGSetup, grid: Grid1D) -> HamiltonianSpec:
@@ -486,8 +492,9 @@ def contextuality_demo(
     """Run the polarity-reversal pair and compare their outcome maps.
 
     Requires the mirror-symmetric configuration: b0 = 0, |a| = |b|, even
-    packet.  The base experiment uses polarity +1 with calibrations
-    (+1, -1); the reversed one uses polarity -1 with calibrations
+    packet.  setup is the base experiment, polarity +1 with calibrations
+    (+1, -1); any other polarity, calibrations or reverse_geometry is
+    refused.  The reversed one uses polarity -1 with calibrations
     flipped.  Both reproduce the Born statistics of the same operator
     while their position-level outcome maps are opposite at every
     non-null initial position.  Each experiment transports its sampled
@@ -500,11 +507,10 @@ def contextuality_demo(
     q = _initial_positions(q_grid, packet)
     _check_ensemble_size(n)
     setup.upper_branch
-    base = replace(setup, polarity=1, calibration_up=1.0, calibration_down=-1.0)
     flipped = replace(setup, polarity=-1, calibration_up=-1.0, calibration_down=1.0)
 
     readouts = []
-    for experiment in (base, flipped):
+    for experiment in (setup, flipped):
         timeline = build_timeline(experiment, a, b, packet, numerics)
         starts = np.concatenate((sample(timeline.fields[0], n, seed), q))
         _, outcomes, lambdas = _readout(experiment, timeline, starts, numerics, threads)

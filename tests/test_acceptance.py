@@ -17,6 +17,7 @@ from bohmlab import (
     StateVec,
     assignment_search,
     born_probabilities,
+    build_observable,
     build_timeline,
     contextuality_demo,
     evolve,
@@ -120,8 +121,8 @@ def test_02_expectation_identity(sg_timelines):
         dim = int(rng.integers(2, 9))
         spec = random_spec(rng, dim)
         psi = random_state(rng, dim)
-        weighted = float(born_probabilities(psi, spec) @ spec.calibrations())
-        quadratic = expectation(psi, spec)
+        weighted = expectation(psi, spec)
+        quadratic = float(np.vdot(psi.vec, build_observable(spec).entries @ psi.vec).real)
         worst = max(worst, abs(weighted - quadratic))
     algebra_ok = worst <= 1e-12
 

@@ -262,6 +262,18 @@ class TestSharedPreconditions:
             ],
             id="q-in-support",
         ),
+        pytest.param(
+            sg_config("contextuality", extra="[setup]\npolarity = -1\n"),
+            "line 17: [setup] polarity",
+            [lambda: contextuality_demo(SGSetup(polarity=-1), SQ2, SQ2, PacketSpec(), [0.0])],
+            id="base-polarity",
+        ),
+        pytest.param(
+            sg_config("contextuality", extra="[setup]\ncalibration_up = 3\n"),
+            "line 17: [setup] calibration_up",
+            [lambda: contextuality_demo(SGSetup(calibration_up=3.0), SQ2, SQ2, PacketSpec(), [0.0])],
+            id="base-calibrations",
+        ),
     ])
     def test_config_and_library_refuse_alike(self, config, where, library):
         with pytest.raises(ConfigError) as err:
@@ -432,6 +444,20 @@ class TestCommands:
         assert summary["empirical"]["pointer_dim"] == 3
         born = summary["theoretical"]["born"]["value"]
         assert born["up"] == pytest.approx(0.36, abs=1e-12)
+
+    def test_pointer_model_expectation_identity_can_fail(self, tmp_path, monkeypatch):
+        # shifted weights move sum_a p_a lambda_a but not <psi, A psi>
+        from bohmlab import operators
+
+        real = operators.born_probabilities
+        monkeypatch.setattr(
+            operators, "born_probabilities", lambda psi, spec: real(psi, spec) + [1e-6, -1e-6]
+        )
+        code, out = invoke(tmp_path, "[run]\ncommand = pointer-model\n")
+        assert code == 0
+        summary = read_summary(out)
+        assert summary["checks_passed"]["expectation_identity"] is False
+        assert summary["empirical"]["expectation_quadratic_form"] == pytest.approx(-0.28, abs=1e-15)
 
     def test_pointer_model_empty_spec_file_means_default(self, tmp_path):
         text = "[run]\ncommand = pointer-model\n[pointer]\nstate = 0.6 0.8\nspec_file =\n"
@@ -645,6 +671,23 @@ class TestFailureModes:
             assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", threads]) == 2
             report = json.loads(capsys.readouterr().err)
             assert report["messages"] == [f"--threads must be >= 1, got {threads}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_errors_join_the_config_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\ncommand = nogo\nn_samples = 0\n")
+        flags = ["--seed", "-1", "--format", "yaml", "--threads", "0"]
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
+        messages = json.loads(capsys.readouterr().err)["messages"]
+        assert messages[0] == "line 3: [run] n_samples: must be >= 1, got 0"
+        assert [m.split(":")[0] for m in messages[1:]] == [
+            "--seed", "--format", "--threads must be >= 1, got 0"
+        ]
+        assert main(["--config", str(tmp_path / "missing.cfg"), "--seed", "-1"]) == 2
+        messages = json.loads(capsys.readouterr().err)["messages"]
+        assert messages[0].startswith("cannot read config file")
+        assert messages[1].startswith("--seed: ")
+        assert len(messages) == 2
         assert not (tmp_path / "out").exists()
 
     def test_run_rejects_fewer_than_one_thread(self, tmp_path):

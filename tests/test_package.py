@@ -11,7 +11,6 @@ import bohmlab
 ROOT = Path(__file__).resolve().parents[1]
 # Public functions kept for a test of a paper claim: name -> that test's class.
 CLAIM_TESTS = {
-    "build_observable": "test_stern_gerlach.TestOneOperatorTwoExperiments",
     "outcome_map": "test_stern_gerlach.TestOneOperatorTwoExperiments",
     "spectral_decompose": "test_stern_gerlach.TestOneOperatorTwoExperiments",
     "joint_value_distribution": "test_peres_mermin.TestValuesBelongToContexts",
