@@ -33,7 +33,7 @@ import numpy as np
 # nogo drivers, so no other command loads them.
 from . import __version__
 from .grids import check_packet_fits, gaussian_packet
-from .propagation import HamiltonianSpec, _guard_violation, evolve, window_steps
+from .propagation import HamiltonianSpec, evolve, window_steps
 from .sampling import KS_COEFF, ks_distance, sample
 from .stern_gerlach import (
     PacketSpec,
@@ -41,9 +41,9 @@ from .stern_gerlach import (
     SGSetup,
     _check_equal_weights,
     _check_in_support,
+    _check_kick_resolved,
     _check_packet_symmetric,
     _check_reversal_setup,
-    _magnet_hamiltonian,
     branch_overlap,
     build_timeline,
     contextuality_demo,
@@ -280,8 +280,8 @@ def parse_config(text: str) -> RunConfig:
     The [grid], [packet], [setup] and [numerics] values are checked by
     constructing SGNumerics, PacketSpec and SGSetup from them, plus the
     library checks the command will meet: the grid, the packet fitting
-    it, the splitting preconditions, the tiling of each window and the
-    magnet's split-step accuracy guard.
+    it, the splitting preconditions, the magnet's kick inside the grid's
+    band and the tiling of each window.
     """
     sections, section_lines, errors = _tokenize(text)
 
@@ -370,13 +370,15 @@ def parse_config(text: str) -> RunConfig:
 
     def check_packet(packet: PacketSpec) -> None:
         if grid is not None:
-            check_packet_fits(grid, packet.center, packet.sigma)
+            check_packet_fits(grid, packet.center, packet.sigma, packet.k)
         if splitting:
             _check_packet_symmetric(packet)
 
     def check_setup(setup: SGSetup) -> None:
         if splitting:
             setup.upper_branch  # raises when mu * b_grad = 0
+            if packet is not None and grid is not None:
+                _check_kick_resolved(setup, packet, grid)
         if command == "contextuality":
             _check_reversal_setup(setup)
 
@@ -396,12 +398,6 @@ def parse_config(text: str) -> RunConfig:
     for section, key, window in windows:
         if numerics is not None and window > 0:  # build_timeline skips a zero drift
             check(section, key, window_steps, window, numerics.dt, numerics.record_every, key)
-
-    # The magnet's split step must hold the accuracy guard; the free drift's ratio is 0.
-    if splitting and setup is not None and grid is not None:
-        problem = _guard_violation(_magnet_hamiltonian(setup, grid), numerics.dt)
-        if problem is not None:
-            fail("numerics", "dt", problem)
 
     if command == "contextuality":
         check("packet", "spin_up", _check_equal_weights, spin_up, spin_down)

@@ -42,7 +42,8 @@ class Grid1D:
     Parameters
     ----------
     n : int
-        Number of points, a power of two >= 16 (the kinetic step uses an FFT).
+        Number of points, a power of two from 16 to 2^62 (the kinetic step
+        uses an FFT, and numpy indexes with int64).
     x_min, x_max : float
         Domain bounds, x_min < x_max.
     """
@@ -54,14 +55,14 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise ValueError(f"grid size must be an integer, got {self.n!r}")
-        if not _is_power_of_two(int(self.n)) or self.n < 16:
-            raise ValueError(f"grid size must be a power of two >= 16, got {self.n}")
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ValueError("grid bounds must be finite")
+        if not _is_power_of_two(int(self.n)) or not 16 <= self.n <= 2**62:
+            raise ValueError(f"grid size must be a power of two from 16 to 2^62, got {self.n}")
         if not self.x_min < self.x_max:
             raise ValueError(
                 f"grid bounds must satisfy x_min < x_max, got [{self.x_min}, {self.x_max}]"
             )
+        if not 0.0 < self.dx < math.inf:  # infinite bounds, or a length that overflows
+            raise ValueError(f"grid spacing (x_max - x_min) / n = {self.dx} must be finite and positive")
 
     @property
     def dx(self) -> float:
@@ -146,11 +147,12 @@ def density(psi: SpinorField) -> np.ndarray:
     return c1.real**2 + c1.imag**2 + c2.real**2 + c2.imag**2
 
 
-def check_packet_fits(grid: Grid1D, center: float, sigma: float) -> None:
-    """Require the packet support, center +- 5 sigma, strictly inside the grid.
+def check_packet_fits(grid: Grid1D, center: float, sigma: float, k: float = 0.0) -> None:
+    """Require the packet support, center +- 5 sigma, strictly inside the grid,
+    and its spectrum, k +- 5/(2 sigma), inside the band |k| < pi/dx.
 
-    Beyond 5 sigma the Gaussian density is below 1e-5 of its peak, so the
-    periodic images of a packet that passes this check are negligible.
+    Beyond 5 sigma the density, and 5/(2 sigma) the spectrum, falls below
+    1e-5 of its peak: a packet that passes has negligible images and no aliasing.
     """
     lo, hi = center - 5 * sigma, center + 5 * sigma
     if lo <= grid.x_min or hi >= grid.x_max:
@@ -158,6 +160,14 @@ def check_packet_fits(grid: Grid1D, center: float, sigma: float) -> None:
             f"packet support (center +- 5 sigma) = [{lo}, {hi}] must lie strictly "
             f"inside the grid [{grid.x_min}, {grid.x_max}]"
         )
+    _check_in_band(grid, k, sigma, "packet spectrum |k| + 5/(2 sigma)")
+
+
+def _check_in_band(grid: Grid1D, k: float, sigma: float, what: str) -> None:
+    """The band limit, the twin of the 5 sigma support: |k| + 5/(2 sigma) < pi/dx."""
+    top, band = abs(k) + 2.5 / sigma, math.pi / grid.dx
+    if not top < band:
+        raise ValueError(f"{what} = {top:.6g} must stay below the grid's band pi/dx = {band:.6g}")
 
 
 def gaussian_packet(
@@ -180,7 +190,7 @@ def gaussian_packet(
     b = complex(b)
     if a == 0 and b == 0:
         raise ValueError("spinor amplitudes (a, b) must not both vanish")
-    check_packet_fits(grid, center, sigma)
+    check_packet_fits(grid, center, sigma, k)
     x = grid.xs()
     envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k * x)
     return SpinorField(grid, a * envelope, b * envelope).normalize()

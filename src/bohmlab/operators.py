@@ -70,6 +70,8 @@ class HermitianOp:
 
     def __post_init__(self) -> None:
         a = _as_square_complex(self.entries)
+        if a.shape[0] < 1:
+            raise ValueError("matrix dimension must be positive, got 0")
         scale = max(1.0, _maxdev(a))
         dev = _maxdev(a - a.conj().T)
         if dev > ATOL * scale:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Grid1D, SpinorField, make_grid, gaussian_packet
+from .grids import Grid1D, SpinorField, _check_in_band, make_grid, gaussian_packet
 from .propagation import HamiltonianSpec, WaveTimeline, evolve
 from .sampling import sample
 from .trajectories import integrate_ensemble
@@ -125,8 +125,8 @@ class SGNumerics:
 
     The wave advances in steps of dt and keeps every record_every-th
     field: Strang split steps in the magnet window, and the exact free
-    motion at every step time of the drift, so the magnet window carries
-    the wave's only splitting error.  The transport takes substeps RK4
+    motion at every step time of the drift; each split step is exact up
+    to a global phase.  The transport takes substeps RK4
     steps per record interval on the cubic-Hermite time blend of the
     flow.  The defaults, 256 split steps and 512 exact drift steps, 49
     records and 96 RK4 steps on the default run, are the fewest
@@ -230,6 +230,13 @@ def _check_reversal_setup(setup: SGSetup) -> None:
         )
 
 
+def _check_kick_resolved(setup: SGSetup, packet: PacketSpec, grid: Grid1D) -> None:
+    """The band limit at |k| + |mu b_grad| tau, the momentum each branch leaves the magnet with."""
+    kick = abs(setup.mu * setup.b_grad) * setup.tau
+    message = f"magnet kick |mu b_grad| tau = {kick:.6g}: the branches' |k| + kick + 5/(2 sigma)"
+    _check_in_band(grid, abs(packet.k) + kick, packet.sigma, message)
+
+
 def _magnet_hamiltonian(setup: SGSetup, grid: Grid1D) -> HamiltonianSpec:
     """The coupling of the magnet window on grid."""
     field = np.zeros((grid.n, 3))
@@ -247,6 +254,7 @@ def build_timeline(
     """Evolve the packet through the magnet window and the free drift."""
     grid = numerics.grid()
     psi0 = gaussian_packet(grid, packet.center, packet.sigma, packet.k, a, b)
+    _check_kick_resolved(setup, packet, grid)
     h_int = _magnet_hamiltonian(setup, grid)
     timeline = evolve(psi0, h_int, setup.tau, numerics.dt, numerics.record_every)
     if setup.t_drift > 0:

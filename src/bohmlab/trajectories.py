@@ -348,7 +348,10 @@ def _resolve_substep(timeline: WaveTimeline, dt_traj: float) -> tuple[float, int
         raise ValueError(
             f"dt_traj = {dt_traj} exceeds the timeline record spacing {spacing}"
         )
-    n_steps = int(round(timeline.duration / dt_traj))
+    ratio = timeline.duration / dt_traj
+    if not np.isfinite(ratio):
+        raise ValueError(f"dt_traj = {dt_traj} gives a step count {ratio} that is not finite")
+    n_steps = int(round(ratio))
     if n_steps < 1 or abs(n_steps * dt_traj - timeline.duration) > 1e-9 * timeline.duration:
         raise ValueError(f"dt_traj = {dt_traj} does not divide the timeline duration")
     return dt_traj, n_steps

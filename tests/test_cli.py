@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohmlab import (
     OutcomeStatistics,
@@ -37,8 +39,8 @@ substeps = 4
 """
 
 
-# max|V_eff| * dt = 1.5 * 3 * 32 / 128 = 1.125 over the magnet window
-GUARD_VIOLATION = """
+# a strong magnet at a coarse dt: each split step is exact up to a phase
+STRONG_MAGNET = """
 [grid]
 x_min = -32
 x_max = 32
@@ -47,6 +49,16 @@ mu = -1.5
 b_grad = 3
 [numerics]
 dt = 0.0078125
+"""
+
+# the kick 25.5 plus 5/(2 sigma) = 2.5 leaves the band pi/dx = 26.808
+KICK_OUTSIDE_THE_BAND = """
+[setup]
+b_grad = 25.5
+t_drift = 0
+[numerics]
+dt = 0.00048828125
+record_every = 16
 """
 
 
@@ -164,17 +176,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="never splits"):
             parse_config("[run]\ncommand = born-check\n[setup]\nb_grad = 0\n")
 
-    def test_accuracy_guard_is_the_library_rule(self):
-        # the default magnet holds the guard: 1 * 4 * 30 / 256 = 0.469
-        parse_config("[run]\ncommand = born-check\n")
-        setup = SGSetup(mu=-1.5, b_grad=3.0, t_drift=0.0)
-        numerics = SGNumerics(x_min=-32.0, x_max=32.0, dt=1.0 / 128.0)
+    def test_band_limit_is_the_library_rule(self):
+        # default grid: pi/dx = 26.808, so the kick |mu b_grad| tau plus
+        # 5/(2 sigma) = 2.5 holds at b_grad = 24.30 and not at 24.31
+        text = "[run]\ncommand = born-check\n[setup]\nt_drift = 0\nb_grad = {}\n"
+        parse_config(text.format(24.30))
+        build_timeline(SGSetup(b_grad=24.30, t_drift=0.0), 1.0, 0.0, PacketSpec())
         with pytest.raises(ConfigError) as err:
-            parse_config(f"[run]\ncommand = born-check\n{GUARD_VIOLATION}")
-        with pytest.warns(RuntimeWarning) as warned:
-            build_timeline(setup, 1.0, 0.0, PacketSpec(), numerics)
-        assert err.value.errors == (f"line 11: [numerics] dt: {warned[0].message}",)
-        assert "max|V_eff| * dt = 1.12 >= 0.5" in err.value.errors[0]
+            parse_config(text.format(24.31))
+        with pytest.raises(ValueError) as refused:
+            build_timeline(SGSetup(b_grad=24.31, t_drift=0.0), 1.0, 0.0, PacketSpec())
+        assert err.value.errors == (f"line 5: [setup] b_grad: {refused.value}",)
+        assert str(refused.value).startswith("magnet kick |mu b_grad| tau = 24.31: ")
 
     def test_pointer_state_parsing(self):
         cfg = parse_config("[run]\ncommand = pointer-model\n[pointer]\nstate = 0.6 0.8j\n")
@@ -553,7 +566,33 @@ class TestFormatSelection:
         assert sorted(p.name for p in out.iterdir()) == ["certificate.txt", "summary.json"]
 
 
+# Values at the edges of the float range, whose windows, kicks, grid
+# lengths and sizes overflow, beside ordinary and malformed ones.
+# Parsing allocates nothing, so no size here costs memory.
+FUZZ_VALUES = (
+    "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1e-320", "0", "-1", "1", "2", "0.5",
+    "16", "7", "abc", "", "true", "1+1j", "csv", "0.00390625", "3.0", "-30", "30", "256", "4096",
+    str(2**1024),
+)
+FUZZ_KEYS = [(s, k) for s, schema in cli._SCHEMA.items() for k in schema if k != "command"]
+
+
 class TestFailureModes:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        command=st.sampled_from(cli.COMMANDS),
+        values=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), max_size=8),
+    )
+    def test_every_config_parses_or_raises_config_error(self, command, values):
+        sections = {"run": [f"command = {command}"]}
+        for (section, key), value in values.items():
+            sections.setdefault(section, []).append(f"{key} = {value}")
+        text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
+
     def test_failed_write_leaves_the_previous_run_intact(self, tmp_path, monkeypatch):
         code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")
         assert code == 0
@@ -627,19 +666,30 @@ class TestFailureModes:
         assert f"[{section}] {key}: " in messages[0]
         assert "integer multiple of dt" in messages[0]
 
-    def test_accuracy_guard_violation_exits_2_before_any_work(self, tmp_path, capsys):
+    def test_band_limit_violation_exits_2_before_any_work(self, tmp_path, capsys):
         text = (
             "[run]\ncommand = stern-gerlach\nn_samples = 400\n"
             "[packet]\nspin_up = 0.70710678118654752\nspin_down = 0.70710678118654752\n"
-            + GUARD_VIOLATION
+            + KICK_OUTSIDE_THE_BAND
         )
         code, out = invoke(tmp_path, text)
         assert code == 2
         assert not out.exists()
-        report = json.loads(capsys.readouterr().err)  # one JSON object, no warning lines
+        report = json.loads(capsys.readouterr().err)
         assert report["error"] == "ConfigError"
         assert len(report["messages"]) == 1
-        assert "[numerics] dt: split-step accuracy guard violated" in report["messages"][0]
+        assert report["messages"][0].startswith("line 9: [setup] b_grad: magnet kick ")
+
+    def test_strong_magnet_at_a_coarse_dt_runs_quietly(self, tmp_path, capsys):
+        text = (
+            "[run]\ncommand = stern-gerlach\nn_samples = 400\n"
+            "[packet]\nspin_up = 0.70710678118654752\nspin_down = 0.70710678118654752\n"
+            + STRONG_MAGNET
+        )
+        code, out = invoke(tmp_path, text)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert all(read_summary(out)["checks_passed"].values())
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "missing.cfg")])

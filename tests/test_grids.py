@@ -30,7 +30,7 @@ class TestGrid:
         expected = 2.0 * np.pi * np.fft.fftfreq(512, d=grid.dx)
         assert np.array_equal(grid.wavenumbers(), expected)
 
-    @pytest.mark.parametrize("n", [0, 1, 8, 15, 100, 500])
+    @pytest.mark.parametrize("n", [0, 1, 8, 15, 100, 500, 2**63, 2**1024])
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):
             make_grid(n, -1.0, 1.0)
@@ -42,6 +42,8 @@ class TestGrid:
             make_grid(64, 2.0, -2.0)
         with pytest.raises(ValueError):
             make_grid(64, 0.0, math.inf)
+        with pytest.raises(ValueError, match="spacing .* = inf must be finite"):
+            make_grid(64, -1e308, 1e308)  # finite bounds, but the length overflows
 
 
 class TestSpinorField:
@@ -154,6 +156,14 @@ class TestGaussianPacket:
             gaussian_packet(grid, 28.0, 1.0, 0.0)  # support leaves the domain
         with pytest.raises(ValueError):
             gaussian_packet(grid, 0.0, 10.0, 0.0)  # too wide for the box
+
+    def test_spectrum_must_stay_inside_the_band(self, grid):
+        # pi/dx = 26.808 on this grid; 5/(2 sigma) = 2.5 at sigma = 1
+        gaussian_packet(grid, 0.0, 1.0, 24.30)
+        gaussian_packet(grid, 0.0, 1.0, -24.30)
+        for k in (24.31, -24.31):
+            with pytest.raises(ValueError, match=r"spectrum \|k\| \+ 5/\(2 sigma\) = 26.81 must stay below"):
+                gaussian_packet(grid, 0.0, 1.0, k)
 
 
 class TestPlaneWave:

@@ -113,6 +113,8 @@ class TestSpecValidation:
     def test_hermitian_op_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianOp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="dimension"):
+            HermitianOp(np.zeros((0, 0)))
 
 
 class TestObservableRoundTrip:

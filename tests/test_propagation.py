@@ -2,7 +2,6 @@
 
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ def energy(psi, h):
 
 
 def bounded_hamiltonian(grid=GRID, mu=1.0):
-    """Smooth periodic V and B that stay under the accuracy guard."""
+    """Smooth periodic V and B of order one."""
     xs = grid.xs()
     v = 2.0 * np.cos(2.0 * np.pi * xs / grid.length)
     b = np.zeros((grid.n, 3))
@@ -75,14 +74,8 @@ class TestHamiltonianSpec:
 
     def test_free_factory(self):
         h = HamiltonianSpec.free(GRID)
-        assert h.max_effective_potential() == 0.0
+        assert not np.any(h.potential)
         assert np.all(h.field_magnitude() == 0.0)
-
-    def test_max_effective_potential(self):
-        b = np.zeros((512, 3))
-        b[:, 1] = 3.0
-        h = HamiltonianSpec(GRID, np.full(512, -2.0), b, mu=-0.5)
-        assert h.max_effective_potential() == pytest.approx(2.0 + 0.5 * 3.0, abs=1e-14)
 
 
 class TestFreeEvolution:
@@ -276,12 +269,6 @@ class TestOperatorAction:
 
 
 class TestGuards:
-    def test_accuracy_guard_warns(self):
-        h = HamiltonianSpec(GRID, np.full(512, 80.0), np.zeros((512, 3)), 0.0)
-        f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-        with pytest.warns(RuntimeWarning, match="guard"):
-            evolve(f, h, 1 / 64, 1 / 64)
-
     def test_boundary_mass_monitor_stops_escape(self):
         f = gaussian_packet(GRID, 22.0, 1.0, 5.0)
         with pytest.raises(RuntimeError, match="boundary mass"):
@@ -300,6 +287,9 @@ class TestGuards:
             evolve(f, h, 1.0, 1 / 64, record_every=7)
         with pytest.raises(ValueError, match="record_every"):
             evolve(f, h, 1.0, 1 / 64, record_every=-2)
+        for t_total, dt in ((1e308, 1 / 256), (1.0, 1e-320)):  # the step count overflows
+            with pytest.raises(ValueError, match="not a finite step count"):
+                evolve(f, h, t_total, dt)
 
 
 @pytest.fixture(scope="module")
@@ -387,17 +377,24 @@ class TestClosedForm:
     """evolve against the closed-form Stern-Gerlach wave in helpers."""
 
     def test_splitting_error_is_second_order(self):
-        # Strang splitting: the L2 error at t = tau + t_drift falls by 4
-        # per halving of dt (1.02e-5, 2.54e-6, 6.36e-7 measured); the free
-        # drift is exact, so the magnet window carries all of it
+        # Each component obeys p^2/2 + g x + v0, whose nested commutators
+        # are constants, so a Strang step errs by a phase alone: g^2 dt^3/24
+        # per step, g^2 tau dt^2/24 over the window, on both components
+        # alike.  The drift is exact and keeps it.  Aligned by that one
+        # phase, each record matches to rounding (1.1e-13 at worst measured).
         setup, packet = SGSetup(), PacketSpec()
         a, b = 0.5, math.sqrt(0.75)
-        errors = []
-        for dt in (1 / 256, 1 / 512, 1 / 1024):
+        g = setup.mu * setup.b_grad
+        for dt in (1 / 32, 1 / 256, 1 / 512, 1 / 1024):
             numerics = SGNumerics(dt=dt, record_every=int(round(setup.tau / dt)))
-            final = build_timeline(setup, a, b, packet, numerics).fields[-1]
-            t = setup.tau + setup.t_drift
-            errors.append(l2_distance(final, sg_field(setup, packet, a, b, final.grid, t)))
-        assert errors[0] <= 1.1e-5
-        orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
-        assert all(abs(order - 2.0) <= 0.05 for order in orders)
+            timeline = build_timeline(setup, a, b, packet, numerics)
+            assert timeline.times[1] == setup.tau
+            assert timeline.times[-1] == setup.tau + setup.t_drift
+            for t, field in zip(timeline.times[1::2], timeline.fields[1::2]):
+                exact = sg_field(setup, packet, a, b, field.grid, float(t))
+                phase = np.angle(inner_product(exact, field))
+                # rounding floor of the fitted phase: 1.6e-15 measured
+                assert abs(phase - g * g * setup.tau * dt * dt / 24) <= 1e-14
+                turn = np.exp(-1j * phase)
+                aligned = SpinorField(field.grid, field.comp1 * turn, field.comp2 * turn)
+                assert l2_distance(aligned, exact) <= 1e-12

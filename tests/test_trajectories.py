@@ -479,3 +479,5 @@ class TestValidation:
             integrate_ensemble(free_timeline, [0.0], dt_traj=1.0)
         with pytest.raises(ValueError, match="does not divide"):
             integrate_ensemble(free_timeline, [0.0], dt_traj=free_timeline.spacing / 3.1)
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_ensemble(free_timeline, [0.0], dt_traj=1e-320)

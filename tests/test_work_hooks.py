@@ -35,7 +35,7 @@ def test_every_split_step_goes_through_step_arrays(monkeypatch):
     calls = []
     counting(monkeypatch, propagation, "_step_arrays", lambda args, kwargs: calls.append(1))
     psi = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-    # max|V_eff| * dt = 20 / 64 holds the accuracy guard
+    # the magnet is not free, so each of its steps is a split step
     magnet = _magnet_hamiltonian(SGSetup(b_grad=1.0), GRID)
     evolve(psi, magnet, 0.25, 1 / 64, record_every=4)
     assert len(calls) == 16
