@@ -320,27 +320,13 @@ def parse_config(text: str) -> RunConfig:
                 except ValueError as exc:
                     fail(name, key, str(exc))
 
-    def construct(cls, check):
-        """cls built from the values of its keys and passed to check, or None.
+    def settle(items, attempt, where):
+        """attempt(items), or None once its failure is reported.
 
-        When that raises, each key the config sets is tried on its own,
-        the other fields at their defaults: a key that fails alone is
-        reported on its line, and a failure that only the remaining keys
-        together produce goes to the header of the class's first section.
+        items are (section, key, ...) for keys the config sets; the others
+        keep their defaults.  An item that fails alone is reported on its
+        line, and what only the rest fail together on where.
         """
-        parts = [s for s, (c, _) in _FIELD_SECTIONS.items() if c is cls]
-        items = [
-            (s, key, name, values[s][key])
-            for s in parts
-            for key, name in _FIELD_SECTIONS[s][1].items()
-            if key in sections.get(s, {})
-        ]
-
-        def attempt(chosen):
-            obj = cls(**{name: value for _, _, name, value in chosen})
-            check(obj)
-            return obj
-
         try:
             return attempt(items)
         except ValueError:
@@ -356,8 +342,27 @@ def parse_config(text: str) -> RunConfig:
         try:
             attempt(kept)
         except ValueError as exc:
-            fail(parts[0], None, str(exc))
+            fail(*where, str(exc))
         return None
+
+    def construct(cls, check):
+        """cls built from the values of its keys and passed to check, or
+        None; what only the keys together fail goes to the header of the
+        class's first section."""
+        parts = [s for s, (c, _) in _FIELD_SECTIONS.items() if c is cls]
+        items = [
+            (s, key, name, values[s][key])
+            for s in parts
+            for key, name in _FIELD_SECTIONS[s][1].items()
+            if key in sections.get(s, {})
+        ]
+
+        def attempt(chosen):
+            obj = cls(**{name: value for _, _, name, value in chosen})
+            check(obj)
+            return obj
+
+        return settle(items, attempt, (parts[0], None))
 
     v = values
     command = v["run"]["command"]
@@ -389,15 +394,25 @@ def parse_config(text: str) -> RunConfig:
     if spin_up == 0 and spin_down == 0:
         fail("packet", "spin_up", "spin_up and spin_down must not both be zero")
 
-    # Every window the command evolves must tile into whole record intervals.
+    # Every window the command evolves must tile into whole record
+    # intervals: its key, dt and record_every are settled like a class's
+    # fields, what only they together fail going to the window's key.
     windows = []
     if command in _FREE_COMMANDS:
         windows.append((command, "t_total", v[command]["t_total"]))
     if splitting and setup is not None:
         windows += [("setup", "tau", setup.tau), ("setup", "t_drift", setup.t_drift)]
     for section, key, window in windows:
-        if numerics is not None and window > 0:  # build_timeline skips a zero drift
-            check(section, key, window_steps, window, numerics.dt, numerics.record_every, key)
+        if numerics is None or not window > 0:  # build_timeline skips a zero drift
+            continue
+        given = {(section, key): window, ("numerics", "dt"): numerics.dt,
+                 ("numerics", "record_every"): numerics.record_every}
+
+        def tile(chosen):
+            args = [given[k] if k in chosen else _SCHEMA[k[0]][k[1]][1] for k in given]
+            window_steps(*args, key)
+
+        settle([k for k in given if k[1] in sections.get(k[0], {})], tile, (section, key))
 
     if command == "contextuality":
         check("packet", "spin_up", _check_equal_weights, spin_up, spin_down)

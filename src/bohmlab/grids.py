@@ -24,10 +24,10 @@ __all__ = [
 ]
 
 # Bytes of stacked temporaries one batched numpy pass may hold: the
-# (steps, 2, n) states of a free evolve (propagation._free_records), the
-# records of a flow-table batch (trajectories._flow_tables) and the
-# Philox words of a counter block (sampling._philox_uniforms).  Larger
-# blocks measured no faster at n = 512 and raised a run's peak memory.
+# (steps, 2, n) states of a free evolve (propagation._free_records) and
+# the Philox words of a counter block (sampling._philox_uniforms).
+# Larger blocks measured no faster at n = 512 and raised a run's peak
+# memory.
 STATE_BLOCK_BYTES = 1 << 17
 
 

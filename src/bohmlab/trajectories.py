@@ -26,9 +26,10 @@ its rate carry that sign; the density and its rate do not.  Against the
 closed-form Stern-Gerlach trajectories, the Hermite blend at 96 RK4
 steps is off by 6.6e-5 where the earlier linear blend at 384 was off by
 5.6e-3 (10k particles, equal weights).  The flow tables, values and
-derivatives at every interval end, are built before the transport, with
-batched transforms over blocks of records that keep their temporaries
-within grids.STATE_BLOCK_BYTES.
+derivatives at both ends of a record interval, are built from its two
+records when the integration enters it, the first end taken over from
+the interval before inside one generator run.  So a worker holds two
+ends, 32 KiB at n = 512, whatever the record count.
 
 The cubics are evaluated in Horner form.  The values and the derivatives
 at an interval end become two (4, n) complex tables, row k holding
@@ -53,12 +54,13 @@ whether a position is integrated alone, inside a batch, or split across
 workers.  The ensemble is cut into chunks of at most TILE particles, and
 the chunks into one contiguous block per worker.
 
-Workers are processes forked after the flow tables are built, so they
-share the tables copy-on-write and write their columns of the result
-into anonymous shared memory; the caller integrates the first block
-itself and reaps every child.  Threads do not help: an evaluation is
-about twenty short numpy calls, and the interpreter lock changes hands
-at each one, which costs more than a second core gains.  Spawned
+Workers are processes forked as the transport starts.  Each chunk
+builds the flow tables of the intervals it crosses, and each worker
+writes its columns of the result into anonymous shared memory; the
+caller integrates the first block itself and reaps every child.
+Threads do not help: an evaluation is about twenty short numpy calls,
+and the interpreter lock changes hands at each one, which costs more
+than a second core gains.  Spawned
 workers would first pay for an interpreter and `import numpy`, about
 0.2 s: as long as the half of a 10k ensemble's transport that a second
 worker takes over.
@@ -77,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import STATE_BLOCK_BYTES, Grid1D, SpinorField
+from .grids import Grid1D, SpinorField
 from .propagation import WaveTimeline, _hamiltonian_rows
 
 __all__ = ["EnsemblePaths", "velocity", "integrate_ensemble"]
@@ -122,54 +124,34 @@ def _flux_rows(c: np.ndarray, c_hat: np.ndarray, ik: np.ndarray):
     return num, den, dc
 
 
-def _flow_tables(timeline: WaveTimeline):
-    """Flow tables at both ends of every record interval.
+def _flow_ends(fields, sign: int, h, ik: np.ndarray) -> np.ndarray:
+    """Flow tables at the records fields under the generator (sign, h).
 
-    Returns (tables, first_end).  tables has shape (n_ends, 2, n, 2): at
-    each end, the (numerator, density) pairs sign Im(psi^dagger d_x psi)
-    and psi^dagger psi at every node, then their time derivatives
-    sign Im(psi_t^dagger d_x psi + psi^dagger d_x psi_t) and
-    2 Re(psi^dagger psi_t), with psi_t = -i sign (h psi) from the
-    interval's generator; each end is what _cell_coefficients reads.
-    Interval r runs from end first_end[r] to end first_end[r] + 1.  A
-    record inside one of the timeline's generator runs is one end; a
-    record between two runs (a magnet switching off) is two, with
-    one-sided derivatives.  Records go through the transforms in batches
-    whose temporaries, 2 n complex values per record each, stay within
-    STATE_BLOCK_BYTES: 8 records at n = 512.
+    Returns shape (len(fields), 2, n, 2): at each record, the (numerator,
+    density) pairs sign Im(psi^dagger d_x psi) and psi^dagger psi at every
+    node, then their time derivatives sign Im(psi_t^dagger d_x psi +
+    psi^dagger d_x psi_t) and 2 Re(psi^dagger psi_t), with psi_t = -i sign
+    (h psi); each record is what _cell_coefficients reads.  ik is i times
+    the grid's wavenumbers.
     """
-    runs = timeline.generators
-    grid = timeline.grid
-    ik = 1j * grid.wavenumbers()
-    batch = max(1, STATE_BLOCK_BYTES // (2 * grid.n * 16))
-    tables = np.empty((len(timeline.fields) - 1 + len(runs), 2, grid.n, 2))
-    first_end = np.empty(len(timeline.fields) - 1, dtype=np.int64)
-    end = first = 0
-    for sign, h, count in runs:
-        last = first + count
-        first_end[first:last] = end + np.arange(count)
-        for r in range(first, last + 1, batch):
-            block = timeline.fields[r:min(r + batch, last + 1)]
-            nodes = tables[end:end + len(block)]
-            c = np.array([(f.comp1, f.comp2) for f in block])
-            c_hat = np.fft.fft(c)
-            nodes[:, 0, :, 0], nodes[:, 0, :, 1], dc = _flux_rows(c, c_hat, ik)
-            c_t = _hamiltonian_rows(c, c_hat, h)
-            c_t *= -1j * sign
-            dc_t = np.fft.ifft(ik * np.fft.fft(c_t))
-            c_bar = np.conj(c)
-            rate = c_bar * c_t
-            nodes[:, 1, :, 1] = 2.0 * (rate[:, 0].real + rate[:, 1].real)
-            np.multiply(c_bar, dc_t, out=rate)
-            np.conj(c_t, out=c_t)
-            c_t *= dc
-            rate += c_t  # psi^dagger d_x psi_t + psi_t^dagger d_x psi
-            nodes[:, 1, :, 0] = rate[:, 0].imag + rate[:, 1].imag
-            if sign < 0:  # particles retrace the recorded motion: v = -Im(...)/rho
-                nodes[..., 0] *= -1.0
-            end += len(block)
-        first = last
-    return tables, first_end
+    c = np.array([(f.comp1, f.comp2) for f in fields])
+    nodes = np.empty((len(c), 2, c.shape[-1], 2))
+    c_hat = np.fft.fft(c)
+    nodes[:, 0, :, 0], nodes[:, 0, :, 1], dc = _flux_rows(c, c_hat, ik)
+    c_t = _hamiltonian_rows(c, c_hat, h)
+    c_t *= -1j * sign
+    dc_t = np.fft.ifft(ik * np.fft.fft(c_t))
+    c_bar = np.conj(c)
+    rate = c_bar * c_t
+    nodes[:, 1, :, 1] = 2.0 * (rate[:, 0].real + rate[:, 1].real)
+    np.multiply(c_bar, dc_t, out=rate)
+    np.conj(c_t, out=c_t)
+    c_t *= dc
+    rate += c_t  # psi^dagger d_x psi_t + psi_t^dagger d_x psi
+    nodes[:, 1, :, 0] = rate[:, 0].imag + rate[:, 1].imag
+    if sign < 0:  # particles retrace the recorded motion: v = -Im(...)/rho
+        nodes[..., 0] *= -1.0
+    return nodes
 
 
 def _cell_coefficients(nodes) -> np.ndarray:
@@ -286,44 +268,60 @@ class _Flow:
     """Velocity along a timeline for m positions, owned by one worker.
 
     Cell coefficients exist for the current record interval only: of the
-    values and of the time derivatives at both of its ends.  Their cubic
-    Hermite blend at a stage time is kept while the stage time repeats,
-    and so are the coefficients gathered from it.
+    values and of the time derivatives at both of its ends, built from the
+    records on entering the interval.  Their cubic Hermite blend at a stage
+    time is kept while the stage time repeats, and so are the coefficients
+    gathered from it.
     """
 
-    def __init__(self, tables, first_end, grid: Grid1D, t0: float, spacing: float, m: int) -> None:
-        self.tables, self.first_end, self.grid = tables, first_end, grid
-        self.t0, self.spacing = t0, spacing
-        self.vmax = _nyquist_cap(grid)
+    def __init__(self, timeline: WaveTimeline, m: int) -> None:
+        self.timeline, self.grid = timeline, timeline.grid
+        self.ik = 1j * self.grid.wavenumbers()
+        # the generator run of each record interval
+        self.run = np.repeat(np.arange(len(timeline.generators)), [g[2] for g in timeline.generators])
+        self.t0, self.spacing = float(timeline.times[0]), timeline.spacing
+        self.vmax = _nyquist_cap(self.grid)
         self.work = _Workspace(m)
-        self.blend = np.empty((4, grid.n), dtype=np.complex128)
+        self.blend = np.empty((4, self.grid.n), dtype=np.complex128)
         # the blend's real arithmetic runs on the interleaved (numerator,
         # density) pairs; rise is the values' change over the interval
         self.blend_f = self.blend.view(np.float64)
         self.scaled_f = np.empty_like(self.blend_f)
         self.rise_f = np.empty_like(self.blend_f)
-        self.end = -2  # the current interval's first end
+        self.r = -2  # the current interval; interval 0 does not follow -2
         self.cells = ()  # values and rates at the first end, then at the second
         self.key = None
         self.eps = 0.0
 
     def __call__(self, t: float, p: np.ndarray) -> np.ndarray:
         tau = (t - self.t0) / self.spacing
-        r = min(max(int(np.floor(tau)), 0), len(self.first_end) - 1)
+        r = min(max(int(np.floor(tau)), 0), len(self.run) - 1)
         lam = tau - r
         repeat = (r, lam) == self.key
         if not repeat:
             self._blend(r, lam)
         return _interp_quotient(self.blend, self.eps, self.grid, p, self.vmax, self.work, repeat)
 
+    def _enter(self, r: int) -> None:
+        """Build the cell coefficients at both ends of interval r with its
+        own generator; the first end is interval r - 1's second when both
+        intervals lie in one generator run, so a record where the generator
+        changes gets one-sided derivatives on each side."""
+        sign, h, _ = self.timeline.generators[self.run[r]]
+        fields = self.timeline.fields
+        if r == self.r + 1 and self.run[r - 1] == self.run[r]:
+            start, records = self.cells[2:], fields[r + 1:r + 2]
+        else:
+            start, records = (), fields[r:r + 2]
+        ends = _flow_ends(records, sign, h, self.ik)
+        self.cells = (*start, *_cell_coefficients(ends.reshape(-1, self.grid.n, 2)))
+        values, _, values_end, _ = (table.view(np.float64) for table in self.cells)
+        np.subtract(values_end, values, out=self.rise_f)
+        self.r = r
+
     def _blend(self, r: int, lam: float) -> None:
-        e = int(self.first_end[r])
-        if e != self.end:
-            start = self.cells[2:] if e == self.end + 1 else tuple(_cell_coefficients(self.tables[e]))
-            self.cells = (*start, *_cell_coefficients(self.tables[e + 1]))
-            values, _, values_end, _ = (table.view(np.float64) for table in self.cells)
-            np.subtract(values_end, values, out=self.rise_f)
-            self.end = e
+        if r != self.r:
+            self._enter(r)
         # values + h01 rise + spacing (h10 rates + h11 rates_end), with
         # h01 = lam^2 (3 - 2 lam), h10 = lam (1 - lam)^2, h11 = -lam^2 (1 - lam)
         values, rates, _, rates_end = (table.view(np.float64) for table in self.cells)
@@ -443,7 +441,6 @@ def integrate_ensemble(
         raise ValueError(f"initial position {bad} outside [{grid.x_min}, {grid.x_max})")
     dt_sub, n_steps = _resolve_substep(timeline, dt_traj)
 
-    tables, first_end = _flow_tables(timeline)
     t0 = float(timeline.times[0])
     times = t0 + dt_sub * np.arange(n_steps + 1)
     half = 0.5 * dt_sub
@@ -454,7 +451,7 @@ def integrate_ensemble(
     q_final = empty(starts.size)
 
     def advance(lo: int, hi: int) -> None:
-        vel = _Flow(tables, first_end, grid, t0, timeline.spacing, hi - lo)
+        vel = _Flow(timeline, hi - lo)
         p = starts[lo:hi].copy()
         stage = np.empty(hi - lo)
         ksum = np.empty(hi - lo)

@@ -1,7 +1,9 @@
 """Config parsing, batch drivers, artifact determinism."""
 
+import contextlib
 import dataclasses
 import errno
+import io
 import json
 import os
 import re
@@ -69,6 +71,11 @@ def sg_config(command, n_samples=400, seed=100, extra=""):
         + "[packet]\nspin_up = 0.70710678118654752\nspin_down = 0.70710678118654752\n"
         + extra
     )
+
+
+def readme_config_block() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
 
 
 def invoke(tmp_path, text, *args):
@@ -171,6 +178,32 @@ class TestParseConfig:
         cfg = parse_config("[run]\ncommand = born-check\n[setup]\nt_drift = 0\n")
         assert cfg.setup.t_drift == 0.0
 
+    def test_stepping_is_reported_on_the_key_that_fails_alone(self):
+        # dt tiles neither default window: the report goes to dt's line
+        with pytest.raises(ConfigError) as err:
+            parse_config("[run]\ncommand = stern-gerlach\n[numerics]\ndt = 1e-320\n")
+        assert err.value.errors == (
+            "line 4: [numerics] dt: tau / dt = inf is not a finite step count",
+            "line 4: [numerics] dt: t_drift / dt = inf is not a finite step count",
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config("[run]\ncommand = propagate\n[numerics]\nrecord_every = 7\n")
+        assert err.value.errors == (
+            "line 4: [numerics] record_every: record_every = 7 must divide the step count 512 "
+            "of t_total so the final time is recorded",
+        )
+        # each passes against the other's default, but not together: the
+        # report goes to the window
+        with pytest.raises(ConfigError) as err:
+            parse_config(
+                "[run]\ncommand = propagate\n[numerics]\nrecord_every = 256\n"
+                "[propagate]\nt_total = 0.5\n"
+            )
+        assert err.value.errors == (
+            "line 6: [propagate] t_total: record_every = 256 must divide the step count 128 "
+            "of t_total so the final time is recorded",
+        )
+
     def test_splitting_preconditions(self):
         # the four preconditions shared with the library: TestSharedPreconditions
         with pytest.raises(ConfigError, match="never splits"):
@@ -198,8 +231,7 @@ class TestParseConfig:
             parse_config("[run]\ncommand = pointer-model\n[pointer]\nstate = 0 0\n")
 
     def test_readme_config_block_holds_the_defaults(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        block = readme_config_block()
         cfg = parse_config(block)
         assert cfg.packet == PacketSpec()
         assert cfg.setup == SGSetup()
@@ -208,6 +240,21 @@ class TestParseConfig:
         assert (cfg.spin_up, cfg.spin_down) == (0.70710678118654752, 0.70710678118654752)
         minimal = parse_config(f"[run]\ncommand = {cfg.command}\n")
         assert dataclasses.replace(cfg, spin_up=1, spin_down=0) == minimal
+
+    def test_echoed_params_parse_back_to_the_run_config(self, tmp_path):
+        block = readme_config_block()
+        code, out = invoke(tmp_path, block, "--threads", "1")
+        assert code == 0
+        summary = read_summary(out)
+        params = summary["params"]
+        lines = [
+            "[run]", f"command = {summary['command']}", f"seed = {summary['seed']}",
+            f"n_samples = {params['n_samples']}", f"format = {','.join(params['formats'])}",
+        ]
+        for section, keys in params.items():
+            if isinstance(keys, dict):
+                lines += [f"[{section}]", *(f"{key} = {value}" for key, value in keys.items())]
+        assert parse_config("\n".join(lines) + "\n") == parse_config(block)
 
     def test_format_list(self):
         cfg = parse_config("[run]\ncommand = nogo\nformat = json\n")
@@ -577,21 +624,34 @@ FUZZ_VALUES = (
 FUZZ_KEYS = [(s, k) for s, schema in cli._SCHEMA.items() for k in schema if k != "command"]
 
 
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
 class TestFailureModes:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
         command=st.sampled_from(cli.COMMANDS),
         values=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), max_size=8),
     )
-    def test_every_config_parses_or_raises_config_error(self, command, values):
+    def test_every_config_parses_or_raises_config_error(self, fuzz_dir, command, values):
         sections = {"run": [f"command = {command}"]}
         for (section, key), value in values.items():
             sections.setdefault(section, []).append(f"{key} = {value}")
         text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
         try:
             parse_config(text)
-        except ConfigError:
-            pass
+        except ConfigError as refused:
+            # the CLI refuses it too: exit 2, one JSON line, no work done
+            cfg, out = fuzz_dir / "run.cfg", fuzz_dir / "out"
+            cfg.write_text(text)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                assert main(["--config", str(cfg), "--out", str(out)]) == 2
+            line, = stderr.getvalue().splitlines()
+            assert json.loads(line) == {"error": "ConfigError", "messages": list(refused.errors)}
+            assert not out.exists()
 
     def test_failed_write_leaves_the_previous_run_intact(self, tmp_path, monkeypatch):
         code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")

@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,29 @@ class TestFlow:
         assert np.array_equal(kept.positions[0], q0)
         assert np.array_equal(kept.positions[-1], kept.q_final)
         assert integrate_ensemble(free_timeline, q0, DT_TRAJ).positions is None
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_the_record_count(self):
+        # the flow tables are built one record interval at a time, so 65
+        # records must peak no higher than 9; holding a table for every
+        # record end (16 KiB each at n = 512) would add 896 KiB here
+        f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
+        q0 = np.linspace(-2.0, 2.0, 256)
+        timelines = {
+            every: evolve(f, HamiltonianSpec.free(GRID), 0.25, 1 / 256, record_every=every)
+            for every in (1, 8)
+        }
+        integrate_ensemble(timelines[8], q0, 1 / 256)  # numpy's first-call allocations
+        peaks = {}
+        for every, timeline in timelines.items():
+            tracemalloc.start()
+            try:
+                integrate_ensemble(timeline, q0, 1 / 256)
+                peaks[every] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[8] + 16 * 1024, peaks
 
 
 @pytest.fixture
@@ -376,9 +400,9 @@ class TestTimeDerivatives:
         # (~5e-6 of the largest rate); a missing conjugate misses by
         # 2.7e-2 or more, a wrong sign by 2
         dt, timelines = driven
-        tables, first_end = trajectories._flow_tables(timelines[kind])
-        assert len(tables) == len(timelines[kind].fields)
-        assert np.array_equal(first_end, np.arange(len(first_end)))
+        timeline = timelines[kind]
+        (sign, h, _), = timeline.generators
+        tables = trajectories._flow_ends(timeline.fields, sign, h, 1j * h.grid.wavenumbers())
         values, rates = tables[:, 0], tables[:, 1]
         centered = (values[2:] - values[:-2]) / (2.0 * dt)
         scale = np.max(np.abs(rates), axis=(0, 1))
@@ -387,14 +411,26 @@ class TestTimeDerivatives:
     def test_magnet_switch_off_gets_one_sided_rates(self):
         numerics = SGNumerics()
         timeline = build_timeline(SGSetup(), SQ2, SQ2, PacketSpec(), numerics)
-        tables, first_end = trajectories._flow_tables(timeline)
         switch = int(round(SGSetup().tau / timeline.spacing))  # the record at tau
-        assert len(tables) == len(timeline.fields) + 1
-        assert first_end[switch] == first_end[switch - 1] + 2
+        flow = trajectories._Flow(timeline, 1)
+        flow._enter(switch - 1)
+        magnet_end = flow.cells[2:]
+        flow._enter(switch)
         # both ends at tau hold the record's values, with the magnet's and
         # the drift's rates
-        assert np.array_equal(tables[switch, 0], tables[switch + 1, 0])
-        assert not np.allclose(tables[switch, 1], tables[switch + 1, 1])
+        assert np.array_equal(magnet_end[0], flow.cells[0])
+        assert not np.allclose(magnet_end[1], flow.cells[1])
+
+    def test_streamed_ends_equal_a_fresh_build(self):
+        # walking the intervals in order reuses each first end from the
+        # interval before; it must equal building both ends anew
+        timeline = build_timeline(SGSetup(), SQ2, SQ2, PacketSpec(), SGNumerics())
+        flow = trajectories._Flow(timeline, 1)
+        for r in range(len(timeline.fields) - 1):
+            flow._enter(r)
+            fresh = trajectories._Flow(timeline, 1)
+            fresh._enter(r)
+            assert all(np.array_equal(a, b) for a, b in zip(flow.cells, fresh.cells, strict=True))
 
     def test_stern_gerlach_round_trip(self):
         # out through the magnet window and the drift, then back along the
