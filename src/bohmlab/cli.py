@@ -49,7 +49,7 @@ from .stern_gerlach import (
     contextuality_demo,
     run_sg,
 )
-from .trajectories import integrate_ensemble
+from .trajectories import _check_threads, integrate_ensemble
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -841,8 +841,7 @@ def _write_artifacts(out_dir: str, artifacts: dict[str, str], formats: tuple[str
 
 def run(config: RunConfig, *, threads: int = 1) -> int:
     """Execute one command; artifacts land in config.out only on success."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_threads(threads)
     try:
         artifacts = _DRIVERS[config.command](config, threads)
         _write_artifacts(config.out, artifacts, config.formats)

@@ -29,7 +29,7 @@ import numpy as np
 from .grids import Grid1D, SpinorField, _check_in_band, make_grid, gaussian_packet
 from .propagation import HamiltonianSpec, WaveTimeline, evolve
 from .sampling import sample
-from .trajectories import integrate_ensemble
+from .trajectories import _check_threads, integrate_ensemble
 
 __all__ = [
     "PacketSpec",
@@ -411,6 +411,7 @@ def run_sg(
     misconfigured geometry.  Only with keep_history does the ensemble
     carry the position history that no_crossing_check reads.
     """
+    _check_threads(threads)
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
     _check_ensemble_size(n)
@@ -450,6 +451,7 @@ def outcome_map(
     Returns lambda values with NaN marking null outcomes.  The initial
     positions must lie within the packet support (|q - center| < 5 sigma).
     """
+    _check_threads(threads)
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
     q = _initial_positions(q_grid, packet)
@@ -509,6 +511,7 @@ def contextuality_demo(
     non-null initial position.  Each experiment transports its sampled
     ensemble and the map grid together, in one call.
     """
+    _check_threads(threads)
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
     _check_reversal_setup(setup)

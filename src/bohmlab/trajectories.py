@@ -53,6 +53,9 @@ every caller states: SGNumerics.dt_traj is the package's one default.
 All per-trajectory arithmetic is elementwise, so results are bit-identical
 whether a position is integrated alone, inside a batch, or split across
 workers.  The ensemble is cut into one contiguous block per worker.
+The RK4 state is the positions buffer: each step writes the row after
+the one it reads, and without keep_history the second of two rows is
+overwritten, so q0 and q_final are the buffer's first and last rows.
 
 Workers are processes forked as the transport starts.  Each integrates
 its block with one flow, which builds the tables of the intervals it
@@ -98,10 +101,10 @@ MIN_PER_WORKER = 2048
 
 @dataclass(frozen=True)
 class EnsemblePaths:
-    """Lockstep-integrated ensemble: q0 row, final row, optional history.
+    """Lockstep-integrated ensemble, read-only: q0 row, final row, optional history.
 
     positions, when kept, has shape (len(times), len(q0)) with row i the
-    ensemble at times[i].
+    ensemble at times[i]; q0 and q_final are its first and last rows.
     """
 
     times: np.ndarray
@@ -404,6 +407,13 @@ def _run_blocks(advance, bounds) -> None:
         raise RuntimeError(f"transport worker processes failed with exit codes {codes}")
 
 
+def _check_threads(threads) -> None:
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
+        raise ValueError(f"threads must be an int, got {threads!r}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def integrate_ensemble(
     timeline: WaveTimeline,
     q0,
@@ -411,7 +421,7 @@ def integrate_ensemble(
     keep_history: bool = False,
     threads: int = 1,
 ) -> EnsemblePaths:
-    """Integrate many trajectories in lockstep from initial positions q0.
+    """Integrate many trajectories in lockstep from initial positions q0, which it only reads.
 
     dt_traj is the RK4 substep; it must divide the timeline's duration
     and not exceed its record spacing.  The timeline's generators give
@@ -420,12 +430,9 @@ def integrate_ensemble(
     ensemble into one block of columns each; each element sees identical
     arithmetic, so output is independent of the worker count.
     """
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-        raise ValueError(f"threads must be an int, got {threads!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_threads(threads)
     grid = timeline.grid
-    starts = np.array(q0, dtype=np.float64, copy=True).reshape(-1)
+    starts = np.asarray(q0, dtype=np.float64).reshape(-1)
     if starts.size == 0:
         raise ValueError("need at least one initial position")
     if not np.all((grid.x_min <= starts) & (starts < grid.x_max)):
@@ -433,51 +440,41 @@ def integrate_ensemble(
         raise ValueError(f"initial position {bad} outside [{grid.x_min}, {grid.x_max})")
     dt_sub, n_steps = _resolve_substep(timeline, dt_traj)
 
-    t0 = float(timeline.times[0])
-    times = t0 + dt_sub * np.arange(n_steps + 1)
+    times = float(timeline.times[0]) + dt_sub * np.arange(n_steps + 1)
     half = 0.5 * dt_sub
 
     workers = _workers(starts.size, threads)
     empty = np.empty if workers == 1 else _shared_empty
-    history = empty((n_steps + 1, starts.size)) if keep_history else None
-    q_final = empty(starts.size)
+    rows = empty((n_steps + 1 if keep_history else 2, starts.size))
+    rows[0] = starts
+    last = len(rows) - 1
 
     def advance(lo: int, hi: int) -> None:
         vel = _Flow(timeline, hi - lo)
-        p = starts[lo:hi].copy()
         stage = np.empty(hi - lo)
         ksum = np.empty(hi - lo)
-        if history is not None:
-            history[0, lo:hi] = p
         for i in range(n_steps):
             # classical RK4; k lives in the workspace until the next call
+            p, nxt = rows[min(i, last), lo:hi], rows[min(i + 1, last), lo:hi]
             t = float(times[i])
             k = vel(t, p)
             np.copyto(ksum, k)
             np.multiply(k, half, out=stage)
             np.add(p, stage, out=stage)
-            k = vel(t + half, stage)
-            np.multiply(k, half, out=stage)
-            np.add(p, stage, out=stage)
-            np.multiply(k, 2.0, out=k)
-            np.add(ksum, k, out=ksum)
-            k = vel(t + half, stage)
-            np.multiply(k, dt_sub, out=stage)
-            np.add(p, stage, out=stage)
-            np.multiply(k, 2.0, out=k)
-            np.add(ksum, k, out=ksum)
+            for step in (half, dt_sub):  # k2 sets the k3 stage, k3 the k4 stage
+                k = vel(t + half, stage)
+                np.multiply(k, step, out=stage)
+                np.add(p, stage, out=stage)
+                np.multiply(k, 2.0, out=k)
+                np.add(ksum, k, out=ksum)
             k = vel(float(times[i + 1]), stage)  # the next step's k1 time, bit for bit
             np.add(ksum, k, out=ksum)
             np.multiply(ksum, dt_sub / 6.0, out=ksum)
-            np.add(p, ksum, out=p)
-            if history is not None:
-                history[i + 1, lo:hi] = p
-        q_final[lo:hi] = p
+            np.add(p, ksum, out=nxt)
 
     _run_blocks(advance, np.linspace(0, starts.size, workers + 1).astype(int).tolist())
 
-    starts.setflags(write=False)
-    q_final.setflags(write=False)
-    if history is not None:
-        history.setflags(write=False)
-    return EnsemblePaths(times=times, q0=starts, q_final=q_final, positions=history)
+    rows.setflags(write=False)
+    return EnsemblePaths(
+        times=times, q0=rows[0], q_final=rows[-1], positions=rows if keep_history else None
+    )

@@ -802,8 +802,9 @@ class TestFailureModes:
 
     def test_run_rejects_fewer_than_one_thread(self, tmp_path):
         config = dataclasses.replace(parse_config("[run]\ncommand = nogo\n"), out=str(tmp_path / "out"))
-        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
-            cli.run(config, threads=0)
+        for threads, message in ((0, ">= 1, got 0"), (2.9, "an int, got 2.9"), (True, "an int, got True")):
+            with pytest.raises(ValueError, match=f"threads must be {message}"):
+                cli.run(config, threads=threads)
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_flag(self):

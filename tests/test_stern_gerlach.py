@@ -38,6 +38,17 @@ def balanced_run():
     return stats, ensemble
 
 
+@pytest.fixture
+def no_evolution(monkeypatch):
+    """Fails the test if a timeline is built: every refusal comes first."""
+    from bohmlab import stern_gerlach
+
+    def never(*args, **kwargs):
+        raise AssertionError("a timeline was built before the preconditions held")
+
+    monkeypatch.setattr(stern_gerlach, "build_timeline", never)
+
+
 class TestSetup:
     def test_upper_branch_bookkeeping(self):
         assert SGSetup().upper_branch == "up"
@@ -229,7 +240,9 @@ class TestRunStatistics:
         assert np.array_equal(e1.q_final, e4.q_final)
         assert s1.counts == s2.counts == s4.counts
 
-    def test_input_validation(self):
+    def test_input_validation(self, no_evolution):
+        with pytest.raises(ValueError, match="threads must be an int"):
+            run_sg(SGSetup(), SQ2, SQ2, PacketSpec(), n=10, seed=0, numerics=COARSE, threads=2.9)
         with pytest.raises(ValueError, match="spinor"):
             run_sg(SGSetup(), 1.0, 1.0, PacketSpec(), n=10, seed=0, numerics=COARSE)
         with pytest.raises(ValueError, match="ensemble size"):
@@ -253,7 +266,9 @@ class TestOutcomeMap:
         assert np.all(lam[detected & (qs < 0)] == -1.0)
         assert np.sum(~detected) <= 1
 
-    def test_rejects_grid_outside_support(self):
+    def test_rejects_grid_outside_support(self, no_evolution):
+        with pytest.raises(ValueError, match="threads must be an int"):
+            outcome_map(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], COARSE, threads=2.9)
         with pytest.raises(ValueError, match="support"):
             outcome_map(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0, 5.0], COARSE)
         with pytest.raises(ValueError, match="nonempty"):
@@ -424,15 +439,11 @@ class TestContextualityDemo:
             assert stats == alone
             assert np.isfinite(stats.stderr_mean)  # so == compares every field
 
-    def test_preconditions(self, monkeypatch):
+    def test_preconditions(self, no_evolution):
         # b0, |a| = |b|, the packet and the support: TestSharedPreconditions
-        # in test_cli.py.  Every refusal comes before any evolution.
-        from bohmlab import stern_gerlach
-
-        def never(*args, **kwargs):
-            raise AssertionError("a timeline was built before the preconditions held")
-
-        monkeypatch.setattr(stern_gerlach, "build_timeline", never)
+        # in test_cli.py
+        with pytest.raises(ValueError, match="threads must be an int"):
+            contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], numerics=COARSE, threads=2.9)
         with pytest.raises(ValueError, match="unreversed"):
             contextuality_demo(
                 SGSetup(reverse_geometry=True), SQ2, SQ2, PacketSpec(), [0.0], numerics=COARSE

@@ -164,13 +164,23 @@ class TestFlow:
         paths = integrate_ensemble(tl, q0, tl.spacing / 4)
         assert np.max(np.abs(paths.q_final - q0)) <= 1e-7
 
-    def test_history_shape_and_opt_out(self, free_timeline):
-        q0 = np.array([0.1, 0.9])
-        kept = integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=True)
-        assert kept.positions.shape == (len(kept.times), 2)
-        assert np.array_equal(kept.positions[0], q0)
-        assert np.array_equal(kept.positions[-1], kept.q_final)
-        assert integrate_ensemble(free_timeline, q0, DT_TRAJ).positions is None
+    def test_history_shape_and_opt_out(self, free_timeline, forks):
+        q0 = np.linspace(-1.0, 1.0, 48)
+        for threads, forked in ((1, 0), (3, 4)):
+            kept = integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=True, threads=threads)
+            assert kept.positions.shape == (len(kept.times), 48)
+            assert np.array_equal(kept.positions[0], q0)
+            assert np.array_equal(kept.positions[-1], kept.q_final)
+            flat = integrate_ensemble(free_timeline, q0, DT_TRAJ, threads=threads)
+            assert flat.positions is None
+            assert len(forks) == forked
+            # the outputs are read-only, and the caller's q0 is neither
+            # written nor shared with them
+            for out in (kept.q0, kept.q_final, kept.positions, flat.q0, flat.q_final):
+                assert not out.flags.writeable
+                assert not np.shares_memory(out, q0)
+        assert q0.flags.writeable
+        assert np.array_equal(q0, np.linspace(-1.0, 1.0, 48))
 
 
 class TestMemory:
@@ -194,6 +204,24 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[8] + 16 * 1024, peaks
+
+    def test_history_costs_its_rows_and_nothing_else(self, free_timeline):
+        # the history is the RK4 state, so keeping it adds the rows beyond
+        # the start and current ones that every run holds, with at most one
+        # row to spare; a separate state and final row would exceed that
+        n = 4096
+        q0 = np.linspace(-3.0, 3.0, n)
+        integrate_ensemble(free_timeline, q0, DT_TRAJ)  # numpy's first-call allocations
+        peaks = {}
+        for keep in (False, True):
+            tracemalloc.start()
+            try:
+                rows = len(integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=keep).times)
+                peaks[keep] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert rows == 65
+        assert peaks[True] - peaks[False] <= (rows - 2) * n * 8 + n * 8, peaks
 
     def test_one_worker_builds_each_flow_end_once(self, free_timeline, monkeypatch):
         # a worker integrates its whole block with one flow, so 20k
