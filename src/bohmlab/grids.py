@@ -115,30 +115,27 @@ class SpinorField:
         object.__setattr__(self, "comp1", _locked(c1))
         object.__setattr__(self, "comp2", _locked(c2))
 
-    def norm_sq(self) -> float:
+    def _norm_sq(self) -> float:
         return float(np.sum(density(self)) * self.grid.dx)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
+        return float(np.sqrt(self._norm_sq()))
 
     def moments(self) -> tuple[float, float, float]:
         """(norm, center, width): the norm, and the mean and standard
-        deviation of position under the density divided by norm_sq()."""
-        total = self.norm_sq()
+        deviation of position under the density divided by the squared norm."""
+        total = self._norm_sq()
         rho, xs, dx = density(self), self.grid.xs(), self.grid.dx
         center = float(np.sum(xs * rho) * dx / total)
         var = float(np.sum((xs - center) ** 2 * rho) * dx / total)
         return math.sqrt(total), center, math.sqrt(max(var, 0.0))
 
-    def normalize(self) -> "SpinorField":
+    def _normalize(self) -> "SpinorField":
         """Return the unit-norm rescaling of this field."""
         nrm = self.norm()
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero field")
         return SpinorField(self.grid, self.comp1 / nrm, self.comp2 / nrm)
-
-    def conjugate(self) -> "SpinorField":
-        return SpinorField(self.grid, np.conj(self.comp1), np.conj(self.comp2))
 
 
 def density(psi: SpinorField) -> np.ndarray:
@@ -193,4 +190,4 @@ def gaussian_packet(
     check_packet_fits(grid, center, sigma, k)
     x = grid.xs()
     envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k * x)
-    return SpinorField(grid, a * envelope, b * envelope).normalize()
+    return SpinorField(grid, a * envelope, b * envelope)._normalize()

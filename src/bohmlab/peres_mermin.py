@@ -66,12 +66,6 @@ class ObservableGrid:
             if len(targets) != 3 or any(t not in (1, -1) for t in targets):
                 raise ValueError(f"{name} targets must be three signs +-1")
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(self.entries[i, j] for j in range(3))
-
-    def col(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(self.entries[i, j] for i in range(3))
-
 
 def standard_grid() -> ObservableGrid:
     """The usual two-qubit square: all row products +I, column products
@@ -128,8 +122,8 @@ def verify_grid(grid: ObservableGrid) -> GridReport:
     products: list[CheckResult] = []
     signs = {}
     for kind, triples, targets in (
-        ("row", [grid.row(i) for i in range(3)], grid.row_targets),
-        ("column", [grid.col(j) for j in range(3)], grid.col_targets),
+        ("row", list(grid.entries), grid.row_targets),
+        ("column", list(grid.entries.swapaxes(0, 1)), grid.col_targets),
     ):
         comm = max(
             float(np.max(np.abs(a @ b - b @ a)))
@@ -279,7 +273,7 @@ def joint_value_distribution(
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state must be normalized, got norm {norm!r}")
 
-    triple = grid.row(index) if kind == "row" else grid.col(index)
+    triple = grid.entries[index] if kind == "row" else grid.entries[:, index]
     probs: dict[tuple[int, int, int], float] = {}
     for values in itertools.product((1, -1), repeat=3):
         projected = vec

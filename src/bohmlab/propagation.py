@@ -61,19 +61,6 @@ class HamiltonianSpec:
     def free(cls, grid: Grid1D) -> "HamiltonianSpec":
         return cls(grid, np.zeros(grid.n), np.zeros((grid.n, 3)), 0.0)
 
-    def field_magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.field_b**2, axis=1))
-
-    def conjugate(self) -> "HamiltonianSpec":
-        """The complex conjugate H*, which drives the conjugated field.
-
-        The kinetic term, V and the real Pauli matrices sigma_x, sigma_z
-        are unchanged; sigma_y* = -sigma_y flips the y component of B.
-        """
-        b = np.array(self.field_b, copy=True)
-        b[:, 1] = -b[:, 1]
-        return HamiltonianSpec(self.grid, self.potential, b, self.mu)
-
 
 def _half_potential_factors(h: HamiltonianSpec, dt: float):
     """Entries of exp(-i V_eff dt/2) at every grid point.
@@ -81,7 +68,7 @@ def _half_potential_factors(h: HamiltonianSpec, dt: float):
     exp(-i theta n.sigma) = cos(theta) I - i sin(theta) n.sigma with
     theta = mu |B| dt/2 and n = B/|B| (term vanishes where B = 0).
     """
-    bmag = h.field_magnitude()
+    bmag = np.sqrt(np.sum(h.field_b**2, axis=1))
     nhat = np.divide(
         h.field_b,
         bmag[:, None],
@@ -114,19 +101,18 @@ class WaveTimeline:
 
     times has the same length as fields; spacing is uniform and the last
     record sits at the final evolution time.  generators holds the
-    dynamics as runs (sign, h, n_intervals): over the next n_intervals
-    record intervals the field obeys psi_t = -i sign (h psi), sign being
-    -1 where it ran backward in time.  The runs cover every interval.
-    Adjacent runs of one sign and one HamiltonianSpec object are merged,
-    so a run ends only where the dynamics change (a magnet switching
-    off); equal but distinct objects stay separate runs.  evolve records
-    one run, extend joins the runs and time_reversed conjugates them.
-    boundary_mass holds the outer-domain mass observed at each record.
+    dynamics as runs (h, n_intervals): over the next n_intervals record
+    intervals the field obeys psi_t = -i h psi.  The runs cover every
+    interval.  Adjacent runs of one HamiltonianSpec object are merged, so
+    a run ends only where the dynamics change (a magnet switching off);
+    equal but distinct objects stay separate runs.  evolve records one
+    run and extend joins the runs.  boundary_mass holds the outer-domain
+    mass observed at each record.
     """
 
     times: np.ndarray
     fields: tuple[SpinorField, ...]
-    generators: tuple[tuple[int, HamiltonianSpec, int], ...]
+    generators: tuple[tuple[HamiltonianSpec, int], ...]
     boundary_mass: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -150,14 +136,14 @@ class WaveTimeline:
         if bm.shape != t.shape:
             raise ValueError("boundary_mass must match times in length")
         runs = []
-        for sign, h, count in self.generators:
-            if sign not in (1, -1) or h.grid != g or count < 1:
-                raise ValueError("each run needs a sign of +-1, the records' grid and an interval")
-            if runs and runs[-1][0] == sign and runs[-1][1] is h:
-                runs[-1][2] += int(count)
+        for h, count in self.generators:
+            if h.grid != g or count < 1:
+                raise ValueError("each run needs the records' grid and an interval")
+            if runs and runs[-1][0] is h:
+                runs[-1][1] += int(count)
             else:
-                runs.append([int(sign), h, int(count)])
-        if sum(count for _, _, count in runs) != t.shape[0] - 1:
+                runs.append([h, int(count)])
+        if sum(count for _, count in runs) != t.shape[0] - 1:
             raise ValueError("the generator runs must cover every record interval")
         t.setflags(write=False)
         bm.setflags(write=False)
@@ -195,18 +181,6 @@ class WaveTimeline:
         bm = np.concatenate([self.boundary_mass, other.boundary_mass[1:]])
         gens = self.generators + other.generators
         return WaveTimeline(times, self.fields + other.fields[1:], gens, bm)
-
-    def time_reversed(self) -> "WaveTimeline":
-        """Timeline of the motion-reversed dynamics (conjugated fields).
-
-        phi(s) = conj(psi(T - s)) obeys phi_s = -i sign (h* phi) when psi
-        obeys psi_t = -i sign (h psi), so each generator keeps its sign and
-        is conjugated.
-        """
-        times = self.times[-1] - self.times[::-1]
-        fields = tuple(f.conjugate() for f in reversed(self.fields))
-        gens = tuple((sign, h.conjugate(), count) for sign, h, count in reversed(self.generators))
-        return WaveTimeline(times, fields, gens, self.boundary_mass[::-1])
 
 
 def _boundary_indices(n: int) -> np.ndarray:
@@ -290,15 +264,13 @@ def window_steps(t_total: float, dt: float, record_every: int, name: str = "t_to
     the step count, so records are uniform and the final time is recorded.
     name is the window's name in error messages.
     """
-    if dt == 0 or t_total == 0:
-        raise ValueError(f"{name} and dt must be nonzero")
-    if (dt > 0) != (t_total > 0):
-        raise ValueError(f"dt and {name} must share a sign")
+    if not (dt > 0 and t_total > 0):
+        raise ValueError(f"{name} and dt must be positive, got {t_total} and {dt}")
     ratio = float(t_total) / float(dt)
     if not np.isfinite(ratio):
         raise ValueError(f"{name} / dt = {ratio} is not a finite step count")
     n_steps = int(round(ratio))
-    if n_steps < 1 or abs(n_steps * dt - t_total) > 1e-9 * abs(t_total):
+    if n_steps < 1 or abs(n_steps * dt - t_total) > 1e-9 * t_total:
         raise ValueError(
             f"dt = {dt} does not divide {name} = {t_total}; "
             f"{name} must be an integer multiple of dt"
@@ -326,8 +298,6 @@ def evolve(
     in Fourier space, with no splitting error; any other h takes Strang
     split steps of dt.  Both check the boundary mass after every step of
     dt.  The window must tile into whole record intervals (see window_steps).
-    Negative t_total with matching negative dt runs the dynamics backward;
-    the timeline then records elapsed time and its generators carry sign -1.
     Raises RuntimeError if mass in the outer 5% of the domain (each side)
     ever exceeds 1e-6: the packet is about to wrap around.
     """
@@ -349,11 +319,10 @@ def evolve(
     fields = [psi]
     bmass = [bm]
     for i, field, bm in records:
-        # Backward runs record elapsed time, so times always increase.
-        times.append(i * abs(dt))
+        times.append(i * dt)
         fields.append(field)
         bmass.append(bm)
-    generators = ((1 if dt > 0 else -1, h, len(fields) - 1),)
+    generators = ((h, len(fields) - 1),)
     return WaveTimeline(np.array(times), tuple(fields), generators, np.array(bmass))
 
 

@@ -107,13 +107,13 @@ class SGSetup:
             raise ValueError("geometry reversal is defined for b0 = 0 only")
 
     @property
-    def field_sign(self) -> int:
+    def _field_sign(self) -> int:
         return self.polarity * (-1 if self.reverse_geometry else 1)
 
     @property
     def upper_branch(self) -> str:
         """Which spin component ('up'/'down') reaches the upper detector."""
-        kick_up = -self.mu * self.field_sign * self.b_grad
+        kick_up = -self.mu * self._field_sign * self.b_grad
         if kick_up == 0:
             raise ValueError("setup produces no splitting: mu * b_grad = 0, so the beam never splits")
         return "up" if kick_up > 0 else "down"
@@ -240,7 +240,7 @@ def _check_kick_resolved(setup: SGSetup, packet: PacketSpec, grid: Grid1D) -> No
 def _magnet_hamiltonian(setup: SGSetup, grid: Grid1D) -> HamiltonianSpec:
     """The coupling of the magnet window on grid."""
     field = np.zeros((grid.n, 3))
-    field[:, 2] = setup.field_sign * (setup.b0 + setup.b_grad * grid.xs())
+    field[:, 2] = setup._field_sign * (setup.b0 + setup.b_grad * grid.xs())
     return HamiltonianSpec(grid, np.zeros(grid.n), field, setup.mu)
 
 

@@ -13,24 +13,21 @@ capped at half the grid Nyquist speed.
 In time, the numerator and the density are blended between adjacent
 records by cubic Hermite interpolation: their values and time
 derivatives at both ends of the record interval.  The derivatives are
-exact for the timeline's generator, psi_t = -i sign (h psi):
+exact for the timeline's generator, psi_t = -i h psi:
 
     d/dt rho = 2 Re(psi^dagger psi_t)
     d/dt num = Im(psi_t^dagger d_x psi + psi^dagger d_x psi_t)
 
 At a record where the generator changes, such as the end of a magnet
 window, each side uses its own generator, so the blend is one-sided
-there.  A run of sign -1 records psi(t0 - s) at elapsed time s, and the
-particles retrace the physical motion along it, so the numerator and
-its rate carry that sign; the density and its rate do not.  Against the
-closed-form Stern-Gerlach trajectories, the Hermite blend at 96 RK4
-steps is off by 6.6e-5 where the earlier linear blend at 384 was off by
-5.6e-3 (10k particles, equal weights).  The flow tables, values and
-derivatives at both ends of a record interval, are built from its two
-records when the integration enters it, the first end taken over from
-the interval before inside one generator run.  So a worker builds each
-interval's tables once and holds two ends, 32 KiB at n = 512, whatever
-the record count.
+there.  Against the closed-form Stern-Gerlach trajectories, the Hermite
+blend at 96 RK4 steps is off by 6.6e-5 where the earlier linear blend at
+384 was off by 5.6e-3 (10k particles, equal weights).  The flow tables,
+values and derivatives at both ends of a record interval, are built from
+its two records when the integration enters it, the first end taken over
+from the interval before inside one generator run.  So a worker builds
+each interval's tables once and holds two ends, 32 KiB at n = 512,
+whatever the record count.
 
 The cubics are evaluated in Horner form.  The values and the derivatives
 at an interval end become two (4, n) complex tables, row k holding
@@ -124,22 +121,24 @@ def _flux_rows(c: np.ndarray, c_hat: np.ndarray, ik: np.ndarray):
     return num, den, dc
 
 
-def _flow_ends(fields, sign: int, h, ik: np.ndarray) -> np.ndarray:
-    """Flow tables at the records fields under the generator (sign, h).
+def _flow_ends(fields, h, ik: np.ndarray) -> np.ndarray:
+    """Flow tables at the records fields under the generator h.
 
     Returns shape (len(fields), 2, n, 2): at each record, the (numerator,
-    density) pairs sign Im(psi^dagger d_x psi) and psi^dagger psi at every
-    node, then their time derivatives sign Im(psi_t^dagger d_x psi +
-    psi^dagger d_x psi_t) and 2 Re(psi^dagger psi_t), with psi_t = -i sign
-    (h psi); each record is what _cell_coefficients reads.  ik is i times
-    the grid's wavenumbers.
+    density) pairs Im(psi^dagger d_x psi) and psi^dagger psi at every
+    node, then their time derivatives Im(psi_t^dagger d_x psi +
+    psi^dagger d_x psi_t) and 2 Re(psi^dagger psi_t), with psi_t = -i h psi;
+    each record is what _cell_coefficients reads.  ik is i times the
+    grid's wavenumbers.
     """
     c = np.array([(f.comp1, f.comp2) for f in fields])
     nodes = np.empty((len(c), 2, c.shape[-1], 2))
     c_hat = np.fft.fft(c)
     nodes[:, 0, :, 0], nodes[:, 0, :, 1], dc = _flux_rows(c, c_hat, ik)
     c_t = _hamiltonian_rows(c, c_hat, h)
-    c_t *= -1j * sign
+    # -i as complex(+0.0, -1.0): the literal -1j is complex(-0.0, -1.0), and
+    # products with it turn some zeros negative
+    c_t *= complex(0.0, -1.0)
     dc_t = np.fft.ifft(ik * np.fft.fft(c_t))
     c_bar = np.conj(c)
     rate = c_bar * c_t
@@ -149,8 +148,6 @@ def _flow_ends(fields, sign: int, h, ik: np.ndarray) -> np.ndarray:
     c_t *= dc
     rate += c_t  # psi^dagger d_x psi_t + psi_t^dagger d_x psi
     nodes[:, 1, :, 0] = rate[:, 0].imag + rate[:, 1].imag
-    if sign < 0:  # particles retrace the recorded motion: v = -Im(...)/rho
-        nodes[..., 0] *= -1.0
     return nodes
 
 
@@ -278,7 +275,7 @@ class _Flow:
         self.timeline, self.grid = timeline, timeline.grid
         self.ik = 1j * self.grid.wavenumbers()
         # the generator run of each record interval
-        self.run = np.repeat(np.arange(len(timeline.generators)), [g[2] for g in timeline.generators])
+        self.run = np.repeat(np.arange(len(timeline.generators)), [n for _, n in timeline.generators])
         self.t0, self.spacing = float(timeline.times[0]), timeline.spacing
         self.vmax = _nyquist_cap(self.grid)
         self.work = _Workspace(m)
@@ -307,13 +304,13 @@ class _Flow:
         own generator; the first end is interval r - 1's second when both
         intervals lie in one generator run, so a record where the generator
         changes gets one-sided derivatives on each side."""
-        sign, h, _ = self.timeline.generators[self.run[r]]
+        h, _ = self.timeline.generators[self.run[r]]
         fields = self.timeline.fields
         if r == self.r + 1 and self.run[r - 1] == self.run[r]:
             start, records = self.cells[2:], fields[r + 1:r + 2]
         else:
             start, records = (), fields[r:r + 2]
-        ends = _flow_ends(records, sign, h, self.ik)
+        ends = _flow_ends(records, h, self.ik)
         self.cells = (*start, *_cell_coefficients(ends.reshape(-1, self.grid.n, 2)))
         values, _, values_end, _ = (table.view(np.float64) for table in self.cells)
         np.subtract(values_end, values, out=self.rise_f)

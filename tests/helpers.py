@@ -5,8 +5,9 @@ finite differences instead of spectral derivatives, closed-form
 Gaussian results (the freely moving packet among them) and plane waves,
 plain sums for moments and inner products, numpy's own Philox stream,
 a writer for the experiment-spec text format, a node-by-node Lagrange
-interpolant for the guidance velocity, and the closed-form Stern-Gerlach
-wave with its guidance velocity and trajectories.
+interpolant for the guidance velocity, the closed-form Stern-Gerlach
+wave with its guidance velocity and trajectories, and the flow map
+F_T^-1(F_0(q0)) from the Fourier series of the densities.
 """
 
 import math
@@ -160,8 +161,9 @@ def lagrange_velocity(field: SpinorField, q):
 # Closed-form Stern-Gerlach oracle.  build_timeline's field points along z
 # and is linear in x, so the spinor components never mix: each one is a
 # Gaussian exp(A x^2 + B x + C) with complex A, B, C, under the potential
-# s mu field_sign (b0 + b_grad x) during the magnet window (s = +1 for
-# the first component, -1 for the second) and free afterwards.
+# s mu sign (b0 + b_grad x) during the magnet window (s = +1 for the
+# first component, -1 for the second; sign = polarity, negated by
+# reverse_geometry) and free afterwards.
 
 
 def _free_gaussian(a, b, c, t):
@@ -184,10 +186,7 @@ def _packet_gaussian(packet, amplitude):
 
 
 def free_packet(packet, a_up, a_down, grid, t: float) -> SpinorField:
-    """The packet with spinor (a_up, a_down) after free motion for time t.
-
-    Negative t is the state that reaches the packet after time |t|.
-    """
+    """The packet with spinor (a_up, a_down) after free motion for time t."""
     x = grid.xs()
     comps = []
     for amplitude in (a_up, a_down):
@@ -208,7 +207,7 @@ def sg_component(setup, packet, amplitude, spin: int, t: float):
     psi(x, t) = exp(-i (g t x + g^2 t^3 / 6 + v0 t)) psi_free(x + g t^2 / 2, t).
     """
     a, b, c = _packet_gaussian(packet, amplitude)
-    coupling = spin * setup.mu * setup.field_sign
+    coupling = spin * setup.mu * setup.polarity * (-1 if setup.reverse_geometry else 1)
     g, v0 = coupling * setup.b_grad, coupling * setup.b0
     tm = min(t, setup.tau)
     a, b, c = _free_gaussian(a, b, c, tm)
@@ -276,4 +275,52 @@ def sg_trajectories(setup, packet, a_up, a_down, q0, steps: int):
         k3 = v(q + 0.5 * h * k2, t + 0.5 * h)
         k4 = v(q + h * k3, t + h)
         q = q + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return q
+
+
+# Flow-map oracle.  In 1D the guided flow preserves order, so equivariance
+# puts a particle from q0 at q_T = F_T^-1(F_0(q0)), with F_t the cumulative
+# distribution of the density at time t.  No trajectory, time blend or
+# velocity is involved.
+
+
+def _cdf_and_density(field: SpinorField, q):
+    """F(q), the integral of the density from x_min to q, and the density
+    at q, both from the Fourier series of the node density: the exact
+    antiderivative of its trigonometric interpolant."""
+    grid = field.grid
+    rho = np.abs(field.comp1) ** 2 + np.abs(field.comp2) ** 2
+    coef = np.fft.rfft(rho) / grid.n
+    coef[1:grid.n // 2] *= 2.0  # each mode k > 0 stands for k and -k; Nyquist for itself
+    mean, coef = coef[0].real, coef[1:]
+    k = 2.0 * np.pi * np.arange(1, coef.size + 1) / grid.length
+    u = np.asarray(q, dtype=np.float64)[..., None] - grid.x_min
+    wave = np.exp(1j * k * u)
+    # mode 0 integrates to mean u, mode k to Re(coef_k (e^{iku} - 1) / (ik))
+    f = mean * u[..., 0] + ((wave - 1.0) @ (coef / (1j * k))).real
+    return f, mean + (wave @ coef).real
+
+
+def cdf(field: SpinorField, q):
+    """F(q) = integral of the field's density from x_min to q."""
+    return _cdf_and_density(field, q)[0]
+
+
+def flow_map(timeline, q0):
+    """F_T^-1(F_0(q0)): where equivariance puts each particle at the end.
+
+    F_T is inverted by Newton steps inside the grid cell where its node
+    values bracket the target, starting from the linear interpolant.
+    """
+    target = cdf(timeline.fields[0], q0)
+    final = timeline.fields[-1]
+    nodes = final.grid.xs()
+    at_nodes = cdf(final, nodes)
+    j = np.clip(np.searchsorted(at_nodes, target) - 1, 0, nodes.size - 2)
+    lo, hi = nodes[j], nodes[j + 1]
+    q = lo + (hi - lo) * (target - at_nodes[j]) / (at_nodes[j + 1] - at_nodes[j])
+    for _ in range(4):
+        f, rho = _cdf_and_density(final, q)
+        q = np.clip(q - (f - target) / rho, lo, hi)
+    assert np.max(np.abs(cdf(final, q) - target)) <= 1e-12
     return q

@@ -41,7 +41,7 @@ class TestSample:
         j = 256
         comp1 = np.zeros(GRID.n, dtype=complex)
         comp1[j] = 1.0
-        f = SpinorField(GRID, comp1, np.zeros(GRID.n, dtype=complex)).normalize()
+        f = SpinorField(GRID, comp1, np.zeros(GRID.n, dtype=complex))._normalize()
         xs = sample(f, 2000, seed=3)
         node = GRID.x_min + j * GRID.dx
         assert np.max(np.abs(xs - node)) <= GRID.dx + 1e-12

@@ -22,8 +22,8 @@ from bohmlab import (
     run_sg,
     spectral_decompose,
 )
-from bohmlab.stern_gerlach import _assign_outcomes
-from helpers import free_packet, free_width, moments, sg_trajectories
+from bohmlab.stern_gerlach import _assign_outcomes, _magnet_hamiltonian
+from helpers import cdf, free_packet, free_width, moments, sg_field, sg_trajectories
 
 # halved grid keeps the module fast; the beam physics is unchanged
 COARSE = SGNumerics(grid_n=256, dt=1 / 256, record_every=16, substeps=4)
@@ -57,7 +57,10 @@ class TestSetup:
         assert SGSetup(mu=1.0).upper_branch == "down"
 
     def test_reversal_equals_polarity_flip_in_the_field(self):
-        assert SGSetup(reverse_geometry=True).field_sign == SGSetup(polarity=-1).field_sign
+        grid = COARSE.grid()
+        reversed_geometry = _magnet_hamiltonian(SGSetup(reverse_geometry=True), grid)
+        flipped_polarity = _magnet_hamiltonian(SGSetup(polarity=-1), grid)
+        assert np.array_equal(reversed_geometry.field_b, flipped_polarity.field_b)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="polarity"):
@@ -265,6 +268,24 @@ class TestOutcomeMap:
         assert np.all(lam[detected & (qs > 0)] == 1.0)
         assert np.all(lam[detected & (qs < 0)] == -1.0)
         assert np.sum(~detected) <= 1
+
+    @pytest.mark.parametrize("weight_up", [0.25, 0.5, 0.9])
+    def test_detector_is_set_by_the_start_quantile(self, weight_up):
+        # Order is preserved, so a start q0 reaches the upper detector iff
+        # F_0(q0) > F_T(z_det) and the lower iff F_0(q0) < F_T(-z_det), with
+        # F_t the closed-form wave's distribution: no trajectory is needed
+        setup, packet, numerics = SGSetup(), PacketSpec(), SGNumerics()
+        a, b = np.sqrt(weight_up), np.sqrt(1.0 - weight_up)
+        qs = np.linspace(-2.5, 2.5, 401)
+        grid = numerics.grid()
+        start = cdf(sg_field(setup, packet, a, b, grid, 0.0), qs)
+        final = sg_field(setup, packet, a, b, grid, setup.tau + setup.t_drift)
+        upper, lower = cdf(final, [setup.z_det, -setup.z_det])
+        expected = np.full(qs.size, np.nan)
+        expected[start > upper] = setup.calibration_up
+        expected[start < lower] = setup.calibration_down
+        got = outcome_map(setup, a, b, packet, qs, numerics)
+        assert np.array_equal(got, expected, equal_nan=True)
 
     def test_rejects_grid_outside_support(self, no_evolution):
         with pytest.raises(ValueError, match="threads must be an int"):
