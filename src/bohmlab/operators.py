@@ -79,10 +79,6 @@ class HermitianOp:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -184,10 +180,6 @@ class StateVec:
             raise ValueError("cannot normalize the zero vector")
         return cls(v / nrm)
 
-    @property
-    def dim(self) -> int:
-        return self.vec.size
-
 
 def build_observable(spec: ExperimentSpec) -> HermitianOp:
     """A = sum_a lambda_a P_a."""
@@ -198,8 +190,8 @@ def build_observable(spec: ExperimentSpec) -> HermitianOp:
 
 
 def _check_state(psi: StateVec, spec: ExperimentSpec) -> None:
-    if psi.dim != spec.dim:
-        raise ValueError(f"state dimension {psi.dim} does not match spec dimension {spec.dim}")
+    if psi.vec.size != spec.dim:
+        raise ValueError(f"state dimension {psi.vec.size} does not match spec dimension {spec.dim}")
 
 
 def born_probabilities(psi: StateVec, spec: ExperimentSpec) -> np.ndarray:
@@ -250,7 +242,7 @@ def spectral_decompose(a: HermitianOp) -> ExperimentSpec:
                 calibration=float(np.mean(evals[members])),
             )
         )
-    return ExperimentSpec(dim=a.dim, outcomes=tuple(outcomes))
+    return ExperimentSpec(dim=evals.size, outcomes=tuple(outcomes))
 
 
 @dataclass(frozen=True)

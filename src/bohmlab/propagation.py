@@ -326,13 +326,22 @@ def evolve(
     return WaveTimeline(np.array(times), tuple(fields), generators, np.array(bmass))
 
 
-def _hamiltonian_rows(c: np.ndarray, c_hat: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
-    """H psi for a stack of spinors c of shape (..., 2, n), given c_hat =
-    fft(c) along the last axis; one inverse transform serves the stack."""
-    out = np.fft.ifft((0.5 * h.grid.wavenumbers() ** 2) * c_hat)
-    v = h.potential
-    bx, by, bz = h.field_b[:, 0], h.field_b[:, 1], h.field_b[:, 2]
+def _hamiltonian_nodes(h: HamiltonianSpec):
+    """The node arrays of h that H psi reads: k^2/2, then V + mu B_z,
+    V - mu B_z, mu (B_x - i B_y) and mu (B_x + i B_y) at every grid point."""
+    v, (bx, by, bz) = h.potential, h.field_b.T
+    return (
+        0.5 * h.grid.wavenumbers() ** 2,
+        v + h.mu * bz, v - h.mu * bz, h.mu * (bx - 1j * by), h.mu * (bx + 1j * by),
+    )
+
+
+def _hamiltonian_rows(c: np.ndarray, kinetic: np.ndarray, nodes) -> np.ndarray:
+    """H psi for a stack of spinors c of shape (..., 2, n), given nodes =
+    _hamiltonian_nodes(h) and kinetic = ifft(nodes[0] * fft(c)) along the
+    last axis, the kinetic term, to which the others are added in place."""
+    _, up, down, lower, upper = nodes
     c1, c2 = c[..., 0, :], c[..., 1, :]
-    out[..., 0, :] += (v + h.mu * bz) * c1 + h.mu * (bx - 1j * by) * c2
-    out[..., 1, :] += h.mu * (bx + 1j * by) * c1 + (v - h.mu * bz) * c2
-    return out
+    kinetic[..., 0, :] += up * c1 + lower * c2
+    kinetic[..., 1, :] += upper * c1 + down * c2
+    return kinetic

@@ -27,7 +27,11 @@ values and derivatives at both ends of a record interval, are built from
 its two records when the integration enters it, the first end taken over
 from the interval before inside one generator run.  So a worker builds
 each interval's tables once and holds two ends, 32 KiB at n = 512,
-whatever the record count.
+whatever the record count.  The walk builds one record at a time and
+keeps what repeats: each generator run's node arrays (k^2/2, V +- mu B_z
+and mu (B_x -+ i B_y)) are made once per worker, both inverse transforms
+of a record's fft run as one stacked call, and the float views of an
+interval's tables are taken once, on entering it.
 
 The cubics are evaluated in Horner form.  The values and the derivatives
 at an interval end become two (4, n) complex tables, row k holding
@@ -41,18 +45,26 @@ offset s held as a complex number whose imaginary part is 0, so each
 complex product yields the two real ones.  RK4 evaluates twice at each
 stage time: k2 and k3 at t + h/2, k4 and the next step's k1 at t + h.
 When the stage time repeats exactly, the second evaluation keeps the
-blend and the gathered coefficients and gathers again only for the
-particles whose cell changed, which gives the same bits as a fresh
-gather.  Every buffer is allocated once per worker.
+blend, and each tile's workspace keeps the coefficients it gathered from
+that blend and gathers again only for the particles whose cell changed,
+which gives the same bits as a fresh gather.  A workspace is allocated
+once per tile.
 
 Trajectories follow classical RK4 with a fixed substep dt_traj, which
 every caller states: SGNumerics.dt_traj is the package's one default.
 All per-trajectory arithmetic is elementwise, so results are bit-identical
 whether a position is integrated alone, inside a batch, or split across
-workers.  The ensemble is cut into one contiguous block per worker.
-The RK4 state is the positions buffer: each step writes the row after
-the one it reads, and without keep_history the second of two rows is
-overwritten, so q0 and q_final are the buffer's first and last rows.
+workers or tiles.  The ensemble is cut into one contiguous block per
+worker, and a block of more than TILE particles into near-equal tiles,
+which step in lockstep under the worker's one flow: each stage time is
+blended once, then every tile evaluates at it.
+The RK4 state lives in rows the transport already has.  A stage lives in
+its tile's velocity buffer: k <- 2k is added to the k sum, then the
+stage p + (h/2)(2k) is formed, which equals p + h k bit for bit.  The k
+sum accumulates in the row the step writes, which ends as the new
+positions.  With keep_history each step writes the row after the one it
+reads; without, q0 stays in row 0 and rows 1 and 2 take turns, so q_final
+is the last row written and a step never writes the row it reads.
 
 Workers are processes forked as the transport starts.  Each integrates
 its block with one flow, which builds the tables of the intervals it
@@ -81,19 +93,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid1D, SpinorField
-from .propagation import WaveTimeline, _hamiltonian_rows
+from .propagation import WaveTimeline, _hamiltonian_nodes, _hamiltonian_rows
 
 __all__ = ["EnsemblePaths", "velocity", "integrate_ensemble"]
 
 NODE_EPS_FACTOR = 1e-12
 
 # A second worker pays once its share of the ensemble outweighs the
-# per-worker cost of the RK4 loop's Python overhead and the fork.
-# integrate_ensemble in process on the default Stern-Gerlach run, 1 vs 2
-# workers, median of 7 (2-vCPU Xeon VM, Python 3.11, numpy 2.4): at the
-# shipped numerics (16, 2), 2k 47 vs 54 ms, 4k 63 vs 65, 8k 96 vs 78,
-# 10k 112 vs 82; at (8, 4), 10k 421 vs 286 and 20k 836 vs 443.
+# per-worker cost of the table walk, the RK4 loop's Python overhead and the
+# fork.  integrate_ensemble in process on the default Stern-Gerlach run at
+# the shipped numerics (16, 2), 1 vs 2 workers, wall-time medians of 9-11
+# interleaved repeats, ranges over four rounds (2-vCPU Xeon VM, Python
+# 3.11, numpy 2.4), in ms: 2k 33-40 vs 38-43, 3k 40-41 vs 40-44, 4k
+# 43-52 vs 43-47, 5k 48-58 vs 47-50, 10k 86-91 vs 60-73.  On that box two
+# forked numpy loops ran 1.3-2.1 times as fast as one (median 1.8): a
+# second core is not always free.
 MIN_PER_WORKER = 2048
+
+# The most particles a worker evaluates at once: a larger block is cut into
+# near-equal tiles that step in lockstep, so each tile's rows and workspace
+# (about 140 B per particle) stay in cache.  integrate_ensemble on the default
+# Stern-Gerlach run, one worker, shipped numerics (16, 2), min of 3 process
+# times over three rounds (2-vCPU Xeon VM, 4 MiB L2 per core, Python 3.11,
+# numpy 2.4), in ms: 200k particles as one block 1534-1676, in tiles of
+# at most 50000 1223-1362, 32768 1141-1250, 24576 1127-1245, 16384
+# 1154-1230; 80k as one block 524-601, in tiles of 32768 458-557.  Smaller
+# tiles cost more Python per particle: 20k at (8, 4) took 431-487 ms as
+# one block and 456-552 in tiles of 10000, so the bench's blocks (20k and
+# under) stay one tile.
+TILE = 32768
 
 
 @dataclass(frozen=True)
@@ -110,45 +138,47 @@ class EnsemblePaths:
     positions: np.ndarray | None
 
 
-def _flux_rows(c: np.ndarray, c_hat: np.ndarray, ik: np.ndarray):
-    """Numerator Im(psi^dagger d_x psi), density and d_x psi of a stack of
-    spinors c of shape (..., 2, n), given c_hat = fft(c)."""
-    dc = np.fft.ifft(ik * c_hat)
+def _flux_rows(c: np.ndarray, dc: np.ndarray):
+    """Numerator Im(psi^dagger d_x psi) and density of a stack of spinors c
+    of shape (..., 2, n), given dc = d_x c."""
     p = np.conj(c) * dc
     num = (p[..., 0, :] + p[..., 1, :]).imag
     c1, c2 = c[..., 0, :], c[..., 1, :]
     den = c1.real**2 + c1.imag**2 + c2.real**2 + c2.imag**2
-    return num, den, dc
+    return num, den
 
 
-def _flow_ends(fields, h, ik: np.ndarray) -> np.ndarray:
+def _flow_ends(fields, nodes, ik: np.ndarray) -> np.ndarray:
     """Flow tables at the records fields under the generator h.
 
     Returns shape (len(fields), 2, n, 2): at each record, the (numerator,
     density) pairs Im(psi^dagger d_x psi) and psi^dagger psi at every
     node, then their time derivatives Im(psi_t^dagger d_x psi +
     psi^dagger d_x psi_t) and 2 Re(psi^dagger psi_t), with psi_t = -i h psi;
-    each record is what _cell_coefficients reads.  ik is i times the
-    grid's wavenumbers.
+    each record is what _cell_coefficients reads.  nodes is
+    _hamiltonian_nodes(h) and ik is i times the grid's wavenumbers.
     """
     c = np.array([(f.comp1, f.comp2) for f in fields])
-    nodes = np.empty((len(c), 2, c.shape[-1], 2))
+    out = np.empty((len(c), 2, c.shape[-1], 2))
     c_hat = np.fft.fft(c)
-    nodes[:, 0, :, 0], nodes[:, 0, :, 1], dc = _flux_rows(c, c_hat, ik)
-    c_t = _hamiltonian_rows(c, c_hat, h)
+    # d_x psi and the kinetic term in one stacked inverse transform; each
+    # row is transformed exactly as on its own
+    dc, c_t = np.fft.ifft(np.stack((ik * c_hat, nodes[0] * c_hat)))
+    out[:, 0, :, 0], out[:, 0, :, 1] = _flux_rows(c, dc)
+    _hamiltonian_rows(c, c_t, nodes)
     # -i as complex(+0.0, -1.0): the literal -1j is complex(-0.0, -1.0), and
     # products with it turn some zeros negative
     c_t *= complex(0.0, -1.0)
     dc_t = np.fft.ifft(ik * np.fft.fft(c_t))
     c_bar = np.conj(c)
     rate = c_bar * c_t
-    nodes[:, 1, :, 1] = 2.0 * (rate[:, 0].real + rate[:, 1].real)
+    out[:, 1, :, 1] = 2.0 * (rate[:, 0].real + rate[:, 1].real)
     np.multiply(c_bar, dc_t, out=rate)
     np.conj(c_t, out=c_t)
     c_t *= dc
     rate += c_t  # psi^dagger d_x psi_t + psi_t^dagger d_x psi
-    nodes[:, 1, :, 0] = rate[:, 0].imag + rate[:, 1].imag
-    return nodes
+    out[:, 1, :, 0] = rate[:, 0].imag + rate[:, 1].imag
+    return out
 
 
 def _cell_coefficients(nodes) -> np.ndarray:
@@ -180,8 +210,9 @@ def _cell_coefficients(nodes) -> np.ndarray:
 class _Workspace:
     """Buffers for evaluating m positions, allocated once and reused.
 
-    c holds the coefficients gathered at the cells in j; they stay valid
-    for the next evaluation on the same table.
+    c holds the coefficients gathered at the cells in j from the blend
+    numbered gathered; they stay valid while that blend does.  v holds
+    the velocity, and the RK4 stage between evaluations.
     """
 
     def __init__(self, m: int) -> None:
@@ -192,6 +223,7 @@ class _Workspace:
         self.c = np.empty((4, m), dtype=np.complex128)
         self.acc = np.empty(m, dtype=np.complex128)  # numerator + 1j density
         self.v = np.empty(m)
+        self.gathered = -1
 
 
 def _regather(coef, work) -> None:
@@ -250,7 +282,7 @@ def _floor_eps(den_row) -> float:
 def velocity(psi: SpinorField, q):
     """Velocity of the guided particle at q (scalar or array)."""
     c = np.stack((psi.comp1, psi.comp2))[None]
-    num, den, _ = _flux_rows(c, np.fft.fft(c), 1j * psi.grid.wavenumbers())
+    num, den = _flux_rows(c, np.fft.ifft(1j * psi.grid.wavenumbers() * np.fft.fft(c)))
     coef = _cell_coefficients(np.stack((num, den), axis=-1))[0]
     flat = np.asarray(q, dtype=np.float64).reshape(-1)
     v = _interp_quotient(
@@ -262,23 +294,23 @@ def velocity(psi: SpinorField, q):
 
 
 class _Flow:
-    """Velocity along a timeline for a worker's block of m positions.
+    """Velocity along a timeline for the tiles of a worker's block.
 
     Cell coefficients exist for the current record interval only: of the
     values and of the time derivatives at both of its ends, built from the
     records on entering the interval.  Their cubic Hermite blend at a stage
     time is kept while the stage time repeats, and so are the coefficients
-    gathered from it.
+    each tile's workspace gathered from it.
     """
 
-    def __init__(self, timeline: WaveTimeline, m: int) -> None:
+    def __init__(self, timeline: WaveTimeline) -> None:
         self.timeline, self.grid = timeline, timeline.grid
         self.ik = 1j * self.grid.wavenumbers()
-        # the generator run of each record interval
+        # the generator run of each record interval, and each run's node arrays
         self.run = np.repeat(np.arange(len(timeline.generators)), [n for _, n in timeline.generators])
+        self.nodes = [_hamiltonian_nodes(h) for h, _ in timeline.generators]
         self.t0, self.spacing = float(timeline.times[0]), timeline.spacing
         self.vmax = _nyquist_cap(self.grid)
-        self.work = _Workspace(m)
         self.blend = np.empty((4, self.grid.n), dtype=np.complex128)
         # the blend's real arithmetic runs on the interleaved (numerator,
         # density) pairs; rise is the values' change over the interval
@@ -288,32 +320,35 @@ class _Flow:
         self.r = -2  # the current interval; interval 0 does not follow -2
         self.cells = ()  # values and rates at the first end, then at the second
         self.key = None
+        self.blends = 0  # the number of the current blend
         self.eps = 0.0
 
-    def __call__(self, t: float, p: np.ndarray) -> np.ndarray:
+    def __call__(self, t: float, p: np.ndarray, work: _Workspace) -> np.ndarray:
         tau = (t - self.t0) / self.spacing
         r = min(max(int(np.floor(tau)), 0), len(self.run) - 1)
         lam = tau - r
-        repeat = (r, lam) == self.key
-        if not repeat:
+        if (r, lam) != self.key:
             self._blend(r, lam)
-        return _interp_quotient(self.blend, self.eps, self.grid, p, self.vmax, self.work, repeat)
+        repeat = work.gathered == self.blends
+        work.gathered = self.blends
+        return _interp_quotient(self.blend, self.eps, self.grid, p, self.vmax, work, repeat)
 
     def _enter(self, r: int) -> None:
         """Build the cell coefficients at both ends of interval r with its
         own generator; the first end is interval r - 1's second when both
         intervals lie in one generator run, so a record where the generator
         changes gets one-sided derivatives on each side."""
-        h, _ = self.timeline.generators[self.run[r]]
         fields = self.timeline.fields
         if r == self.r + 1 and self.run[r - 1] == self.run[r]:
             start, records = self.cells[2:], fields[r + 1:r + 2]
         else:
             start, records = (), fields[r:r + 2]
-        ends = _flow_ends(records, h, self.ik)
+        ends = _flow_ends(records, self.nodes[self.run[r]], self.ik)
         self.cells = (*start, *_cell_coefficients(ends.reshape(-1, self.grid.n, 2)))
-        values, _, values_end, _ = (table.view(np.float64) for table in self.cells)
-        np.subtract(values_end, values, out=self.rise_f)
+        self.values_f, self.rates_f, values_end, self.rates_end_f = (
+            table.view(np.float64) for table in self.cells
+        )
+        np.subtract(values_end, self.values_f, out=self.rise_f)
         self.r = r
 
     def _blend(self, r: int, lam: float) -> None:
@@ -321,17 +356,17 @@ class _Flow:
             self._enter(r)
         # values + h01 rise + spacing (h10 rates + h11 rates_end), with
         # h01 = lam^2 (3 - 2 lam), h10 = lam (1 - lam)^2, h11 = -lam^2 (1 - lam)
-        values, rates, _, rates_end = (table.view(np.float64) for table in self.cells)
         mu = 1.0 - lam
         blend, scaled = self.blend_f, self.scaled_f
         np.multiply(self.rise_f, lam * lam * (3.0 - 2.0 * lam), out=blend)
-        np.add(blend, values, out=blend)
-        np.multiply(rates, self.spacing * lam * mu * mu, out=scaled)
+        np.add(blend, self.values_f, out=blend)
+        np.multiply(self.rates_f, self.spacing * lam * mu * mu, out=scaled)
         np.add(blend, scaled, out=blend)
-        np.multiply(rates_end, -self.spacing * lam * lam * mu, out=scaled)
+        np.multiply(self.rates_end_f, -self.spacing * lam * lam * mu, out=scaled)
         np.add(blend, scaled, out=blend)
         self.eps = _floor_eps(self.blend[0].imag)  # the blended density at the nodes
         self.key = (r, lam)
+        self.blends += 1
 
 
 def _resolve_substep(timeline: WaveTimeline, dt_traj: float) -> tuple[float, int]:
@@ -368,6 +403,11 @@ def _workers(size: int, threads: int) -> int:
     if hasattr(os, "fork") and threading.active_count() == 1:
         return max(1, min(threads, _usable_cpus(), size // MIN_PER_WORKER))
     return 1
+
+
+def _bounds(lo: int, hi: int, parts: int) -> list[int]:
+    """Bounds of parts near-equal contiguous blocks of [lo, hi)."""
+    return np.linspace(lo, hi, parts + 1).astype(int).tolist()
 
 
 def _shared_empty(shape) -> np.ndarray:
@@ -442,36 +482,46 @@ def integrate_ensemble(
 
     workers = _workers(starts.size, threads)
     empty = np.empty if workers == 1 else _shared_empty
-    rows = empty((n_steps + 1 if keep_history else 2, starts.size))
+    rows = empty((n_steps + 1 if keep_history else 3, starts.size))
     rows[0] = starts
-    last = len(rows) - 1
+
+    def row(j: int) -> int:
+        """The row of the positions after j steps: without history, rows 1
+        and 2 take turns, so a step never writes the row it reads."""
+        return j if keep_history or j == 0 else 1 + (j - 1) % 2
 
     def advance(lo: int, hi: int) -> None:
-        vel = _Flow(timeline, hi - lo)
-        stage = np.empty(hi - lo)
-        ksum = np.empty(hi - lo)
+        # the tiles step in lockstep: each stage time is blended once, then
+        # every tile evaluates at it; a tile's stage lives in its velocity
+        # buffer, and its k sum in the row that the step writes
+        vel = _Flow(timeline)
+        cuts = _bounds(lo, hi, -(-(hi - lo) // TILE))
+        tiles = [(slice(a, b), _Workspace(b - a)) for a, b in zip(cuts, cuts[1:])]
         for i in range(n_steps):
-            # classical RK4; k lives in the workspace until the next call
-            p, nxt = rows[min(i, last), lo:hi], rows[min(i + 1, last), lo:hi]
+            cur, nxt = rows[row(i)], rows[row(i + 1)]
             t = float(times[i])
-            k = vel(t, p)
-            np.copyto(ksum, k)
-            np.multiply(k, half, out=stage)
-            np.add(p, stage, out=stage)
+            for cols, work in tiles:  # k1 sets the k2 stage
+                k = vel(t, cur[cols], work)
+                np.copyto(nxt[cols], k)
+                np.multiply(k, half, out=k)
+                np.add(cur[cols], k, out=k)
             for step in (half, dt_sub):  # k2 sets the k3 stage, k3 the k4 stage
-                k = vel(t + half, stage)
-                np.multiply(k, step, out=stage)
-                np.add(p, stage, out=stage)
-                np.multiply(k, 2.0, out=k)
-                np.add(ksum, k, out=ksum)
-            k = vel(float(times[i + 1]), stage)  # the next step's k1 time, bit for bit
-            np.add(ksum, k, out=ksum)
-            np.multiply(ksum, dt_sub / 6.0, out=ksum)
-            np.add(p, ksum, out=nxt)
+                for cols, work in tiles:
+                    k, ksum = vel(t + half, work.v, work), nxt[cols]
+                    np.multiply(k, 2.0, out=k)
+                    np.add(ksum, k, out=ksum)
+                    np.multiply(k, 0.5 * step, out=k)  # (step/2)(2k) is step k, bit for bit
+                    np.add(cur[cols], k, out=k)
+            for cols, work in tiles:
+                ksum = nxt[cols]
+                # k4 at the next step's k1 time, bit for bit
+                np.add(ksum, vel(float(times[i + 1]), work.v, work), out=ksum)
+                np.multiply(ksum, dt_sub / 6.0, out=ksum)
+                np.add(cur[cols], ksum, out=ksum)
 
-    _run_blocks(advance, np.linspace(0, starts.size, workers + 1).astype(int).tolist())
+    _run_blocks(advance, _bounds(0, starts.size, workers))
 
     rows.setflags(write=False)
     return EnsemblePaths(
-        times=times, q0=rows[0], q_final=rows[-1], positions=rows if keep_history else None
+        times=times, q0=rows[0], q_final=rows[row(n_steps)], positions=rows if keep_history else None
     )

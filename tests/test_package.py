@@ -39,19 +39,32 @@ def test_every_public_name_is_listed_once_and_resolves():
             assert getattr(bohmlab, name) is getattr(module, name)
 
 
-def identifiers(source: str) -> set[str]:
-    """The names a source's code refers to: names, attributes and imported
-    names.  Strings and comments are not code, so "outcome_map.csv" does
-    not use outcome_map."""
+def uses(source: str) -> set[tuple[str, str | None, bool]]:
+    """The names a source's code refers to, names, attributes and imported
+    names, each with its owner, the module-level function or the method of
+    a module-level class whose code it is in (None outside them), and
+    whether it is an attribute."""
+    tree = ast.parse(source)
+    owners = {}
+    for top in tree.body:
+        for member in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners.update((id(node), member.name) for node in ast.walk(member))
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            found.add((node.id, owners.get(id(node)), False))
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            found.add((node.attr, owners.get(id(node)), True))
         elif isinstance(node, ast.alias):
-            found.add(node.name.rsplit(".", 1)[-1])
+            found.add((node.name.rsplit(".", 1)[-1], owners.get(id(node)), False))
     return found
+
+
+def identifiers(source: str) -> set[str]:
+    """The names a source's code refers to.  Strings and comments are not
+    code, so "outcome_map.csv" does not use outcome_map."""
+    return {name for name, _, _ in uses(source)}
 
 
 def test_identifiers_skip_strings_and_comments():
@@ -59,42 +72,99 @@ def test_identifiers_skip_strings_and_comments():
     assert identifiers(source) == {"b", "e", "f", "g", "h"}
 
 
+def test_uses_name_their_owner():
+    source = "def f():\n    g()\nclass C:\n    def m(self):\n        h.i()\n    k = 1\nx()\n"
+    assert uses(source) == {
+        ("g", "f", False), ("h", "m", False), ("i", "m", True), ("k", None, False),
+        ("x", None, False),
+    }
+
+
 @functools.cache
-def file_identifiers(path: Path) -> frozenset[str]:
-    return frozenset(identifiers(path.read_text()))
+def file_uses(path: Path) -> frozenset[tuple[str, str | None, bool]]:
+    return frozenset(uses(path.read_text()))
 
 
-def has_user(name: str, home: Path) -> bool:
-    """Whether code outside home, the module that defines name, uses it."""
-    if any(name in file_identifiers(path) for path in USER_PATHS if path.resolve() != home):
-        return True
+def user_files() -> dict[Path, frozenset]:
+    return {path.resolve(): file_uses(path) for path in USER_PATHS}
+
+
+def has_user(name: str, home: Path, member: bool, flagged, files) -> bool:
+    """Whether code in files outside home, the module that defines name,
+    uses it; a member, a method or property, only as an attribute, so a
+    local variable row does not use a method row.  Code owned by a flagged
+    (name, home) pair in its own home does not count: a user with no user
+    of its own uses nothing."""
+    for path, found in files.items():
+        if path != home and any(
+            used == name and (attr or not member) and (owner, path) not in flagged
+            for used, owner, attr in found
+        ):
+            return True
     if name in CLAIM_TESTS:
         module, cls = CLAIM_TESTS[name].split(".")
         return name in identifiers(inspect.getsource(getattr(importlib.import_module(module), cls)))
     return False
 
 
+def flag_unused(candidates: dict[str, tuple[str, Path]], files) -> list[str]:
+    """The labels of candidates, label -> (name, home), with no user in
+    files, flagged again with the users flagged so far discounted until
+    nothing more is flagged.  A label "Class.attr" names a member."""
+    flagged: set[str] = set()
+    while True:
+        discounted = {candidates[label][:2] for label in flagged}
+        now = {
+            label for label, (name, home) in candidates.items()
+            if not has_user(name, home, "." in label, discounted, files)
+        }
+        if now == flagged:
+            return sorted(flagged)
+        flagged = now
+
+
+def test_users_that_are_flagged_do_not_count():
+    a, b, c = Path("a.py"), Path("b.py"), Path("c.py")
+    files = {
+        a: uses("def f():\n    pass\n"),
+        b: uses("import a\ndef g():\n    a.f()\nclass C:\n    def m(self):\n        g()\n"),
+        c: uses("import b\nfor m in b.C().n():\n    pass\n"),
+    }
+    candidates = {"f": ("f", a), "g": ("g", b), "C.m": ("m", b)}
+    # g's only user is C.m in g's own module; f's is g, flagged once g
+    # is; a variable m is no user of the method m
+    assert flag_unused(candidates, files) == ["C.m", "f", "g"]
+    files[c] = uses("import b\nb.C().m()\n")
+    assert flag_unused(candidates, files) == ["f", "g"]
+    files[c] = uses("import b\nb.g()\n")
+    assert flag_unused(candidates, files) == ["C.m"]
+
+
 def home_of(obj) -> Path:
     return Path(inspect.getsourcefile(obj)).resolve()
 
 
+@functools.cache
+def unused_public_names() -> list[str]:
+    """The public functions, and the public methods and properties of the
+    public classes, that flag_unused flags: "name" or "Class.attr"."""
+    candidates = {}
+    for name in bohmlab.__all__:
+        obj = getattr(bohmlab, name)
+        if inspect.isfunction(obj):
+            candidates[name] = (name, home_of(obj))
+        elif inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                member = inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))
+                if member and not attr.startswith("_"):
+                    candidates[f"{name}.{attr}"] = (attr, home_of(obj))
+    return flag_unused(candidates, user_files())
+
+
 def test_every_public_function_has_a_user():
-    unused = [
-        name for name in bohmlab.__all__
-        if inspect.isfunction(func := getattr(bohmlab, name)) and not has_user(name, home_of(func))
-    ]
-    assert unused == []
+    assert [name for name in unused_public_names() if "." not in name] == []
 
 
 def test_every_public_method_and_property_has_a_user():
     # the rule for functions, applied to what each public class defines
-    unused = []
-    for name in bohmlab.__all__:
-        cls = getattr(bohmlab, name)
-        if not inspect.isclass(cls):
-            continue
-        for attr, value in vars(cls).items():
-            member = inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))
-            if member and not attr.startswith("_") and not has_user(attr, home_of(cls)):
-                unused.append(f"{name}.{attr}")
-    assert unused == []
+    assert [name for name in unused_public_names() if "." in name] == []

@@ -18,7 +18,9 @@ from bohmlab import (
     gaussian_packet,
     make_grid,
 )
-from bohmlab.propagation import _half_potential_factors, _hamiltonian_rows, _step_arrays
+from bohmlab.propagation import (
+    _half_potential_factors, _hamiltonian_nodes, _hamiltonian_rows, _step_arrays,
+)
 from helpers import (
     free_packet, free_width, inner_product, l2_distance, moments, plane_wave, sg_field,
 )
@@ -37,7 +39,8 @@ def split_step(psi, h, dt):
 def apply_h(psi, h):
     """H psi by the kernel that gives the flow tables their time derivatives."""
     c = np.stack((psi.comp1, psi.comp2))
-    h_psi = _hamiltonian_rows(c, np.fft.fft(c), h)
+    nodes = _hamiltonian_nodes(h)
+    h_psi = _hamiltonian_rows(c, np.fft.ifft(nodes[0] * np.fft.fft(c)), nodes)
     return SpinorField(psi.grid, h_psi[0], h_psi[1])
 
 

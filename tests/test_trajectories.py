@@ -23,6 +23,7 @@ from bohmlab import (
     velocity,
 )
 from bohmlab import trajectories
+from bohmlab.propagation import _hamiltonian_nodes
 from helpers import flow_map, free_velocity, lagrange_flow, lagrange_velocity, plane_wave
 
 GRID = make_grid(512, -30.0, 30.0)
@@ -200,8 +201,8 @@ class TestMemory:
 
     def test_history_costs_its_rows_and_nothing_else(self, free_timeline):
         # the history is the RK4 state, so keeping it adds the rows beyond
-        # the start and current ones that every run holds, with at most one
-        # row to spare; a separate state and final row would exceed that
+        # the start and two state rows that every run holds, with at most
+        # one row to spare; a separate state and final row would exceed that
         n = 4096
         q0 = np.linspace(-3.0, 3.0, n)
         integrate_ensemble(free_timeline, q0, DT_TRAJ)  # numpy's first-call allocations
@@ -214,11 +215,13 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert rows == 65
-        assert peaks[True] - peaks[False] <= (rows - 2) * n * 8 + n * 8, peaks
+        assert peaks[True] - peaks[False] <= (rows - 3) * n * 8 + n * 8, peaks
 
     def test_one_worker_builds_each_flow_end_once(self, free_timeline, monkeypatch):
-        # a worker integrates its whole block with one flow, so 20k
-        # particles build the tables of each record end as often as one
+        # a worker steps all tiles of its block with one flow, so 20k
+        # particles in 5 tiles build the tables of each record end as often
+        # as one particle
+        monkeypatch.setattr(trajectories, "TILE", 4096)
         built = []
         flow_ends = trajectories._flow_ends
 
@@ -293,6 +296,41 @@ class TestDeterminism:
         assert np.array_equal(split.positions, whole.positions)
         assert np.array_equal(split.q_final, whole.q_final)
 
+    @pytest.mark.parametrize("keep_history", [False, True])
+    def test_tiles_invisible(self, free_timeline, forks, monkeypatch, keep_history):
+        q0 = sample(free_timeline.fields[0], 203, seed=12)
+        whole = integrate_ensemble(free_timeline, q0, DT_TRAJ, keep_history=keep_history)
+        sizes = []
+
+        class Counted(trajectories._Workspace):
+            def __init__(self, m):
+                sizes.append(m)
+                super().__init__(m)
+
+        monkeypatch.setattr(trajectories, "_Workspace", Counted)
+        monkeypatch.setattr(trajectories, "TILE", 16)
+        for threads, forked, tiles in ((1, 0, 13), (3, 2, 5)):  # 203; 67 of 67/68/68
+            sizes.clear()
+            tiled = integrate_ensemble(
+                free_timeline, q0, DT_TRAJ, keep_history=keep_history, threads=threads
+            )
+            assert len(forks) == forked
+            assert len(sizes) == tiles and max(sizes) <= 16
+            for name in ("q0", "q_final", "positions"):
+                a, b = getattr(tiled, name), getattr(whole, name)
+                assert a is b is None or a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("n_steps", [17, 18])
+    def test_final_row_is_the_last_written(self, free_timeline, n_steps):
+        # without history two rows take turns; the step count's parity
+        # picks the one that holds q_final
+        q0 = sample(free_timeline.fields[0], 50, seed=14)
+        kept = integrate_ensemble(free_timeline, q0, 1.0 / n_steps, keep_history=True)
+        flat = integrate_ensemble(free_timeline, q0, 1.0 / n_steps)
+        assert len(kept.times) == n_steps + 1
+        assert flat.q_final.tobytes() == kept.positions[-1].tobytes()
+        assert not np.array_equal(flat.q_final, kept.positions[-2])
+
     def test_workers_never_outnumber_cpus(self, forks, monkeypatch):
         monkeypatch.setattr(trajectories, "_usable_cpus", lambda: 2)
         assert trajectories._workers(257, 4) == 2
@@ -301,10 +339,10 @@ class TestDeterminism:
         parent = os.getpid()
 
         class ChildFault(trajectories._Flow):
-            def __call__(self, t, p):
+            def __call__(self, t, p, work):
                 if os.getpid() != parent:
                     raise FloatingPointError("worker fault")
-                return super().__call__(t, p)
+                return super().__call__(t, p, work)
 
         monkeypatch.setattr(trajectories, "_Flow", ChildFault)
         q0 = sample(free_timeline.fields[0], 100, seed=13)
@@ -317,10 +355,10 @@ class TestDeterminism:
         parent = os.getpid()
 
         class ParentFault(trajectories._Flow):
-            def __call__(self, t, p):
+            def __call__(self, t, p, work):
                 if os.getpid() == parent:
                     raise FloatingPointError("caller fault")
-                return super().__call__(t, p)
+                return super().__call__(t, p, work)
 
         monkeypatch.setattr(trajectories, "_Flow", ParentFault)
         q0 = sample(free_timeline.fields[0], 100, seed=13)
@@ -376,9 +414,9 @@ class TestGatherReuse:
         assert sum(moved) > 0
 
         class FreshGathers(trajectories._Flow):
-            def __call__(self, t, p):
+            def __call__(self, t, p, work):
                 self.key = None  # blend and gather anew at every evaluation
-                return super().__call__(t, p)
+                return super().__call__(t, p, work)
 
         monkeypatch.setattr(trajectories, "_Flow", FreshGathers)
         moved.clear()
@@ -428,7 +466,7 @@ class TestTimeDerivatives:
         f, h = driven
         dt = 1 / 512
         timeline = evolve(f, h, 0.25, dt)
-        tables = trajectories._flow_ends(timeline.fields, h, 1j * h.grid.wavenumbers())
+        tables = trajectories._flow_ends(timeline.fields, _hamiltonian_nodes(h), 1j * h.grid.wavenumbers())
         values, rates = tables[:, 0], tables[:, 1]
         centered = (values[2:] - values[:-2]) / (2.0 * dt)
         scale = np.max(np.abs(rates), axis=(0, 1))
@@ -438,7 +476,7 @@ class TestTimeDerivatives:
         numerics = SGNumerics()
         timeline = build_timeline(SGSetup(), SQ2, SQ2, PacketSpec(), numerics)
         switch = int(round(SGSetup().tau / timeline.spacing))  # the record at tau
-        flow = trajectories._Flow(timeline, 1)
+        flow = trajectories._Flow(timeline)
         flow._enter(switch - 1)
         magnet_end = flow.cells[2:]
         flow._enter(switch)
@@ -451,10 +489,10 @@ class TestTimeDerivatives:
         # walking the intervals in order reuses each first end from the
         # interval before; it must equal building both ends anew
         timeline = build_timeline(SGSetup(), SQ2, SQ2, PacketSpec(), SGNumerics())
-        flow = trajectories._Flow(timeline, 1)
+        flow = trajectories._Flow(timeline)
         for r in range(len(timeline.fields) - 1):
             flow._enter(r)
-            fresh = trajectories._Flow(timeline, 1)
+            fresh = trajectories._Flow(timeline)
             fresh._enter(r)
             assert all(np.array_equal(a, b) for a, b in zip(flow.cells, fresh.cells, strict=True))
 

@@ -13,7 +13,9 @@ line per artifact:
 - q0, q_final and positions of the sg-history pipeline of the benchmark
   (bench numerics, 20k particles, one thread, history kept);
 - integrate_ensemble's q0, q_final and positions at 203 particles on 3
-  forked workers with history, on the default Stern-Gerlach timeline.
+  forked workers with history, on the default Stern-Gerlach timeline;
+- integrate_ensemble's q_final at 70000 particles on that timeline, on
+  one worker and on two, each of which steps its block in tiles.
 
 It takes a few seconds.  The second form compares two such listings and
 exits 1 if an artifact differs, or exists in one only, unless a line
@@ -103,6 +105,13 @@ def library_hashes():
     paths = integrate_ensemble(timeline, q0, numerics.dt_traj, keep_history=True, threads=3)
     for name in ("q0", "q_final", "positions"):
         yield f"integrate-203-on-3/{name}", array_sha(getattr(paths, name))
+
+    # more than twice trajectories.TILE = 32768, so the one worker and
+    # each of two cut their blocks into tiles
+    q0 = sample(timeline.fields[0], 70_000, seed=13)
+    for threads in (1, 2):
+        paths = integrate_ensemble(timeline, q0, numerics.dt_traj, threads=threads)
+        yield f"integrate-70000/t{threads}/q_final", array_sha(paths.q_final)
 
 
 def listing(path: str) -> dict[str, str]:
