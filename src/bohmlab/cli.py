@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .grids import check_packet_fits, gaussian_packet
 from .propagation import HamiltonianSpec, evolve, window_steps
-from .sampling import KS_COEFF, ks_distance, sample
+from .sampling import KS_COEFF, _check_seed, ks_distance, sample
 from .stern_gerlach import (
     PacketSpec,
     SGNumerics,
@@ -55,7 +55,6 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
 FORMATS = ("csv", "json")
 CSV_SCHEMA_VERSION = 1
-SEED_MAX = 2**64 - 1
 # Ensemble rows rendered from one tolist() of each column: few enough that
 # the Python objects add nothing measurable to a run's peak memory.
 RENDER_CHUNK = 512
@@ -144,8 +143,7 @@ def _as_int(value: str) -> int:
 
 def _as_seed(value: str) -> int:
     n = _as_int(value)
-    if not 0 <= n <= SEED_MAX:
-        raise ValueError(f"seed must lie in [0, 2^64), got {n}")
+    _check_seed(n)
     return n
 
 

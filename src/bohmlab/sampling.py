@@ -38,23 +38,36 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
+# The rules for an ensemble's size and seed, which the experiments that
+# sample also check before any work.  An int is a Python or numpy integer,
+# never a bool.
+def _check_count(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"ensemble size must be a positive integer, got {n!r}")
+
+
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), an unsigned 64-bit integer, got {seed}")
+
+
 def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
     """Draw n positions distributed as the position density of psi.
 
-    psi must be normalized to within 1e-6 and seed must fit in an
-    unsigned 64-bit integer; it keys the Philox4x64-10 stream of uniforms
-    that numpy's Philox(key=seed) gives.  Draw i consumes uniforms
-    (2i, 2i+1) of that stream: one picks a cell by inverse CDF of the
-    per-cell masses, one is mapped through the inverse CDF of the linear
-    density inside that cell.
+    n is a positive int, psi must be normalized to within 1e-6, and seed
+    is an int in [0, 2^64); it keys the Philox4x64-10 stream of uniforms
+    that numpy's Philox(key=seed) gives.  Draw i consumes uniforms (2i,
+    2i+1) of that stream: one picks a cell by inverse CDF of the per-cell
+    masses, one is mapped through the inverse CDF of the linear density
+    inside that cell.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"sample count must be a positive integer, got {n!r}")
+    _check_count(n)
+    _check_seed(seed)
     nrm = psi.norm()
     if abs(nrm - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"field must be normalized (norm = {nrm:.8f})")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     grid = psi.grid
     rho = density(psi)
     cdf = _node_cdf(rho, grid.dx)

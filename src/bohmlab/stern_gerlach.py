@@ -28,7 +28,7 @@ import numpy as np
 
 from .grids import Grid1D, SpinorField, _check_in_band, make_grid, gaussian_packet
 from .propagation import HamiltonianSpec, WaveTimeline, evolve
-from .sampling import sample
+from .sampling import _check_count, _check_seed, sample
 from .trajectories import _check_threads, integrate_ensemble
 
 __all__ = [
@@ -192,11 +192,6 @@ def _check_equal_weights(a: complex, b: complex) -> None:
     """|a| = |b| to MIRROR_TOL relative to the spinor's norm."""
     if abs(abs(a) - abs(b)) > MIRROR_TOL * math.hypot(abs(a), abs(b)):
         raise ValueError("the mirror-symmetric experiment requires |spin_up| = |spin_down|")
-
-
-def _check_ensemble_size(n) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"ensemble size must be a positive integer, got {n!r}")
 
 
 def _check_in_support(q, packet: PacketSpec) -> None:
@@ -414,7 +409,8 @@ def run_sg(
     _check_threads(threads)
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
-    _check_ensemble_size(n)
+    _check_count(n)
+    _check_seed(seed)
     setup.upper_branch  # validates that the setup splits at all
     if timeline is None:
         timeline = build_timeline(setup, a, b, packet, numerics)
@@ -517,7 +513,8 @@ def contextuality_demo(
     _check_reversal_setup(setup)
     _check_equal_weights(a, b)
     q = _initial_positions(q_grid, packet)
-    _check_ensemble_size(n)
+    _check_count(n)
+    _check_seed(seed)
     setup.upper_branch
     flipped = replace(setup, polarity=-1, calibration_up=-1.0, calibration_down=1.0)
 

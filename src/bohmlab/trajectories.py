@@ -44,11 +44,11 @@ particle into contiguous complex buffers and runs Horner with the cell
 offset s held as a complex number whose imaginary part is 0, so each
 complex product yields the two real ones.  RK4 evaluates twice at each
 stage time: k2 and k3 at t + h/2, k4 and the next step's k1 at t + h.
-When the stage time repeats exactly, the second evaluation keeps the
-blend, and each tile's workspace keeps the coefficients it gathered from
-that blend and gathers again only for the particles whose cell changed,
-which gives the same bits as a fresh gather.  A workspace is allocated
-once per tile.
+The RK4 loop makes one blend per stage time and says which evaluations
+reuse: k3, and k1 after the first step, keep the coefficients that their
+tile's workspace took under that blend and gather again only for the
+particles whose cell changed, which gives the same bits as a fresh
+gather.  A workspace is allocated once per tile.
 
 Trajectories follow classical RK4 with a fixed substep dt_traj, which
 every caller states: SGNumerics.dt_traj is the package's one default.
@@ -210,9 +210,10 @@ def _cell_coefficients(nodes) -> np.ndarray:
 class _Workspace:
     """Buffers for evaluating m positions, allocated once and reused.
 
-    c holds the coefficients gathered at the cells in j from the blend
-    numbered gathered; they stay valid while that blend does.  v holds
-    the velocity, and the RK4 stage between evaluations.
+    c holds the coefficients of the cells in j, and j_last the cells of
+    the evaluation before; the next evaluation under the same blend may
+    reuse them.  v holds the velocity, and the RK4 stage between
+    evaluations.
     """
 
     def __init__(self, m: int) -> None:
@@ -223,7 +224,6 @@ class _Workspace:
         self.c = np.empty((4, m), dtype=np.complex128)
         self.acc = np.empty(m, dtype=np.complex128)  # numerator + 1j density
         self.v = np.empty(m)
-        self.gathered = -1
 
 
 def _regather(coef, work) -> None:
@@ -237,8 +237,8 @@ def _interp_quotient(coef, eps: float, grid: Grid1D, q, vmax: float, work: _Work
 
     coef is a table from _cell_coefficients; the density is floored at eps
     and the speed capped at vmax.  With reuse, coef is the table that
-    work's last evaluation gathered from, and only the particles whose
-    cell changed since are gathered again.  The result is work.v.
+    work's last evaluation read, and only the particles whose cell
+    changed since take their coefficients anew.  The result is work.v.
     """
     w = work
     w.j, w.j_last = w.j_last, w.j
@@ -298,9 +298,8 @@ class _Flow:
 
     Cell coefficients exist for the current record interval only: of the
     values and of the time derivatives at both of its ends, built from the
-    records on entering the interval.  Their cubic Hermite blend at a stage
-    time is kept while the stage time repeats, and so are the coefficients
-    each tile's workspace gathered from it.
+    records on entering the interval.  at(t) makes their blend at a stage
+    time, which every evaluation reads until the next at(t).
     """
 
     def __init__(self, timeline: WaveTimeline) -> None:
@@ -319,19 +318,31 @@ class _Flow:
         self.rise_f = np.empty_like(self.blend_f)
         self.r = -2  # the current interval; interval 0 does not follow -2
         self.cells = ()  # values and rates at the first end, then at the second
-        self.key = None
-        self.blends = 0  # the number of the current blend
         self.eps = 0.0
 
-    def __call__(self, t: float, p: np.ndarray, work: _Workspace) -> np.ndarray:
+    def at(self, t: float) -> None:
+        """Blend the tables at time t, entering its interval if need be."""
         tau = (t - self.t0) / self.spacing
         r = min(max(int(np.floor(tau)), 0), len(self.run) - 1)
+        if r != self.r:
+            self._enter(r)
         lam = tau - r
-        if (r, lam) != self.key:
-            self._blend(r, lam)
-        repeat = work.gathered == self.blends
-        work.gathered = self.blends
-        return _interp_quotient(self.blend, self.eps, self.grid, p, self.vmax, work, repeat)
+        # values + h01 rise + spacing (h10 rates + h11 rates_end), with
+        # h01 = lam^2 (3 - 2 lam), h10 = lam (1 - lam)^2, h11 = -lam^2 (1 - lam)
+        mu = 1.0 - lam
+        blend, scaled = self.blend_f, self.scaled_f
+        np.multiply(self.rise_f, lam * lam * (3.0 - 2.0 * lam), out=blend)
+        np.add(blend, self.values_f, out=blend)
+        np.multiply(self.rates_f, self.spacing * lam * mu * mu, out=scaled)
+        np.add(blend, scaled, out=blend)
+        np.multiply(self.rates_end_f, -self.spacing * lam * lam * mu, out=scaled)
+        np.add(blend, scaled, out=blend)
+        self.eps = _floor_eps(self.blend[0].imag)  # the blended density at the nodes
+
+    def evaluate(self, p: np.ndarray, work: _Workspace, reuse: bool) -> np.ndarray:
+        """The velocity at p under the last blend; reuse says that work's
+        last evaluation was under it too."""
+        return _interp_quotient(self.blend, self.eps, self.grid, p, self.vmax, work, reuse)
 
     def _enter(self, r: int) -> None:
         """Build the cell coefficients at both ends of interval r with its
@@ -350,23 +361,6 @@ class _Flow:
         )
         np.subtract(values_end, self.values_f, out=self.rise_f)
         self.r = r
-
-    def _blend(self, r: int, lam: float) -> None:
-        if r != self.r:
-            self._enter(r)
-        # values + h01 rise + spacing (h10 rates + h11 rates_end), with
-        # h01 = lam^2 (3 - 2 lam), h10 = lam (1 - lam)^2, h11 = -lam^2 (1 - lam)
-        mu = 1.0 - lam
-        blend, scaled = self.blend_f, self.scaled_f
-        np.multiply(self.rise_f, lam * lam * (3.0 - 2.0 * lam), out=blend)
-        np.add(blend, self.values_f, out=blend)
-        np.multiply(self.rates_f, self.spacing * lam * mu * mu, out=scaled)
-        np.add(blend, scaled, out=blend)
-        np.multiply(self.rates_end_f, -self.spacing * lam * lam * mu, out=scaled)
-        np.add(blend, scaled, out=blend)
-        self.eps = _floor_eps(self.blend[0].imag)  # the blended density at the nodes
-        self.key = (r, lam)
-        self.blends += 1
 
 
 def _resolve_substep(timeline: WaveTimeline, dt_traj: float) -> tuple[float, int]:
@@ -492,30 +486,32 @@ def integrate_ensemble(
 
     def advance(lo: int, hi: int) -> None:
         # the tiles step in lockstep: each stage time is blended once, then
-        # every tile evaluates at it; a tile's stage lives in its velocity
-        # buffer, and its k sum in the row that the step writes
-        vel = _Flow(timeline)
+        # every tile evaluates at it, k1 and k3 reusing the cells of k4 and
+        # k2 at the same time; a tile's stage lives in its velocity buffer,
+        # and its k sum in the row that the step writes
+        flow = _Flow(timeline)
         cuts = _bounds(lo, hi, -(-(hi - lo) // TILE))
         tiles = [(slice(a, b), _Workspace(b - a)) for a, b in zip(cuts, cuts[1:])]
+        flow.at(float(times[0]))
         for i in range(n_steps):
             cur, nxt = rows[row(i)], rows[row(i + 1)]
-            t = float(times[i])
             for cols, work in tiles:  # k1 sets the k2 stage
-                k = vel(t, cur[cols], work)
+                k = flow.evaluate(cur[cols], work, reuse=i > 0)
                 np.copyto(nxt[cols], k)
                 np.multiply(k, half, out=k)
                 np.add(cur[cols], k, out=k)
-            for step in (half, dt_sub):  # k2 sets the k3 stage, k3 the k4 stage
+            flow.at(float(times[i]) + half)
+            for step, reuse in ((half, False), (dt_sub, True)):  # k2 sets the k3 stage, k3 the k4
                 for cols, work in tiles:
-                    k, ksum = vel(t + half, work.v, work), nxt[cols]
+                    k, ksum = flow.evaluate(work.v, work, reuse), nxt[cols]
                     np.multiply(k, 2.0, out=k)
                     np.add(ksum, k, out=ksum)
                     np.multiply(k, 0.5 * step, out=k)  # (step/2)(2k) is step k, bit for bit
                     np.add(cur[cols], k, out=k)
+            flow.at(float(times[i + 1]))
             for cols, work in tiles:
                 ksum = nxt[cols]
-                # k4 at the next step's k1 time, bit for bit
-                np.add(ksum, vel(float(times[i + 1]), work.v, work), out=ksum)
+                np.add(ksum, flow.evaluate(work.v, work, reuse=False), out=ksum)
                 np.multiply(ksum, dt_sub / 6.0, out=ksum)
                 np.add(cur[cols], ksum, out=ksum)
 

@@ -65,6 +65,25 @@ class TestSample:
         with pytest.raises(ValueError, match="normalized"):
             sample(unnormalized, 10, seed=1)
 
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (5, 1.5, "seed must be an int"),  # not truncated to seed 1
+            (5, True, "seed must be an int"),  # not seed 1
+            (5, np.float64(2.0), "seed must be an int"),
+            (True, 0, "ensemble size must be a positive integer"),  # not one draw
+            (2.0, 0, "ensemble size must be a positive integer"),
+        ],
+    )
+    def test_refuses_counts_and_seeds_that_are_not_ints(self, n, seed, message):
+        f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=message):
+            sample(f, n, seed)
+
+    def test_takes_numpy_integers(self):
+        f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
+        assert np.array_equal(sample(f, np.int64(5), np.uint64(3)), sample(f, 5, 3))
+
 
 @pytest.mark.filterwarnings("error")
 class TestPhiloxStream:

@@ -476,6 +476,17 @@ class TestContextualityDemo:
         with pytest.raises(ValueError, match="ensemble size must be a positive integer"):
             contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], n=0, numerics=COARSE)
 
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [(10, 2.5, "seed must be an int"), (10, True, "seed must be an int"),
+         (True, 0, "ensemble size"), (10.0, 0, "ensemble size"), (10, -1, "64-bit")],
+    )
+    def test_count_and_seed_refused_before_any_work(self, no_evolution, n, seed, message):
+        with pytest.raises(ValueError, match=message):
+            run_sg(SGSetup(), SQ2, SQ2, PacketSpec(), n=n, seed=seed, numerics=COARSE)
+        with pytest.raises(ValueError, match=message):
+            contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], n=n, seed=seed, numerics=COARSE)
+
 
 class TestBranchOverlap:
     def test_disjoint_branches_vanish(self):

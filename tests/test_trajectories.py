@@ -339,10 +339,10 @@ class TestDeterminism:
         parent = os.getpid()
 
         class ChildFault(trajectories._Flow):
-            def __call__(self, t, p, work):
+            def at(self, t):
                 if os.getpid() != parent:
                     raise FloatingPointError("worker fault")
-                return super().__call__(t, p, work)
+                super().at(t)
 
         monkeypatch.setattr(trajectories, "_Flow", ChildFault)
         q0 = sample(free_timeline.fields[0], 100, seed=13)
@@ -355,10 +355,10 @@ class TestDeterminism:
         parent = os.getpid()
 
         class ParentFault(trajectories._Flow):
-            def __call__(self, t, p, work):
+            def at(self, t):
                 if os.getpid() == parent:
                     raise FloatingPointError("caller fault")
-                return super().__call__(t, p, work)
+                super().at(t)
 
         monkeypatch.setattr(trajectories, "_Flow", ParentFault)
         q0 = sample(free_timeline.fields[0], 100, seed=13)
@@ -413,12 +413,12 @@ class TestGatherReuse:
         reused = run()
         assert sum(moved) > 0
 
-        class FreshGathers(trajectories._Flow):
-            def __call__(self, t, p, work):
-                self.key = None  # blend and gather anew at every evaluation
-                return super().__call__(t, p, work)
+        interp_quotient = trajectories._interp_quotient
 
-        monkeypatch.setattr(trajectories, "_Flow", FreshGathers)
+        def fresh_gathers(coef, eps, grid, q, vmax, work, reuse=False):
+            return interp_quotient(coef, eps, grid, q, vmax, work)  # gather anew every time
+
+        monkeypatch.setattr(trajectories, "_interp_quotient", fresh_gathers)
         moved.clear()
         fresh = run()
         assert moved == []
@@ -442,6 +442,23 @@ class TestGatherReuse:
         assert len(reuses) == 4 * n_steps
         # k3 repeats k2's time in every step, k1 repeats k4's in all but the first
         assert sum(reuses) == 2 * n_steps - 1
+
+    def test_one_blend_per_stage_time(self, free_timeline, monkeypatch):
+        # times[0], then t + h/2 and t + h in each step: a worker blends
+        # 2 n_steps + 1 times, whatever its tiles, and never more
+        monkeypatch.setattr(trajectories, "TILE", 16)
+        blends = []
+
+        class Counted(trajectories._Flow):
+            def at(self, t):
+                blends.append(t)
+                super().at(t)
+
+        monkeypatch.setattr(trajectories, "_Flow", Counted)
+        paths = integrate_ensemble(free_timeline, np.linspace(-2.0, 2.0, 40), DT_TRAJ, threads=1)
+        n_steps = len(paths.times) - 1
+        assert len(blends) == 2 * n_steps + 1
+        assert blends[0] == paths.times[0] and blends[2::2] == list(paths.times[1:])
 
 
 @pytest.fixture(scope="module")
