@@ -25,8 +25,8 @@ def main() -> None:
     args = ap.parse_args()
 
     numerics = SGNumerics()
-    record = max(1, int(round(args.t / numerics.dt)) // 16)
     try:
+        record = max(1, window_steps(args.t, numerics.dt, 1, name="--t") // 16)
         window_steps(args.t, numerics.dt, record, name="--t")
     except ValueError as exc:
         ap.error(str(exc))

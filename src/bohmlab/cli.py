@@ -32,7 +32,7 @@ import numpy as np
 # operators and peres_mermin are imported inside the pointer-model and
 # nogo drivers, so no other command loads them.
 from . import __version__
-from .grids import check_packet_fits, gaussian_packet
+from .grids import _check_int, _check_spinor, check_packet_fits, gaussian_packet
 from .propagation import HamiltonianSpec, evolve, window_steps
 from .sampling import KS_COEFF, _check_seed, ks_distance, sample
 from .stern_gerlach import (
@@ -49,7 +49,7 @@ from .stern_gerlach import (
     contextuality_demo,
     run_sg,
 )
-from .trajectories import _check_threads, integrate_ensemble
+from .trajectories import integrate_ensemble
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -141,17 +141,13 @@ def _as_int(value: str) -> int:
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
-def _as_seed(value: str) -> int:
-    n = _as_int(value)
-    _check_seed(n)
-    return n
-
-
-def _as_count(value: str) -> int:
-    n = _as_int(value)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
+def _int_by(rule, *args):
+    """The converter to an int that the library's rule(n, *args) refuses or passes."""
+    def convert(value: str) -> int:
+        n = _as_int(value)
+        rule(n, *args)
+        return n
+    return convert
 
 
 def _as_command(value: str) -> str:
@@ -249,8 +245,8 @@ def _field_schema(section: str) -> dict[str, tuple]:
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "command": (_as_command, None),
-        "seed": (_as_seed, 0),
-        "n_samples": (_as_count, 10_000),
+        "seed": (_int_by(_check_seed), 0),
+        "n_samples": (_int_by(_check_int, "ensemble size"), 10_000),
         "out": (_as_out, "out"),
         "format": (_parse_formats, ("csv", "json")),
     },
@@ -264,7 +260,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "numerics": _field_schema("numerics"),
     "propagate": {"t_total": (_as_positive, 2.0)},
     "trajectories": {"t_total": (_as_positive, 2.0)},
-    "contextuality": {"q_points": (_as_count, 99), "q_span": (_as_positive, 2.5)},
+    "contextuality": {"q_points": (_int_by(_check_int, "q_points"), 99), "q_span": (_as_positive, 2.5)},
     "pointer": {"state": (_as_state, (0.6 + 0j, 0.8 + 0j)), "spec_file": (str, None)},
 }
 
@@ -389,8 +385,7 @@ def parse_config(text: str) -> RunConfig:
     setup = construct(SGSetup, check_setup)
 
     spin_up, spin_down = v["packet"]["spin_up"], v["packet"]["spin_down"]
-    if spin_up == 0 and spin_down == 0:
-        fail("packet", "spin_up", "spin_up and spin_down must not both be zero")
+    check("packet", "spin_up", _check_spinor, spin_up, spin_down)
 
     # Every window the command evolves must tile into whole record
     # intervals: its key, dt and record_every are settled like a class's
@@ -839,7 +834,7 @@ def _write_artifacts(out_dir: str, artifacts: dict[str, str], formats: tuple[str
 
 def run(config: RunConfig, *, threads: int = 1) -> int:
     """Execute one command; artifacts land in config.out only on success."""
-    _check_threads(threads)
+    _check_int(threads, "threads")
     try:
         artifacts = _DRIVERS[config.command](config, threads)
         _write_artifacts(config.out, artifacts, config.formats)
@@ -866,7 +861,7 @@ def main(argv=None) -> int:
         "--format", dest="formats", default=None, help="override the configured formats, e.g. csv,json"
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="at most this many worker processes; outputs do not depend on this"
+        "--threads", default="1", help="at most this many worker processes; outputs do not depend on this"
     )
     args = parser.parse_args(argv)
 
@@ -881,7 +876,8 @@ def main(argv=None) -> int:
 
     overrides: dict[str, object] = {}
     for flag, field, convert in (
-        ("--seed", "seed", _as_seed), ("--out", "out", _as_out), ("--format", "formats", _parse_formats)
+        ("--seed", "seed", _int_by(_check_seed)), ("--out", "out", _as_out),
+        ("--format", "formats", _parse_formats), ("--threads", "threads", _int_by(_check_int, "threads")),
     ):
         raw = getattr(args, field)
         if raw is not None:
@@ -889,13 +885,12 @@ def main(argv=None) -> int:
                 overrides[field] = convert(raw)
             except ValueError as exc:
                 errors.append(f"{flag}: {exc}")
-    if args.threads < 1:
-        errors.append(f"--threads must be >= 1, got {args.threads}")
     if errors:
         print(json.dumps({"error": "ConfigError", "messages": errors}, sort_keys=True), file=sys.stderr)
         return 2
 
-    return run(dataclasses.replace(config, **overrides), threads=args.threads)
+    threads = overrides.pop("threads")
+    return run(dataclasses.replace(config, **overrides), threads=threads)
 
 
 if __name__ == "__main__":

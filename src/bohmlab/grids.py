@@ -35,6 +35,18 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_int(value, name: str, lo: int | None = 1, bits: int | None = None) -> None:
+    """The one rule for an int-valued parameter: a Python or numpy integer,
+    never a bool, at least lo unless lo is None, and below 2^bits if bits
+    is given.  name is the parameter's name in the error message."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if bits is not None and not lo <= int(value) < 2**bits:
+        raise ValueError(f"{name} must lie in [{lo}, 2^{bits}), a {bits}-bit integer, got {value}")
+    if lo is not None and int(value) < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic grid on [x_min, x_max).
@@ -53,8 +65,7 @@ class Grid1D:
     x_max: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError(f"grid size must be an integer, got {self.n!r}")
+        _check_int(self.n, "grid size", None)
         if not _is_power_of_two(int(self.n)) or not 16 <= self.n <= 2**62:
             raise ValueError(f"grid size must be a power of two from 16 to 2^62, got {self.n}")
         if not self.x_min < self.x_max:
@@ -167,6 +178,12 @@ def _check_in_band(grid: Grid1D, k: float, sigma: float, what: str) -> None:
         raise ValueError(f"{what} = {top:.6g} must stay below the grid's band pi/dx = {band:.6g}")
 
 
+def _check_spinor(a: complex, b: complex) -> None:
+    """A packet's spin amplitudes, which the CLI's spin_up and spin_down set."""
+    if a == 0 and b == 0:
+        raise ValueError("spinor amplitudes (a, b) must not both vanish")
+
+
 def gaussian_packet(
     grid: Grid1D,
     center: float,
@@ -183,10 +200,8 @@ def gaussian_packet(
     """
     if not sigma > 0:
         raise ValueError(f"packet width must be positive, got {sigma}")
-    a = complex(a)
-    b = complex(b)
-    if a == 0 and b == 0:
-        raise ValueError("spinor amplitudes (a, b) must not both vanish")
+    a, b = complex(a), complex(b)
+    _check_spinor(a, b)
     check_packet_fits(grid, center, sigma, k)
     x = grid.xs()
     envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k * x)

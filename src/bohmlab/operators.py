@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import _check_int
+
 __all__ = [
     "ExperimentSpecError",
     "HermitianOp",
@@ -108,8 +110,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         failures = []
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ExperimentSpecError([f"dimension must be a positive integer, got {self.dim!r}"])
+        try:
+            _check_int(self.dim, "dimension")
+        except ValueError as exc:
+            raise ExperimentSpecError([str(exc)]) from None
         if len(self.outcomes) == 0:
             raise ExperimentSpecError(["at least one outcome is required"])
         labels = [oc.label for oc in self.outcomes]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import STATE_BLOCK_BYTES, Grid1D, SpinorField
+from .grids import STATE_BLOCK_BYTES, Grid1D, SpinorField, _check_int
 
 __all__ = ["HamiltonianSpec", "WaveTimeline", "window_steps", "evolve"]
 
@@ -257,6 +257,24 @@ def _free_records(psi: SpinorField, dt: float, n_steps: int, record_every: int,
             yield lo + j + 1, SpinorField(grid, states[j, 0], states[j, 1]), float(masses[j])
 
 
+def _step_count(total: float, step: float, name: str, step_name: str) -> int:
+    """The whole number of steps of size step in total, which both must be
+    positive: their ratio must be finite and step must divide total to one
+    part in 1e9.  name and step_name name them in error messages."""
+    if not (step > 0 and total > 0):
+        raise ValueError(f"{name} and {step_name} must be positive, got {total} and {step}")
+    ratio = float(total) / float(step)
+    if not np.isfinite(ratio):
+        raise ValueError(f"{name} / {step_name} = {ratio} is not a finite step count")
+    n_steps = int(round(ratio))
+    if n_steps < 1 or abs(n_steps * step - total) > 1e-9 * total:
+        raise ValueError(
+            f"{step_name} = {step} does not divide {name} = {total}; "
+            f"{name} must be an integer multiple of {step_name}"
+        )
+    return n_steps
+
+
 def window_steps(t_total: float, dt: float, record_every: int, name: str = "t_total") -> int:
     """Number of steps of size dt in a window of length t_total.
 
@@ -264,19 +282,8 @@ def window_steps(t_total: float, dt: float, record_every: int, name: str = "t_to
     the step count, so records are uniform and the final time is recorded.
     name is the window's name in error messages.
     """
-    if not (dt > 0 and t_total > 0):
-        raise ValueError(f"{name} and dt must be positive, got {t_total} and {dt}")
-    ratio = float(t_total) / float(dt)
-    if not np.isfinite(ratio):
-        raise ValueError(f"{name} / dt = {ratio} is not a finite step count")
-    n_steps = int(round(ratio))
-    if n_steps < 1 or abs(n_steps * dt - t_total) > 1e-9 * t_total:
-        raise ValueError(
-            f"dt = {dt} does not divide {name} = {t_total}; "
-            f"{name} must be an integer multiple of dt"
-        )
-    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
-        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
+    n_steps = _step_count(t_total, dt, name, "dt")
+    _check_int(record_every, "record_every")
     if n_steps % record_every != 0:
         raise ValueError(
             f"record_every = {record_every} must divide the step count {n_steps} "

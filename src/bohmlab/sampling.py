@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import STATE_BLOCK_BYTES, SpinorField, density
+from .grids import STATE_BLOCK_BYTES, SpinorField, _check_int, density
 
 __all__ = ["sample", "ks_distance", "KS_COEFF"]
 
@@ -38,19 +38,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-# The rules for an ensemble's size and seed, which the experiments that
-# sample also check before any work.  An int is a Python or numpy integer,
-# never a bool.
-def _check_count(n) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"ensemble size must be a positive integer, got {n!r}")
-
-
 def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an int, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must lie in [0, 2^64), an unsigned 64-bit integer, got {seed}")
+    """A seed keys the Philox4x64 stream: an int in [0, 2^64)."""
+    _check_int(seed, "seed", 0, 64)
 
 
 def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
@@ -63,7 +53,7 @@ def sample(psi: SpinorField, n: int, seed: int) -> np.ndarray:
     masses, one is mapped through the inverse CDF of the linear density
     inside that cell.
     """
-    _check_count(n)
+    _check_int(n, "ensemble size")
     _check_seed(seed)
     nrm = psi.norm()
     if abs(nrm - 1.0) > NORM_TOLERANCE:

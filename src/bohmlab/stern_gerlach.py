@@ -26,10 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Grid1D, SpinorField, _check_in_band, make_grid, gaussian_packet
+from .grids import Grid1D, SpinorField, _check_in_band, _check_int, make_grid, gaussian_packet
 from .propagation import HamiltonianSpec, WaveTimeline, evolve
-from .sampling import _check_count, _check_seed, sample
-from .trajectories import _check_threads, integrate_ensemble
+from .sampling import _check_seed, sample
+from .trajectories import integrate_ensemble
 
 __all__ = [
     "PacketSpec",
@@ -95,6 +95,7 @@ class SGSetup:
     reverse_geometry: bool = False
 
     def __post_init__(self) -> None:
+        _check_int(self.polarity, "polarity", None)
         if self.polarity not in (1, -1):
             raise ValueError(f"polarity must be +1 or -1, got {self.polarity}")
         if not self.tau > 0:
@@ -154,8 +155,8 @@ class SGNumerics:
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.record_every < 1 or self.substeps < 1:
-            raise ValueError("record_every and substeps must be positive integers")
+        _check_int(self.record_every, "record_every")
+        _check_int(self.substeps, "substeps")
 
     def grid(self) -> Grid1D:
         return make_grid(self.grid_n, self.x_min, self.x_max)
@@ -406,10 +407,10 @@ def run_sg(
     misconfigured geometry.  Only with keep_history does the ensemble
     carry the position history that no_crossing_check reads.
     """
-    _check_threads(threads)
+    _check_int(threads, "threads")
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
-    _check_count(n)
+    _check_int(n, "ensemble size")
     _check_seed(seed)
     setup.upper_branch  # validates that the setup splits at all
     if timeline is None:
@@ -447,7 +448,7 @@ def outcome_map(
     Returns lambda values with NaN marking null outcomes.  The initial
     positions must lie within the packet support (|q - center| < 5 sigma).
     """
-    _check_threads(threads)
+    _check_int(threads, "threads")
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
     q = _initial_positions(q_grid, packet)
@@ -507,13 +508,13 @@ def contextuality_demo(
     non-null initial position.  Each experiment transports its sampled
     ensemble and the map grid together, in one call.
     """
-    _check_threads(threads)
+    _check_int(threads, "threads")
     a, b = _check_spin(a, b)
     _check_packet_symmetric(packet)
     _check_reversal_setup(setup)
     _check_equal_weights(a, b)
     q = _initial_positions(q_grid, packet)
-    _check_count(n)
+    _check_int(n, "ensemble size")
     _check_seed(seed)
     setup.upper_branch
     flipped = replace(setup, polarity=-1, calibration_up=-1.0, calibration_down=1.0)

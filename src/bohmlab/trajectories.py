@@ -92,8 +92,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, SpinorField
-from .propagation import WaveTimeline, _hamiltonian_nodes, _hamiltonian_rows
+from .grids import Grid1D, SpinorField, _check_int
+from .propagation import WaveTimeline, _hamiltonian_nodes, _hamiltonian_rows, _step_count
 
 __all__ = ["EnsemblePaths", "velocity", "integrate_ensemble"]
 
@@ -364,21 +364,11 @@ class _Flow:
 
 
 def _resolve_substep(timeline: WaveTimeline, dt_traj: float) -> tuple[float, int]:
-    spacing = timeline.spacing
-    dt_traj = float(dt_traj)
-    if not dt_traj > 0:
-        raise ValueError(f"dt_traj must be positive, got {dt_traj}")
+    """dt_traj as a float, and its steps in the timeline: it must not exceed the record spacing."""
+    spacing, dt_traj = timeline.spacing, float(dt_traj)
     if dt_traj > spacing * (1 + 1e-9):
-        raise ValueError(
-            f"dt_traj = {dt_traj} exceeds the timeline record spacing {spacing}"
-        )
-    ratio = timeline.duration / dt_traj
-    if not np.isfinite(ratio):
-        raise ValueError(f"dt_traj = {dt_traj} gives a step count {ratio} that is not finite")
-    n_steps = int(round(ratio))
-    if n_steps < 1 or abs(n_steps * dt_traj - timeline.duration) > 1e-9 * timeline.duration:
-        raise ValueError(f"dt_traj = {dt_traj} does not divide the timeline duration")
-    return dt_traj, n_steps
+        raise ValueError(f"dt_traj = {dt_traj} exceeds the timeline record spacing {spacing}")
+    return dt_traj, _step_count(timeline.duration, dt_traj, "the timeline duration", "dt_traj")
 
 
 def _usable_cpus() -> int:
@@ -438,13 +428,6 @@ def _run_blocks(advance, bounds) -> None:
         raise RuntimeError(f"transport worker processes failed with exit codes {codes}")
 
 
-def _check_threads(threads) -> None:
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-        raise ValueError(f"threads must be an int, got {threads!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 def integrate_ensemble(
     timeline: WaveTimeline,
     q0,
@@ -461,7 +444,7 @@ def integrate_ensemble(
     ensemble into one block of columns each; each element sees identical
     arithmetic, so output is independent of the worker count.
     """
-    _check_threads(threads)
+    _check_int(threads, "threads")
     grid = timeline.grid
     starts = np.asarray(q0, dtype=np.float64).reshape(-1)
     if starts.size == 0:

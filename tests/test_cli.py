@@ -7,25 +7,32 @@ import io
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bohmlab import (
+    HamiltonianSpec,
     OutcomeStatistics,
     PacketSpec,
     SGNumerics,
     SGSetup,
     TrajectoryEnsemble,
+    WaveTimeline,
     build_timeline,
     cli,
     contextuality_demo,
+    gaussian_packet,
+    integrate_ensemble,
+    make_grid,
     no_crossing_check,
     outcome_map,
     run_sg,
+    sample,
 )
 from bohmlab.cli import ConfigError, main, parse_config
 
@@ -87,6 +94,27 @@ def invoke(tmp_path, text, *args):
 
 def read_summary(out):
     return json.loads((out / "summary.json").read_text())
+
+
+def echoed_config(summary) -> str:
+    """The config text that summary.json echoes: the dataclass sections as
+    they are, and the command's own keys, which params holds at its top."""
+    params, command = summary["params"], summary["command"]
+    lines = [
+        "[run]", f"command = {command}", f"seed = {summary['seed']}",
+        f"n_samples = {params['n_samples']}", f"format = {','.join(params['formats'])}",
+    ]
+    for section, keys in params.items():
+        if isinstance(keys, dict):
+            lines += [f"[{section}]", *(f"{key} = {value}" for key, value in keys.items())]
+    if "t_total" in params:
+        lines += [f"[{command}]", f"t_total = {params['t_total']}"]
+    if "q_span" in params:
+        lines += ["[contextuality]", f"q_points = {params['q_points']}", f"q_span = {params['q_span']}"]
+    if "pointer_state" in params:
+        lines += ["[pointer]", "state = " + " ".join(params["pointer_state"])]
+        lines += [f"spec_file = {params['spec_file']}"] if params["spec_file"] else []
+    return "\n".join(lines) + "\n"
 
 
 class TestParseConfig:
@@ -245,16 +273,7 @@ class TestParseConfig:
         block = readme_config_block()
         code, out = invoke(tmp_path, block, "--threads", "1")
         assert code == 0
-        summary = read_summary(out)
-        params = summary["params"]
-        lines = [
-            "[run]", f"command = {summary['command']}", f"seed = {summary['seed']}",
-            f"n_samples = {params['n_samples']}", f"format = {','.join(params['formats'])}",
-        ]
-        for section, keys in params.items():
-            if isinstance(keys, dict):
-                lines += [f"[{section}]", *(f"{key} = {value}" for key, value in keys.items())]
-        assert parse_config("\n".join(lines) + "\n") == parse_config(block)
+        assert parse_config(echoed_config(read_summary(out))) == parse_config(block)
 
     def test_format_list(self):
         cfg = parse_config("[run]\ncommand = nogo\nformat = json\n")
@@ -265,6 +284,7 @@ class TestParseConfig:
 
 
 SQ2 = 0.70710678118654752
+SMALL_PACKET = gaussian_packet(make_grid(64, -8.0, 8.0), 0.0, 1.0, 0.0)
 
 
 def mirror_ensemble(**changes) -> TrajectoryEnsemble:
@@ -334,6 +354,22 @@ class TestSharedPreconditions:
             [lambda: contextuality_demo(SGSetup(calibration_up=3.0), SQ2, SQ2, PacketSpec(), [0.0])],
             id="base-calibrations",
         ),
+        pytest.param(
+            "[run]\ncommand = born-check\nn_samples = 0\n",
+            "line 3: [run] n_samples",
+            [
+                lambda: sample(SMALL_PACKET, 0, 0),
+                lambda: run_sg(SGSetup(), 1.0, 0.0, PacketSpec(), 0, 0),
+                lambda: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], n=0),
+            ],
+            id="ensemble-size",
+        ),
+        pytest.param(
+            "[run]\ncommand = propagate\n[packet]\nspin_up = 0\nspin_down = 0\n",
+            "line 4: [packet] spin_up",
+            [lambda: gaussian_packet(SMALL_PACKET.grid, 0.0, 1.0, 0.0, a=0, b=0)],
+            id="spin-amplitudes",
+        ),
     ])
     def test_config_and_library_refuse_alike(self, config, where, library):
         with pytest.raises(ConfigError) as err:
@@ -344,6 +380,17 @@ class TestSharedPreconditions:
             with pytest.raises(ValueError) as refused:
                 call()
             assert str(refused.value) == message[len(where) + 2:]
+
+    def test_flag_and_library_refuse_alike(self, tmp_path, capsys):
+        code, out = invoke(tmp_path, "[run]\ncommand = nogo\n", "--threads", "0")
+        assert code == 2 and not out.exists()
+        (message,) = json.loads(capsys.readouterr().err)["messages"]
+        timeline = WaveTimeline(
+            [0.0, 0.25], (SMALL_PACKET, SMALL_PACKET), ((HamiltonianSpec.free(SMALL_PACKET.grid), 1),)
+        )
+        with pytest.raises(ValueError) as refused:
+            integrate_ensemble(timeline, [0.0], 0.125, threads=0)
+        assert message == "--threads: " + str(refused.value)
 
 
 class TestCommands:
@@ -624,6 +671,21 @@ FUZZ_VALUES = (
 FUZZ_KEYS = [(s, k) for s, schema in cli._SCHEMA.items() for k in schema if k != "command"]
 
 
+# Drawn runs keep their work small: 64 samples on a 256-point grid, and
+# the default RK4 substeps and outcome-map points; --out names their
+# directory.
+SIZES = {("run", "n_samples"): "64", ("grid", "n"): "256"}
+FIXED = {*SIZES, ("numerics", "substeps"), ("contextuality", "q_points"), ("run", "out")}
+RUN_KEYS = [k for k in FUZZ_KEYS if k not in FIXED]
+
+
+def config_text(values) -> str:
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -636,10 +698,7 @@ class TestFailureModes:
         values=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), max_size=8),
     )
     def test_every_config_parses_or_raises_config_error(self, fuzz_dir, command, values):
-        sections = {"run": [f"command = {command}"]}
-        for (section, key), value in values.items():
-            sections.setdefault(section, []).append(f"{key} = {value}")
-        text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+        text = config_text({("run", "command"): command, **values})
         try:
             parse_config(text)
         except ConfigError as refused:
@@ -652,6 +711,40 @@ class TestFailureModes:
             line, = stderr.getvalue().splitlines()
             assert json.loads(line) == {"error": "ConfigError", "messages": list(refused.errors)}
             assert not out.exists()
+
+    @settings(
+        max_examples=40, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    @given(
+        command=st.sampled_from(cli.COMMANDS),
+        values=st.dictionaries(st.sampled_from(RUN_KEYS), st.sampled_from(FUZZ_VALUES), max_size=3),
+    )
+    def test_drawn_configs_run_cleanly(self, fuzz_dir, command, values):
+        text = config_text({("run", "command"): command, **SIZES, **values})
+        try:
+            config = parse_config(text)
+        except ConfigError:
+            assume(False)
+        cfg, out = fuzz_dir / "run.cfg", fuzz_dir / "out"
+        cfg.write_text(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["--config", str(cfg), "--out", str(out)])
+        if code == 1:  # a run-time failure: one JSON report, no artifacts
+            line, = stderr.getvalue().splitlines()
+            assert json.loads(line)["command"] == command
+            assert not out.exists()
+            return
+        assert code == 0
+        if "json" in config.formats:
+            # the echo names every key the run reads; the sections of the
+            # other commands are parsed, but no run reads them
+            own = {"pointer-model": "pointer"}.get(command, command)
+            read = {k: v for k, v in values.items() if k[0] in ("run", "grid", "packet", "setup", "numerics", own)}
+            expected = parse_config(config_text({("run", "command"): command, **SIZES, **read}))
+            assert parse_config(echoed_config(read_summary(out))) == expected
+        shutil.rmtree(out)
 
     def test_failed_write_leaves_the_previous_run_intact(self, tmp_path, monkeypatch):
         code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")
@@ -780,7 +873,7 @@ class TestFailureModes:
         for threads in ("0", "-3"):
             assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", threads]) == 2
             report = json.loads(capsys.readouterr().err)
-            assert report["messages"] == [f"--threads must be >= 1, got {threads}"]
+            assert report["messages"] == [f"--threads: threads must be >= 1, got {threads}"]
         assert not (tmp_path / "out").exists()
 
     def test_flag_errors_join_the_config_errors(self, tmp_path, capsys):
@@ -789,10 +882,8 @@ class TestFailureModes:
         flags = ["--seed", "-1", "--format", "yaml", "--threads", "0"]
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
         messages = json.loads(capsys.readouterr().err)["messages"]
-        assert messages[0] == "line 3: [run] n_samples: must be >= 1, got 0"
-        assert [m.split(":")[0] for m in messages[1:]] == [
-            "--seed", "--format", "--threads must be >= 1, got 0"
-        ]
+        assert messages[0] == "line 3: [run] n_samples: ensemble size must be >= 1, got 0"
+        assert [m.split(":")[0] for m in messages[1:]] == ["--seed", "--format", "--threads"]
         assert main(["--config", str(tmp_path / "missing.cfg"), "--seed", "-1"]) == 2
         messages = json.loads(capsys.readouterr().err)["messages"]
         assert messages[0].startswith("cannot read config file")

@@ -7,7 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmlab import SpinorField, density, gaussian_packet, make_grid
+from bohmlab import (
+    ExperimentSpec,
+    HamiltonianSpec,
+    Outcome,
+    PacketSpec,
+    SGNumerics,
+    SGSetup,
+    SpinorField,
+    WaveTimeline,
+    contextuality_demo,
+    density,
+    evolve,
+    gaussian_packet,
+    integrate_ensemble,
+    make_grid,
+    outcome_map,
+    run_sg,
+    sample,
+    window_steps,
+)
+from bohmlab import propagation, sampling, stern_gerlach, trajectories
 from helpers import fd_momentum, inner_product, moments, plane_wave
 
 
@@ -183,3 +203,79 @@ class TestPlaneWave:
         # sin(k dx)/dx, the exact central-difference symbol for a pure mode
         expected = math.sin(k * grid.dx) / grid.dx
         assert abs(fd_momentum(f) - expected) <= 1e-10
+
+
+class Reached(Exception):
+    """Raised by the first step of work: every check before it passed."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for module, name in (
+        (stern_gerlach, "build_timeline"), (trajectories, "_run_blocks"),
+        (propagation, "_free_records"), (sampling, "_philox_uniforms"),
+    ):
+        monkeypatch.setattr(module, name, reached)
+
+
+SMALL = make_grid(64, -8.0, 8.0)
+PACKET = gaussian_packet(SMALL, 0.0, 1.0, 0.0)
+TWO_RECORDS = WaveTimeline(np.array([0.0, 0.25]), (PACKET, PACKET), ((HamiltonianSpec.free(SMALL), 1),))
+ONE_OUTCOME = (Outcome("one", np.eye(1), 1.0),)  # dim True would pass as 1 by its shape
+SQ2 = 0.70710678118654752
+
+
+class TestIntRule:
+    """grids._check_int is the one rule for every int-valued parameter: a
+    Python or numpy integer, never a bool, within the parameter's bounds."""
+
+    @pytest.mark.parametrize("call, good", [
+        pytest.param(lambda v: make_grid(v, -8.0, 8.0), 64, id="Grid1D.n"),
+        pytest.param(lambda v: window_steps(1.0, 1 / 256, v), 2, id="window_steps.record_every"),
+        pytest.param(
+            lambda v: evolve(PACKET, HamiltonianSpec.free(SMALL), 0.25, 1 / 64, v), 2,
+            id="evolve.record_every",
+        ),
+        pytest.param(lambda v: SGNumerics(record_every=v), 8, id="SGNumerics.record_every"),
+        pytest.param(lambda v: SGNumerics(substeps=v), 4, id="SGNumerics.substeps"),
+        pytest.param(lambda v: SGSetup(polarity=v), -1, id="SGSetup.polarity"),
+        pytest.param(lambda v: ExperimentSpec(dim=v, outcomes=ONE_OUTCOME), 1, id="ExperimentSpec.dim"),
+        pytest.param(lambda v: sample(PACKET, v, 0), 5, id="sample.n"),
+        pytest.param(lambda v: sample(PACKET, 5, v), 3, id="sample.seed"),
+        pytest.param(lambda v: run_sg(SGSetup(), 1.0, 0.0, PacketSpec(), v, 0), 10, id="run_sg.n"),
+        pytest.param(lambda v: run_sg(SGSetup(), 1.0, 0.0, PacketSpec(), 10, v), 3, id="run_sg.seed"),
+        pytest.param(
+            lambda v: run_sg(SGSetup(), 1.0, 0.0, PacketSpec(), 10, 0, threads=v), 2, id="run_sg.threads"
+        ),
+        pytest.param(
+            lambda v: outcome_map(SGSetup(), 1.0, 0.0, PacketSpec(), [0.0], threads=v), 2,
+            id="outcome_map.threads",
+        ),
+        pytest.param(
+            lambda v: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], n=v), 10,
+            id="contextuality_demo.n",
+        ),
+        pytest.param(
+            lambda v: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], seed=v), 3,
+            id="contextuality_demo.seed",
+        ),
+        pytest.param(
+            lambda v: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], threads=v), 2,
+            id="contextuality_demo.threads",
+        ),
+        pytest.param(
+            lambda v: integrate_ensemble(TWO_RECORDS, [0.0], 0.125, threads=v), 2,
+            id="integrate_ensemble.threads",
+        ),
+    ])
+    def test_refuses_what_is_not_an_int_before_any_work(self, no_work, call, good):
+        for bad in (True, 2.5, np.float64(2.0)):  # True is not 1, nor 2.5 and 2.0 a count
+            with pytest.raises(ValueError):
+                call(bad)
+        try:
+            call(np.int64(good))
+        except Reached:
+            pass

@@ -57,7 +57,7 @@ class TestSample:
 
     def test_rejects_bad_inputs(self):
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="ensemble size must be >= 1, got 0"):
             sample(f, 0, seed=1)
         with pytest.raises(ValueError, match="64-bit"):
             sample(f, 10, seed=-3)
@@ -71,8 +71,8 @@ class TestSample:
             (5, 1.5, "seed must be an int"),  # not truncated to seed 1
             (5, True, "seed must be an int"),  # not seed 1
             (5, np.float64(2.0), "seed must be an int"),
-            (True, 0, "ensemble size must be a positive integer"),  # not one draw
-            (2.0, 0, "ensemble size must be a positive integer"),
+            (True, 0, "ensemble size must be an int"),  # not one draw
+            (2.0, 0, "ensemble size must be an int"),
         ],
     )
     def test_refuses_counts_and_seeds_that_are_not_ints(self, n, seed, message):

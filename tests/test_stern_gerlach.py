@@ -77,7 +77,7 @@ class TestSetup:
     def test_numerics_validation(self):
         with pytest.raises(ValueError, match="dt"):
             SGNumerics(dt=0.0)
-        with pytest.raises(ValueError, match="positive integers"):
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
             SGNumerics(record_every=0)
         assert SGNumerics().dt_traj == pytest.approx(1 / 32)
 
@@ -473,7 +473,7 @@ class TestContextualityDemo:
             contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0, 5.0], numerics=COARSE)
         with pytest.raises(ValueError, match="nonempty"):
             contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [], numerics=COARSE)
-        with pytest.raises(ValueError, match="ensemble size must be a positive integer"):
+        with pytest.raises(ValueError, match="ensemble size must be >= 1"):
             contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], n=0, numerics=COARSE)
 
     @pytest.mark.parametrize(
