@@ -8,7 +8,9 @@ time-dependent enters the data files.
 
 README.md ("Batch CLI") documents every section, key and default.  The
 [grid], [packet], [setup] and [numerics] keys are fields of SGNumerics,
-PacketSpec and SGSetup, which own their defaults and checks.
+PacketSpec and SGSetup, which own their defaults and checks.  Every
+section is parsed and checked; _DRIVERS names the ones each command
+reads, and summary.json's params echoes exactly those.
 
 The default packet spin is spin_up = 1, spin_down = 0: a pure spin-up
 packet.  With it born-check and stern-gerlach run a p = 1 experiment,
@@ -32,7 +34,7 @@ import numpy as np
 # operators and peres_mermin are imported inside the pointer-model and
 # nogo drivers, so no other command loads them.
 from . import __version__
-from .grids import _check_int, _check_spinor, check_packet_fits, gaussian_packet
+from .grids import _check_int, _check_spinor, _unit_vector, check_packet_fits, gaussian_packet
 from .propagation import HamiltonianSpec, evolve, window_steps
 from .sampling import KS_COEFF, _check_seed, ks_distance, sample
 from .stern_gerlach import (
@@ -70,21 +72,24 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config.  The fields of a section the command does not read
+    (see _DRIVERS) hold None."""
+
     command: str
     seed: int
     n_samples: int
     out: str
     formats: tuple[str, ...]
-    packet: PacketSpec
-    spin_up: complex
-    spin_down: complex
-    setup: SGSetup
-    numerics: SGNumerics
-    t_total: float
-    q_points: int
-    q_span: float
-    pointer_state: tuple[complex, ...]
-    spec_file: str | None
+    packet: PacketSpec | None = None
+    spin_up: complex | None = None
+    spin_down: complex | None = None
+    setup: SGSetup | None = None
+    numerics: SGNumerics | None = None
+    t_total: float | None = None
+    q_points: int | None = None
+    q_span: float | None = None
+    pointer_state: tuple[complex, ...] | None = None
+    spec_file: str | None = None
 
 
 # ---------------------------------------------------------------- parsing
@@ -193,8 +198,7 @@ def _as_state(value: str) -> tuple[complex, ...]:
     comps = tuple(_as_complex(tok) for tok in value.split())
     if not comps:
         raise ValueError("must hold at least one complex component")
-    if all(z == 0 for z in comps):
-        raise ValueError("components must not all be zero")
+    _unit_vector(comps)
     return comps
 
 
@@ -217,17 +221,16 @@ def _parse_formats(value: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(parts))  # first occurrence of each, in order
 
 
-# Sections whose keys are dataclass fields: section -> (class, {key: field}).
-# [grid] holds the SGNumerics fields that make the grid, [numerics] the rest.
+# Sections whose keys are dataclass fields: section -> (class, the RunConfig
+# field that holds it, {key: class field}).  [grid] holds the SGNumerics
+# fields that make the grid, [numerics] the rest.
 _GRID_KEYS = {"n": "grid_n", "x_min": "x_min", "x_max": "x_max"}
+_NUMERICS_KEYS = {f.name: f.name for f in dataclasses.fields(SGNumerics) if f.name not in _GRID_KEYS.values()}
 _FIELD_SECTIONS = {
-    "grid": (SGNumerics, _GRID_KEYS),
-    "packet": (PacketSpec, {f.name: f.name for f in dataclasses.fields(PacketSpec)}),
-    "setup": (SGSetup, {f.name: f.name for f in dataclasses.fields(SGSetup)}),
-    "numerics": (
-        SGNumerics,
-        {f.name: f.name for f in dataclasses.fields(SGNumerics) if f.name not in _GRID_KEYS.values()},
-    ),
+    "grid": (SGNumerics, "numerics", _GRID_KEYS),
+    "packet": (PacketSpec, "packet", {f.name: f.name for f in dataclasses.fields(PacketSpec)}),
+    "setup": (SGSetup, "setup", {f.name: f.name for f in dataclasses.fields(SGSetup)}),
+    "numerics": (SGNumerics, "numerics", _NUMERICS_KEYS),
 }
 
 # Field annotations are strings under `from __future__ import annotations`.
@@ -235,37 +238,41 @@ _CONVERTERS = {"int": _as_int, "float": _as_float, "bool": _as_bool}
 
 
 def _field_schema(section: str) -> dict[str, tuple]:
-    cls, keys = _FIELD_SECTIONS[section]
+    cls, field, keys = _FIELD_SECTIONS[section]
     fields = {f.name: f for f in dataclasses.fields(cls)}
     return {
-        key: (_CONVERTERS[fields[name].type], fields[name].default) for key, name in keys.items()
+        key: (_CONVERTERS[fields[name].type], fields[name].default, field) for key, name in keys.items()
     }
 
 
+# section -> {key: (converter, default, the RunConfig field the key fills)}
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
-        "command": (_as_command, None),
-        "seed": (_int_by(_check_seed), 0),
-        "n_samples": (_int_by(_check_int, "ensemble size"), 10_000),
-        "out": (_as_out, "out"),
-        "format": (_parse_formats, ("csv", "json")),
+        "command": (_as_command, None, "command"),
+        "seed": (_int_by(_check_seed), 0, "seed"),
+        "n_samples": (_int_by(_check_int, "ensemble size"), 10_000, "n_samples"),
+        "out": (_as_out, "out", "out"),
+        "format": (_parse_formats, ("csv", "json"), "formats"),
     },
     "grid": _field_schema("grid"),
     "packet": {
         **_field_schema("packet"),
-        "spin_up": (_as_complex, complex(1.0)),
-        "spin_down": (_as_complex, complex(0.0)),
+        "spin_up": (_as_complex, complex(1.0), "spin_up"),
+        "spin_down": (_as_complex, complex(0.0), "spin_down"),
     },
     "setup": _field_schema("setup"),
     "numerics": _field_schema("numerics"),
-    "propagate": {"t_total": (_as_positive, 2.0)},
-    "trajectories": {"t_total": (_as_positive, 2.0)},
-    "contextuality": {"q_points": (_int_by(_check_int, "q_points"), 99), "q_span": (_as_positive, 2.5)},
-    "pointer": {"state": (_as_state, (0.6 + 0j, 0.8 + 0j)), "spec_file": (str, None)},
+    "propagate": {"t_total": (_as_positive, 2.0, "t_total")},
+    "trajectories": {"t_total": (_as_positive, 2.0, "t_total")},
+    "contextuality": {
+        "q_points": (_int_by(_check_int, "q_points"), 99, "q_points"),
+        "q_span": (_as_positive, 2.5, "q_span"),
+    },
+    "pointer": {
+        "state": (_as_state, (0.6 + 0j, 0.8 + 0j), "pointer_state"),
+        "spec_file": (lambda value: value or None, None, "spec_file"),  # empty means none
+    },
 }
-
-_SPLITTING_COMMANDS = ("born-check", "stern-gerlach", "contextuality")
-_FREE_COMMANDS = ("propagate", "trajectories")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -306,7 +313,7 @@ def parse_config(text: str) -> RunConfig:
     for name, schema in _SCHEMA.items():
         values[name] = {}
         present = sections.get(name, {})
-        for key, (converter, default) in schema.items():
+        for key, (converter, default, _) in schema.items():
             values[name][key] = default
             if key in present:
                 try:
@@ -343,11 +350,11 @@ def parse_config(text: str) -> RunConfig:
         """cls built from the values of its keys and passed to check, or
         None; what only the keys together fail goes to the header of the
         class's first section."""
-        parts = [s for s, (c, _) in _FIELD_SECTIONS.items() if c is cls]
+        parts = [s for s, (c, _, _) in _FIELD_SECTIONS.items() if c is cls]
         items = [
             (s, key, name, values[s][key])
             for s in parts
-            for key, name in _FIELD_SECTIONS[s][1].items()
+            for key, name in _FIELD_SECTIONS[s][2].items()
             if key in sections.get(s, {})
         ]
 
@@ -363,7 +370,10 @@ def parse_config(text: str) -> RunConfig:
     if "command" not in sections.get("run", {}):
         fail("run", "command", f"required; one of {', '.join(COMMANDS)}")
 
-    splitting = command in _SPLITTING_COMMANDS
+    # Every section is checked; a command's own rules follow the sections it
+    # reads, and the commands that read [setup] split the packet.
+    reads = ("run", *_DRIVERS[command][1]) if command else ("run",)
+    splitting = "setup" in reads
     numerics = construct(SGNumerics, SGNumerics.grid)
     grid = numerics.grid() if numerics is not None else None
 
@@ -390,9 +400,7 @@ def parse_config(text: str) -> RunConfig:
     # Every window the command evolves must tile into whole record
     # intervals: its key, dt and record_every are settled like a class's
     # fields, what only they together fail going to the window's key.
-    windows = []
-    if command in _FREE_COMMANDS:
-        windows.append((command, "t_total", v[command]["t_total"]))
+    windows = [(s, "t_total", v[s]["t_total"]) for s in reads if "t_total" in v[s]]
     if splitting and setup is not None:
         windows += [("setup", "tau", setup.tau), ("setup", "t_drift", setup.t_drift)]
     for section, key, window in windows:
@@ -416,33 +424,18 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    return RunConfig(
-        command=command,
-        seed=v["run"]["seed"],
-        n_samples=v["run"]["n_samples"],
-        out=v["run"]["out"],
-        formats=v["run"]["format"],
-        packet=packet,
-        spin_up=spin_up,
-        spin_down=spin_down,
-        setup=setup,
-        numerics=numerics,
-        t_total=v[command]["t_total"] if command in _FREE_COMMANDS else v["propagate"]["t_total"],
-        q_points=v["contextuality"]["q_points"],
-        q_span=v["contextuality"]["q_span"],
-        pointer_state=v["pointer"]["state"],
-        spec_file=v["pointer"]["spec_file"] or None,
-    )
+    built = {"numerics": numerics, "packet": packet, "setup": setup}
+    return RunConfig(**{
+        field: built[field] if field in built else v[section][key]
+        for section in reads
+        for key, (_, _, field) in _SCHEMA[section].items()
+    })
 
 
 # ---------------------------------------------------------------- output
 
 def _ffmt(x: float) -> str:
     return repr(float(x))
-
-
-def _cfmt(z: complex) -> str:
-    return repr(complex(z))
 
 
 def _lfmt(lam: float) -> str:
@@ -462,7 +455,7 @@ def _jsonify(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return _cfmt(complex(obj))
+        return repr(complex(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         return None if not math.isfinite(x) else x
@@ -498,23 +491,26 @@ def _normalized_spin(config: RunConfig) -> tuple[complex, complex]:
 
 
 def _echo_params(config: RunConfig) -> dict:
-    objects = {SGNumerics: config.numerics, PacketSpec: config.packet, SGSetup: config.setup}
-    params: dict = {
-        section: {key: getattr(objects[cls], name) for key, name in keys.items()}
-        for section, (cls, keys) in _FIELD_SECTIONS.items()
-    }
-    params["packet"].update(spin_up=_cfmt(config.spin_up), spin_down=_cfmt(config.spin_down))
-    if config.command in _FREE_COMMANDS + _SPLITTING_COMMANDS:
-        params["spin_normalized"] = [_cfmt(z) for z in _normalized_spin(config)]
-    params["n_samples"] = config.n_samples
-    params["formats"] = list(config.formats)
+    """n_samples and formats, and every value of the sections the command
+    reads: a dataclass section's under its keys, another's under its
+    RunConfig fields.  Then the packet's spinor scaled to unit norm."""
+    params: dict = {"n_samples": config.n_samples, "formats": config.formats}
+    for section in _DRIVERS[config.command][1]:
+        attrs = _FIELD_SECTIONS[section][2] if section in _FIELD_SECTIONS else None
+        for key, (_, _, field) in _SCHEMA[section].items():
+            value = getattr(config, field)
+            if attrs is None:
+                params[field] = value
+            else:
+                params.setdefault(section, {})[key] = getattr(value, attrs[key]) if key in attrs else value
+    if config.spin_up is not None:
+        params["spin_normalized"] = _normalized_spin(config)
     return params
 
 
-def _summary_json(config: RunConfig, theoretical, empirical, stderr, checks, extra_params=None) -> str:
-    params = _echo_params(config)
-    if extra_params:
-        params.update(extra_params)
+def _summary_json(config: RunConfig, theoretical, empirical, stderr, checks, derived=None) -> str:
+    """derived: values the run derives from its config, echoed beside it."""
+    params = {**_echo_params(config), **(derived or {})}
     doc = {
         "command": config.command,
         "params": params,
@@ -580,10 +576,9 @@ def _run_propagate(config: RunConfig, threads: int) -> dict[str, str]:
         "norm_drift_max": norm_drift,
         "boundary_mass_final": float(timeline.boundary_mass[-1]),
     }
-    extra = {"t_total": config.t_total}
     return {
         "timeline.csv": _csv_file("index,time,norm,center,width", rows),
-        "summary.json": _summary_json(config, theoretical, empirical, {}, checks, extra),
+        "summary.json": _summary_json(config, theoretical, empirical, {}, checks),
     }
 
 
@@ -603,16 +598,16 @@ def _run_trajectories(config: RunConfig, threads: int) -> dict[str, str]:
     }
     empirical = {"ks_distance": ks}
     stderr = {"ks_distance": band / 3.0}
-    extra = {"t_total": config.t_total}
     # no detectors: the outcome and lambda cells stay empty
     no_outcome = np.full(config.n_samples, "")
     return {
         "ensemble.csv": _ensemble_csv(paths.q0, paths.q_final, no_outcome, {"": ""}),
-        "summary.json": _summary_json(config, theoretical, empirical, stderr, checks, extra),
+        "summary.json": _summary_json(config, theoretical, empirical, stderr, checks),
     }
 
 
-def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[str, str]:
+def _run_splitting(config: RunConfig, threads: int) -> dict[str, str]:
+    """born-check, and stern-gerlach, which also judges the calibrated mean."""
     a, b = _normalized_spin(config)
     timeline = build_timeline(config.setup, a, b, config.packet, config.numerics)
     stats, ensemble = run_sg(
@@ -652,7 +647,7 @@ def _run_splitting(config: RunConfig, threads: int, calibrated: bool) -> dict[st
         "branch_overlap_final": overlap,
     }
     stderr = {"freq_up": stats.stderr_freq_up}
-    if calibrated:
+    if config.command == "stern-gerlach":
         checks["calibrated_mean_within_3se"] = stats.calibrated_within_3se
         checks["branch_overlap_le_1e-4"] = overlap <= 1e-4
         theoretical["calibrated_expectation"] = _claim(stats.expectation_theory, EXPECT_DEF)
@@ -701,10 +696,9 @@ def _run_contextuality(config: RunConfig, threads: int) -> dict[str, str]:
         "calibrated_mean_base": sb.stderr_mean,
         "calibrated_mean_reversed": sr.stderr_mean,
     }
-    extra = {"q_points": config.q_points, "q_span": config.q_span}
     return {
         "outcome_map.csv": _csv_file("index,q0,lambda_base,lambda_reversed", rows),
-        "summary.json": _summary_json(config, theoretical, empirical, stderr, checks, extra),
+        "summary.json": _summary_json(config, theoretical, empirical, stderr, checks),
     }
 
 
@@ -750,13 +744,8 @@ def _run_pointer(config: RunConfig, threads: int) -> dict[str, str]:
         "pointer_dim": result.pointer_dim,
         "composite_dim": result.system_dim * result.pointer_dim,
     }
-    extra = {
-        "pointer_state": [_cfmt(z) for z in config.pointer_state],
-        "pointer_state_normalized": [_cfmt(z) for z in psi.vec],
-        "spec_file": config.spec_file,
-        "outcome_labels": list(labels),
-    }
-    return {"summary.json": _summary_json(config, theoretical, empirical, {}, checks, extra)}
+    derived = {"pointer_state_normalized": psi.vec, "outcome_labels": labels}
+    return {"summary.json": _summary_json(config, theoretical, empirical, {}, checks, derived)}
 
 
 def _run_nogo(config: RunConfig, threads: int) -> dict[str, str]:
@@ -787,14 +776,17 @@ def _run_nogo(config: RunConfig, threads: int) -> dict[str, str]:
     }
 
 
+# command -> (driver, the sections it reads besides [run]).  parse_config
+# fills the RunConfig fields of these sections only, and summary.json
+# echoes them; the other sections are parsed and checked, not read.
 _DRIVERS = {
-    "propagate": _run_propagate,
-    "trajectories": _run_trajectories,
-    "born-check": lambda cfg, th: _run_splitting(cfg, th, calibrated=False),
-    "stern-gerlach": lambda cfg, th: _run_splitting(cfg, th, calibrated=True),
-    "contextuality": _run_contextuality,
-    "pointer-model": _run_pointer,
-    "nogo": _run_nogo,
+    "propagate": (_run_propagate, ("grid", "packet", "numerics", "propagate")),
+    "trajectories": (_run_trajectories, ("grid", "packet", "numerics", "trajectories")),
+    "born-check": (_run_splitting, ("grid", "packet", "setup", "numerics")),
+    "stern-gerlach": (_run_splitting, ("grid", "packet", "setup", "numerics")),
+    "contextuality": (_run_contextuality, ("grid", "packet", "setup", "numerics", "contextuality")),
+    "pointer-model": (_run_pointer, ("pointer",)),
+    "nogo": (_run_nogo, ()),
 }
 COMMANDS = tuple(_DRIVERS)
 
@@ -836,7 +828,7 @@ def run(config: RunConfig, *, threads: int = 1) -> int:
     """Execute one command; artifacts land in config.out only on success."""
     _check_int(threads, "threads")
     try:
-        artifacts = _DRIVERS[config.command](config, threads)
+        artifacts = _DRIVERS[config.command][0](config, threads)
         _write_artifacts(config.out, artifacts, config.formats)
     except Exception as exc:  # any driver failure gets the JSON report
         report = {

@@ -184,6 +184,17 @@ def _check_spinor(a: complex, b: complex) -> None:
         raise ValueError("spinor amplitudes (a, b) must not both vanish")
 
 
+def _unit_vector(vec) -> np.ndarray:
+    """vec as a flat complex array scaled to unit norm: the one zero-norm
+    rule, which StateVec.normalized and the CLI's [pointer] state share."""
+    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 0 < nrm < math.inf:
+        raise ValueError(f"cannot normalize the zero vector, or a norm out of float range: got {nrm}")
+    return v / nrm
+
+
 def gaussian_packet(
     grid: Grid1D,
     center: float,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import _check_int
+from .grids import _check_int, _unit_vector
 
 __all__ = [
     "ExperimentSpecError",
@@ -178,11 +178,7 @@ class StateVec:
 
     @classmethod
     def normalized(cls, vec) -> "StateVec":
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v / nrm)
+        return cls(_unit_vector(vec))
 
 
 def build_observable(spec: ExperimentSpec) -> HermitianOp:

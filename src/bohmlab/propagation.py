@@ -194,9 +194,11 @@ def _edge_mass(states: np.ndarray, edge: np.ndarray, dx: float) -> np.ndarray:
     return np.sum(e.real**2 + e.imag**2, axis=(-2, -1)) * dx
 
 
-def _escape(bm: float, t: float) -> RuntimeError:
+def _escape(bm: float, when: str) -> RuntimeError:
+    if not np.isfinite(bm):
+        return RuntimeError(f"the wave is not finite {when}: its boundary mass is {bm}")
     return RuntimeError(
-        f"boundary mass {bm:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e} at t = {t:.6g}; "
+        f"boundary mass {bm:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e} {when}; "
         "the packet is reaching the domain edge, enlarge the domain"
     )
 
@@ -217,8 +219,8 @@ def _split_records(psi: SpinorField, h: HamiltonianSpec, dt: float, n_steps: int
     for i in range(1, n_steps + 1):
         c1, c2 = _step_arrays(c1, c2, kin_phase, pot)
         bm = float(_edge_mass(np.stack((c1, c2)), edge, dx))
-        if bm > BOUNDARY_MASS_LIMIT:
-            raise _escape(bm, i * dt)
+        if not bm <= BOUNDARY_MASS_LIMIT:
+            raise _escape(bm, f"at t = {i * dt:.6g}")
         if i % record_every == 0:
             yield i, SpinorField(psi.grid, c1, c2), bm
 
@@ -249,10 +251,10 @@ def _free_records(psi: SpinorField, dt: float, n_steps: int, record_every: int,
         np.multiply(phase[:m, None, :], c_hat, out=states)
         np.fft.ifft(states, out=states)
         masses = _edge_mass(states, edge, grid.dx)
-        over = np.flatnonzero(masses > BOUNDARY_MASS_LIMIT)
+        over = np.flatnonzero(~(masses <= BOUNDARY_MASS_LIMIT))
         if over.size:
             j = int(over[0])
-            raise _escape(float(masses[j]), (lo + j + 1) * dt)
+            raise _escape(float(masses[j]), f"at t = {(lo + j + 1) * dt:.6g}")
         for j in range((-lo - 1) % record_every, m, record_every):
             yield lo + j + 1, SpinorField(grid, states[j, 0], states[j, 1]), float(masses[j])
 
@@ -306,18 +308,16 @@ def evolve(
     split steps of dt.  Both check the boundary mass after every step of
     dt.  The window must tile into whole record intervals (see window_steps).
     Raises RuntimeError if mass in the outer 5% of the domain (each side)
-    ever exceeds 1e-6: the packet is about to wrap around.
+    ever exceeds 1e-6: the packet is about to wrap around.  A wave that
+    is not finite fails the same test and is reported as such.
     """
     if psi.grid != h.grid:
         raise ValueError("field and Hamiltonian live on different grids")
     n_steps = window_steps(t_total, dt, record_every)
     edge = _boundary_indices(h.grid.n)
     bm = float(_edge_mass(np.stack((psi.comp1, psi.comp2)), edge, h.grid.dx))
-    if bm > BOUNDARY_MASS_LIMIT:
-        raise RuntimeError(
-            f"boundary mass {bm:.3e} exceeds {BOUNDARY_MASS_LIMIT:.0e} before evolution; "
-            "enlarge the domain"
-        )
+    if not bm <= BOUNDARY_MASS_LIMIT:
+        raise _escape(bm, "before evolution")
     if _is_free(h):
         records = _free_records(psi, dt, n_steps, record_every, edge)
     else:

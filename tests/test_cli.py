@@ -35,6 +35,7 @@ from bohmlab import (
     sample,
 )
 from bohmlab.cli import ConfigError, main, parse_config
+from bohmlab.operators import StateVec
 
 # small grid and short windows keep every invocation under a second
 FAST_NUMERICS = """
@@ -119,8 +120,8 @@ def echoed_config(summary) -> str:
 
 class TestParseConfig:
     def test_defaults(self):
-        cfg = parse_config("[run]\ncommand = nogo\n")
-        assert cfg.command == "nogo"
+        cfg = parse_config("[run]\ncommand = born-check\n")
+        assert cfg.command == "born-check"
         assert cfg.seed == 0
         assert cfg.n_samples == 10_000
         assert cfg.out == "out"
@@ -255,7 +256,7 @@ class TestParseConfig:
         assert cfg.pointer_state == (0.6 + 0j, 0.8j)
         with pytest.raises(ConfigError, match="complex"):
             parse_config("[run]\ncommand = pointer-model\n[pointer]\nstate = 0.6 what\n")
-        with pytest.raises(ConfigError, match="not all be zero"):
+        with pytest.raises(ConfigError, match="cannot normalize the zero vector"):
             parse_config("[run]\ncommand = pointer-model\n[pointer]\nstate = 0 0\n")
 
     def test_readme_config_block_holds_the_defaults(self):
@@ -270,10 +271,19 @@ class TestParseConfig:
         assert dataclasses.replace(cfg, spin_up=1, spin_down=0) == minimal
 
     def test_echoed_params_parse_back_to_the_run_config(self, tmp_path):
-        block = readme_config_block()
-        code, out = invoke(tmp_path, block, "--threads", "1")
-        assert code == 0
-        assert parse_config(echoed_config(read_summary(out))) == parse_config(block)
+        # README's block, which sets every section, at a small size
+        small = readme_config_block().replace("n_samples = 10000", "n_samples = 64")
+        small = small.replace("n = 512", "n = 256")
+        for command in cli.COMMANDS:
+            block = small.replace("command = stern-gerlach", f"command = {command}")
+            code, out = invoke(tmp_path, block)
+            assert code == 0, command
+            assert parse_config(echoed_config(read_summary(out))) == parse_config(block), command
+
+    def test_every_section_is_known_and_read(self):
+        # every section a command reads has keys, and every other section but [run] is read
+        read = {section for _, sections in cli._DRIVERS.values() for section in sections}
+        assert read == cli._SCHEMA.keys() - {"run"}
 
     def test_format_list(self):
         cfg = parse_config("[run]\ncommand = nogo\nformat = json\n")
@@ -370,12 +380,21 @@ class TestSharedPreconditions:
             [lambda: gaussian_packet(SMALL_PACKET.grid, 0.0, 1.0, 0.0, a=0, b=0)],
             id="spin-amplitudes",
         ),
+        pytest.param(
+            "[run]\ncommand = pointer-model\n[pointer]\nstate = 1e-200 0\n",
+            "line 4: [pointer] state",
+            [lambda: StateVec.normalized([1e-200, 0])],
+            id="pointer-state",
+        ),
     ])
-    def test_config_and_library_refuse_alike(self, config, where, library):
+    def test_config_and_library_refuse_alike(self, tmp_path, capsys, config, where, library):
         with pytest.raises(ConfigError) as err:
             parse_config(config)
         (message,) = err.value.errors
         assert message.startswith(where + ": ")
+        code, out = invoke(tmp_path, config)
+        assert code == 2 and not out.exists()
+        assert json.loads(capsys.readouterr().err)["messages"] == [message]
         for call in library:
             with pytest.raises(ValueError) as refused:
                 call()
@@ -738,12 +757,7 @@ class TestFailureModes:
             return
         assert code == 0
         if "json" in config.formats:
-            # the echo names every key the run reads; the sections of the
-            # other commands are parsed, but no run reads them
-            own = {"pointer-model": "pointer"}.get(command, command)
-            read = {k: v for k, v in values.items() if k[0] in ("run", "grid", "packet", "setup", "numerics", own)}
-            expected = parse_config(config_text({("run", "command"): command, **SIZES, **read}))
-            assert parse_config(echoed_config(read_summary(out))) == expected
+            assert parse_config(echoed_config(read_summary(out))) == config
         shutil.rmtree(out)
 
     def test_failed_write_leaves_the_previous_run_intact(self, tmp_path, monkeypatch):
@@ -902,6 +916,16 @@ class TestFailureModes:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_a_wave_that_is_not_finite_stops_at_the_first_step(self, tmp_path, capsys):
+        # b0 = 1e308 overflows B^2 and the magnet's first step makes the wave
+        # NaN; numpy's warnings, errors under pytest, are silenced as outside it
+        text = "[run]\ncommand = born-check\nn_samples = 64\n[grid]\nn = 256\n[setup]\nb0 = 1e308\n"
+        with np.errstate(all="ignore"):
+            code, out = invoke(tmp_path, text)
+        assert code == 1 and not out.exists()
+        report = json.loads(capsys.readouterr().err)
+        assert report["message"] == "the wave is not finite at t = 0.00390625: its boundary mass is nan"
+
     def test_pointer_state_dimension_mismatch(self, tmp_path, capsys):
         text = "[run]\ncommand = pointer-model\n[pointer]\nstate = 1 0 0\n"
         code, out = invoke(tmp_path, text)
@@ -913,7 +937,7 @@ class TestFailureModes:
         def broken(config, threads):
             raise KeyError("lost")
 
-        monkeypatch.setitem(cli._DRIVERS, "nogo", broken)
+        monkeypatch.setitem(cli._DRIVERS, "nogo", (broken, ()))
         code, out = invoke(tmp_path, "[run]\ncommand = nogo\n")
         assert code == 1
         assert not out.exists()
