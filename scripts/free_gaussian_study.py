@@ -33,7 +33,7 @@ def main() -> None:
     grid = numerics.grid()
     packet = PacketSpec(sigma=args.sigma)
     psi0 = gaussian_packet(grid, packet.center, packet.sigma, packet.k)
-    timeline = evolve(psi0, HamiltonianSpec.free(grid), args.t, numerics.dt, record_every=record)
+    timeline = evolve(psi0, [(HamiltonianSpec.free(grid), args.t)], numerics.dt, record_every=record)
 
     print(f"{'t':>7} {'width':>10} {'theory':>10} {'rel err':>10}")
     for t, field in zip(timeline.times, timeline.fields):

@@ -486,8 +486,7 @@ def _ensemble_csv(q0, q_final, outcomes, lam_text: dict) -> str:
 
 def _normalized_spin(config: RunConfig) -> tuple[complex, complex]:
     """The packet's spinor scaled to unit norm, as the packet commands use it."""
-    norm = math.hypot(abs(config.spin_up), abs(config.spin_down))
-    return config.spin_up / norm, config.spin_down / norm
+    return _unit_vector((config.spin_up, config.spin_down))
 
 
 def _echo_params(config: RunConfig) -> dict:
@@ -544,7 +543,7 @@ def _free_timeline(config: RunConfig):
     psi0 = gaussian_packet(
         grid, config.packet.center, config.packet.sigma, config.packet.k, *_normalized_spin(config)
     )
-    return evolve(psi0, HamiltonianSpec.free(grid), config.t_total, nm.dt, nm.record_every)
+    return evolve(psi0, [(HamiltonianSpec.free(grid), config.t_total)], nm.dt, nm.record_every)
 
 
 def _run_propagate(config: RunConfig, threads: int) -> dict[str, str]:

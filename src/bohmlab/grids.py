@@ -184,15 +184,19 @@ def _check_spinor(a: complex, b: complex) -> None:
         raise ValueError("spinor amplitudes (a, b) must not both vanish")
 
 
-def _unit_vector(vec) -> np.ndarray:
-    """vec as a flat complex array scaled to unit norm: the one zero-norm
-    rule, which StateVec.normalized and the CLI's [pointer] state share."""
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(v)
+def _unit_vector(vec) -> tuple[complex, ...]:
+    """vec's components scaled to unit norm, each divided as a Python
+    complex: the one zero-norm rule, which StateVec.normalized and the
+    CLI's [pointer] state and packet spinor share.  The norm is math.hypot
+    of the moduli, which neither underflows nor overflows on its way."""
+    comps = [complex(z) for z in np.asarray(vec, dtype=np.complex128).reshape(-1)]
+    try:
+        nrm = math.hypot(*map(abs, comps))
+    except OverflowError:  # a modulus past float range
+        nrm = math.inf
     if not 0 < nrm < math.inf:
         raise ValueError(f"cannot normalize the zero vector, or a norm out of float range: got {nrm}")
-    return v / nrm
+    return tuple(z / nrm for z in comps)
 
 
 def gaussian_packet(

@@ -103,11 +103,9 @@ class WaveTimeline:
     record sits at the final evolution time.  generators holds the
     dynamics as runs (h, n_intervals): over the next n_intervals record
     intervals the field obeys psi_t = -i h psi.  The runs cover every
-    interval.  Adjacent runs of one HamiltonianSpec object are merged, so
-    a run ends only where the dynamics change (a magnet switching off);
-    equal but distinct objects stay separate runs.  evolve records one
-    run and extend joins the runs.  boundary_mass holds the outer-domain
-    mass observed at each record.
+    interval, each as given: evolve records one run per window, and no
+    runs are merged.  boundary_mass holds the outer-domain mass observed
+    at each record.
     """
 
     times: np.ndarray
@@ -135,14 +133,9 @@ class WaveTimeline:
         bm = np.array(bm, dtype=np.float64, copy=True).reshape(-1)
         if bm.shape != t.shape:
             raise ValueError("boundary_mass must match times in length")
-        runs = []
-        for h, count in self.generators:
-            if h.grid != g or count < 1:
-                raise ValueError("each run needs the records' grid and an interval")
-            if runs and runs[-1][0] is h:
-                runs[-1][1] += int(count)
-            else:
-                runs.append([h, int(count)])
+        runs = tuple((h, int(count)) for h, count in self.generators)
+        if any(h.grid != g or count < 1 for h, count in runs):
+            raise ValueError("each run needs the records' grid and an interval")
         if sum(count for _, count in runs) != t.shape[0] - 1:
             raise ValueError("the generator runs must cover every record interval")
         t.setflags(write=False)
@@ -150,7 +143,7 @@ class WaveTimeline:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "fields", tuple(self.fields))
         object.__setattr__(self, "boundary_mass", bm)
-        object.__setattr__(self, "generators", tuple(tuple(run) for run in runs))
+        object.__setattr__(self, "generators", runs)
 
     @property
     def grid(self) -> Grid1D:
@@ -163,24 +156,6 @@ class WaveTimeline:
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
-
-    def extend(self, other: "WaveTimeline") -> "WaveTimeline":
-        """Concatenate a continuation whose first record equals our last."""
-        if other.grid != self.grid:
-            raise ValueError("cannot extend with a timeline on a different grid")
-        if abs(other.spacing - self.spacing) > 1e-12 * max(1.0, self.spacing):
-            raise ValueError("cannot extend with a different record spacing")
-        last, first = self.fields[-1], other.fields[0]
-        dev = max(
-            float(np.max(np.abs(last.comp1 - first.comp1))),
-            float(np.max(np.abs(last.comp2 - first.comp2))),
-        )
-        if dev > 1e-12:
-            raise ValueError(f"continuation does not start from the final record (dev {dev:.2e})")
-        times = np.concatenate([self.times, self.times[-1] + other.times[1:] - other.times[0]])
-        bm = np.concatenate([self.boundary_mass, other.boundary_mass[1:]])
-        gens = self.generators + other.generators
-        return WaveTimeline(times, self.fields + other.fields[1:], gens, bm)
 
 
 def _boundary_indices(n: int) -> np.ndarray:
@@ -209,8 +184,8 @@ def _is_free(h: HamiltonianSpec) -> bool:
 
 
 def _split_records(psi: SpinorField, h: HamiltonianSpec, dt: float, n_steps: int,
-                   record_every: int, edge: np.ndarray):
-    """Yield (step, field, boundary mass) at every record of Strang stepping."""
+                   record_every: int, edge: np.ndarray, start: float):
+    """Yield (time, field, boundary mass) at every record of Strang stepping from psi at start."""
     k = h.grid.wavenumbers()
     kin_phase = np.exp(-0.5j * dt * k * k)
     pot = _half_potential_factors(h, dt)
@@ -220,17 +195,17 @@ def _split_records(psi: SpinorField, h: HamiltonianSpec, dt: float, n_steps: int
         c1, c2 = _step_arrays(c1, c2, kin_phase, pot)
         bm = float(_edge_mass(np.stack((c1, c2)), edge, dx))
         if not bm <= BOUNDARY_MASS_LIMIT:
-            raise _escape(bm, f"at t = {i * dt:.6g}")
+            raise _escape(bm, f"at t = {start + i * dt:.6g}")
         if i % record_every == 0:
-            yield i, SpinorField(psi.grid, c1, c2), bm
+            yield start + i * dt, SpinorField(psi.grid, c1, c2), bm
 
 
 def _free_records(psi: SpinorField, dt: float, n_steps: int, record_every: int,
-                  edge: np.ndarray):
-    """Yield (step, field, boundary mass) at every record of free motion.
+                  edge: np.ndarray, start: float):
+    """Yield (time, field, boundary mass) at every record of free motion from psi at start.
 
     The state after step i is exactly ifft(exp(-i k^2 t/2) fft(psi)) at
-    t = i dt.  Every step time is transformed, in blocks of
+    t = i dt after start.  Every step time is transformed, in blocks of
     STATE_BLOCK_BYTES of states (one step time at least; the two phase
     tables take as much again), so the boundary mass is checked where the
     split steps check it; only the records are kept.
@@ -254,9 +229,10 @@ def _free_records(psi: SpinorField, dt: float, n_steps: int, record_every: int,
         over = np.flatnonzero(~(masses <= BOUNDARY_MASS_LIMIT))
         if over.size:
             j = int(over[0])
-            raise _escape(float(masses[j]), f"at t = {(lo + j + 1) * dt:.6g}")
+            raise _escape(float(masses[j]), f"at t = {start + (lo + j + 1) * dt:.6g}")
         for j in range((-lo - 1) % record_every, m, record_every):
-            yield lo + j + 1, SpinorField(grid, states[j, 0], states[j, 1]), float(masses[j])
+            t = start + (lo + j + 1) * dt
+            yield t, SpinorField(grid, states[j, 0], states[j, 1]), float(masses[j])
 
 
 def _step_count(total: float, step: float, name: str, step_name: str) -> int:
@@ -296,41 +272,41 @@ def window_steps(t_total: float, dt: float, record_every: int, name: str = "t_to
 
 def evolve(
     psi: SpinorField,
-    h: HamiltonianSpec,
-    t_total: float,
+    windows,
     dt: float,
     record_every: int = 1,
 ) -> WaveTimeline:
-    """Evolve for t_total, recording every record_every steps.
+    """Evolve through consecutive (h, duration) windows, recording every record_every steps.
 
-    A free h (V = 0 and mu B = 0 at every grid point) is evolved exactly
-    in Fourier space, with no splitting error; any other h takes Strang
-    split steps of dt.  Both check the boundary mass after every step of
-    dt.  The window must tile into whole record intervals (see window_steps).
-    Raises RuntimeError if mass in the outer 5% of the domain (each side)
-    ever exceeds 1e-6: the packet is about to wrap around.  A wave that
-    is not finite fails the same test and is reported as such.
+    windows is a nonempty sequence; each window starts from the last
+    record of the one before, at time start, records at start + i dt and
+    is one generator run.  A free h (V = 0 and mu B = 0 at every grid
+    point) is evolved exactly in Fourier space, with no splitting error;
+    any other h takes Strang split steps of dt.  Both check the boundary
+    mass after every step.  Each window must tile into whole record
+    intervals (see window_steps).  Raises RuntimeError if mass in the
+    outer 5% of the domain (each side) ever exceeds 1e-6, the packet
+    about to wrap around, or is not finite; the message says which.
     """
-    if psi.grid != h.grid:
+    if not windows:
+        raise ValueError("evolve needs at least one (h, duration) window")
+    if any(h.grid != psi.grid for h, _ in windows):
         raise ValueError("field and Hamiltonian live on different grids")
-    n_steps = window_steps(t_total, dt, record_every)
-    edge = _boundary_indices(h.grid.n)
-    bm = float(_edge_mass(np.stack((psi.comp1, psi.comp2)), edge, h.grid.dx))
+    counts = [window_steps(duration, dt, record_every) for _, duration in windows]
+    edge = _boundary_indices(psi.grid.n)
+    bm = float(_edge_mass(np.stack((psi.comp1, psi.comp2)), edge, psi.grid.dx))
     if not bm <= BOUNDARY_MASS_LIMIT:
         raise _escape(bm, "before evolution")
-    if _is_free(h):
-        records = _free_records(psi, dt, n_steps, record_every, edge)
-    else:
-        records = _split_records(psi, h, dt, n_steps, record_every, edge)
-    times = [0.0]
-    fields = [psi]
-    bmass = [bm]
-    for i, field, bm in records:
-        times.append(i * dt)
-        fields.append(field)
-        bmass.append(bm)
-    generators = ((h, len(fields) - 1),)
-    return WaveTimeline(np.array(times), tuple(fields), generators, np.array(bmass))
+    records = [(0.0, psi, bm)]
+    for (h, _), n_steps in zip(windows, counts):
+        start, field, _ = records[-1]
+        if _is_free(h):
+            records += _free_records(field, dt, n_steps, record_every, edge, start)
+        else:
+            records += _split_records(field, h, dt, n_steps, record_every, edge, start)
+    times, fields, bmass = zip(*records)
+    generators = tuple((h, n_steps // record_every) for (h, _), n_steps in zip(windows, counts))
+    return WaveTimeline(np.array(times), fields, generators, np.array(bmass))
 
 
 def _hamiltonian_nodes(h: HamiltonianSpec):

@@ -247,18 +247,14 @@ def build_timeline(
     packet: PacketSpec,
     numerics: SGNumerics = SGNumerics(),
 ) -> WaveTimeline:
-    """Evolve the packet through the magnet window and the free drift."""
+    """Evolve the packet through the magnet window, then the free drift if t_drift > 0."""
     grid = numerics.grid()
     psi0 = gaussian_packet(grid, packet.center, packet.sigma, packet.k, a, b)
     _check_kick_resolved(setup, packet, grid)
-    h_int = _magnet_hamiltonian(setup, grid)
-    timeline = evolve(psi0, h_int, setup.tau, numerics.dt, numerics.record_every)
+    windows = [(_magnet_hamiltonian(setup, grid), setup.tau)]
     if setup.t_drift > 0:
-        h_free = HamiltonianSpec.free(grid)
-        timeline = timeline.extend(
-            evolve(timeline.fields[-1], h_free, setup.t_drift, numerics.dt, numerics.record_every)
-        )
-    return timeline
+        windows.append((HamiltonianSpec.free(grid), setup.t_drift))
+    return evolve(psi0, windows, numerics.dt, numerics.record_every)
 
 
 def _assign_outcomes(q_final, setup: SGSetup) -> tuple[np.ndarray, np.ndarray]:

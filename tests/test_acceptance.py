@@ -84,7 +84,7 @@ def pointer_cases():
 @pytest.fixture(scope="module")
 def free_timeline():
     f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-    return evolve(f, HamiltonianSpec.free(GRID), 2.0, 1 / 256, record_every=8)
+    return evolve(f, [(HamiltonianSpec.free(GRID), 2.0)], 1 / 256, record_every=8)
 
 
 def test_01_born_frequencies(spin_configs, sg_timelines):
@@ -208,7 +208,7 @@ def test_06_propagator_accuracy(free_timeline):
     trap = HamiltonianSpec(GRID, 0.02 * xs**2, b, 1.0)
     f0 = gaussian_packet(GRID, 0.0, 1.0, 0.0, 0.6, 0.8)
     steps = 10_000
-    tl = evolve(f0, trap, steps / 256, 1 / 256, record_every=steps)
+    tl = evolve(f0, [(trap, steps / 256)], 1 / 256, record_every=steps)
     drift = abs(tl.fields[-1].norm() - 1.0)
     norm_ok = drift <= 1e-10
 
@@ -221,7 +221,7 @@ def test_06_propagator_accuracy(free_timeline):
     bounded = HamiltonianSpec(GRID, 2.0 * np.cos(2.0 * np.pi * xs / GRID.length), b, 1.0)
 
     def final(dt):
-        return evolve(f0, bounded, 0.5, dt, record_every=int(round(0.5 / dt))).fields[-1]
+        return evolve(f0, [(bounded, 0.5)], dt, record_every=int(round(0.5 / dt))).fields[-1]
 
     ref = final(1 / 4096)
     errors = [l2_distance(final(dt), ref) for dt in (1 / 32, 1 / 64, 1 / 128, 1 / 256)]

@@ -381,9 +381,9 @@ class TestSharedPreconditions:
             id="spin-amplitudes",
         ),
         pytest.param(
-            "[run]\ncommand = pointer-model\n[pointer]\nstate = 1e-200 0\n",
+            "[run]\ncommand = pointer-model\n[pointer]\nstate = 0 0\n",
             "line 4: [pointer] state",
-            [lambda: StateVec.normalized([1e-200, 0])],
+            [lambda: StateVec.normalized([0, 0])],
             id="pointer-state",
         ),
     ])
@@ -570,6 +570,12 @@ class TestCommands:
         assert summary["empirical"]["pointer_dim"] == 3
         born = summary["theoretical"]["born"]["value"]
         assert born["up"] == pytest.approx(0.36, abs=1e-12)
+
+    def test_pointer_model_normalizes_a_tiny_state(self, tmp_path):
+        # the norm is math.hypot of the moduli, so 1e-200 does not underflow to 0
+        code, out = invoke(tmp_path, "[run]\ncommand = pointer-model\n[pointer]\nstate = 1e-200 0\n")
+        assert code == 0
+        assert read_summary(out)["params"]["pointer_state_normalized"] == ["(1+0j)", "0j"]
 
     def test_pointer_model_expectation_identity_can_fail(self, tmp_path, monkeypatch):
         # shifted weights move sum_a p_a lambda_a but not <psi, A psi>

@@ -236,7 +236,7 @@ class TestIntRule:
         pytest.param(lambda v: make_grid(v, -8.0, 8.0), 64, id="Grid1D.n"),
         pytest.param(lambda v: window_steps(1.0, 1 / 256, v), 2, id="window_steps.record_every"),
         pytest.param(
-            lambda v: evolve(PACKET, HamiltonianSpec.free(SMALL), 0.25, 1 / 64, v), 2,
+            lambda v: evolve(PACKET, [(HamiltonianSpec.free(SMALL), 0.25)], 1 / 64, v), 2,
             id="evolve.record_every",
         ),
         pytest.param(lambda v: SGNumerics(record_every=v), 8, id="SGNumerics.record_every"),

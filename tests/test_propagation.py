@@ -58,6 +58,14 @@ def bounded_hamiltonian(grid=GRID, mu=1.0):
     return HamiltonianSpec(grid, v, b, mu)
 
 
+def twisted_hamiltonian():
+    """A transverse B_y of order one and no V: another generator than bounded_hamiltonian."""
+    xs = GRID.xs()
+    b = np.zeros((GRID.n, 3))
+    b[:, 1] = 0.5 * np.cos(2.0 * np.pi * xs / GRID.length)
+    return HamiltonianSpec(GRID, np.zeros(GRID.n), b, 1.0)
+
+
 def trap_hamiltonian(grid=GRID):
     xs = grid.xs()
     b = np.zeros((grid.n, 3))
@@ -96,14 +104,14 @@ class TestFreeEvolution:
 
     def test_gaussian_width_follows_spreading_law(self):
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-        tl = evolve(f, HamiltonianSpec.free(GRID), 2.0, 1 / 256, record_every=8)
+        tl = evolve(f, [(HamiltonianSpec.free(GRID), 2.0)], 1 / 256, record_every=8)
         for t, field in zip(tl.times, tl.fields):
             _, _, width = moments(field)
             assert abs(width - free_width(1.0, float(t))) <= 1e-9
 
     def test_moving_packet_center(self):
         f = gaussian_packet(GRID, -3.0, 1.0, 1.5)
-        tl = evolve(f, HamiltonianSpec.free(GRID), 2.0, 1 / 256, record_every=128)
+        tl = evolve(f, [(HamiltonianSpec.free(GRID), 2.0)], 1 / 256, record_every=128)
         _, center, _ = moments(tl.fields[-1])
         assert abs(center - (-3.0 + 1.5 * 2.0)) <= 1e-8
 
@@ -115,7 +123,7 @@ class TestExactFreeEvolution:
         # measured 8.9e-16
         packet = PacketSpec(center=-3.0, sigma=1.0, k=1.5)
         f0 = gaussian_packet(GRID, -3.0, 1.0, 1.5, 0.6, 0.8)
-        tl = evolve(f0, HamiltonianSpec.free(GRID), 2.0, 1 / 256, record_every=64)
+        tl = evolve(f0, [(HamiltonianSpec.free(GRID), 2.0)], 1 / 256, record_every=64)
         assert len(tl.fields) == 9
         for t, field in zip(tl.times, tl.fields):
             assert l2_distance(field, free_packet(packet, 0.6, 0.8, GRID, t)) <= 1e-13
@@ -123,7 +131,7 @@ class TestExactFreeEvolution:
     def test_records_match_the_split_steps(self):
         h = HamiltonianSpec.free(GRID)
         f0 = gaussian_packet(GRID, 1.0, 0.8, -2.0, 0.6, 0.8j)
-        tl = evolve(f0, h, 0.5, 1 / 128, record_every=16)
+        tl = evolve(f0, [(h, 0.5)], 1 / 128, record_every=16)
         f = f0
         for i in range(1, 65):
             f = split_step(f, h, 1 / 128)
@@ -142,9 +150,9 @@ class TestExactFreeEvolution:
         phase_only = HamiltonianSpec(GRID, np.zeros(GRID.n), b, 1.0)
         dt, record_every = 1 / 256, 256
         with pytest.raises(RuntimeError) as split:
-            evolve(f0, phase_only, 4.0, dt, record_every)
+            evolve(f0, [(phase_only, 4.0)], dt, record_every)
         with pytest.raises(RuntimeError) as exact:
-            evolve(f0, HamiltonianSpec.free(GRID), 4.0, dt, record_every)
+            evolve(f0, [(HamiltonianSpec.free(GRID), 4.0)], dt, record_every)
         assert str(exact.value) == str(split.value)
         t = float(re.search(r"at t = (\S+);", str(exact.value)).group(1))
         step = round(t / dt)
@@ -157,7 +165,7 @@ class TestUniformFieldSpin:
         b = np.zeros((512, 3))
         b[:, 0] = 0.9
         h = HamiltonianSpec(GRID, np.zeros(512), b, 1.0)
-        tl = evolve(gaussian_packet(GRID, 0.0, 1.0, 0.0), h, 1.0, 1 / 64, record_every=64)
+        tl = evolve(gaussian_packet(GRID, 0.0, 1.0, 0.0), [(h, 1.0)], 1 / 64, record_every=64)
         f = tl.fields[-1]
         p_up = float(np.sum(np.abs(f.comp1) ** 2) * GRID.dx)
         assert abs(p_up - math.cos(0.9) ** 2) <= 1e-12
@@ -167,8 +175,8 @@ class TestUniformFieldSpin:
         b[:, 2] = 1.3
         h = HamiltonianSpec(GRID, np.zeros(512), b, 1.0)
         f = gaussian_packet(GRID, 0.0, 1.0, 0.5)
-        with_field = evolve(f, h, 1.0, 1 / 128, record_every=128).fields[-1]
-        free = evolve(f, HamiltonianSpec.free(GRID), 1.0, 1 / 128, record_every=128).fields[-1]
+        with_field = evolve(f, [(h, 1.0)], 1 / 128, record_every=128).fields[-1]
+        free = evolve(f, [(HamiltonianSpec.free(GRID), 1.0)], 1 / 128, record_every=128).fields[-1]
         phase = np.exp(-1j * 1.3)
         assert np.max(np.abs(with_field.comp1 - phase * free.comp1)) <= 1e-12
 
@@ -179,7 +187,7 @@ class TestAccuracy:
         f0 = gaussian_packet(GRID, 0.0, 1.0, 0.0, 0.6, 0.8)
 
         def final(dt):
-            return evolve(f0, h, 0.5, dt, record_every=int(round(0.5 / dt))).fields[-1]
+            return evolve(f0, [(h, 0.5)], dt, record_every=int(round(0.5 / dt))).fields[-1]
 
         ref = final(1 / 1024)
         err_coarse = l2_distance(final(1 / 64), ref)
@@ -189,14 +197,14 @@ class TestAccuracy:
     def test_norm_preserved_over_long_run(self):
         h = trap_hamiltonian()
         f0 = gaussian_packet(GRID, 0.0, 1.0, 0.0, 0.6, 0.8)
-        tl = evolve(f0, h, 1024 / 256, 1 / 256, record_every=1024)
+        tl = evolve(f0, [(h, 1024 / 256)], 1 / 256, record_every=1024)
         assert abs(tl.fields[-1].norm() - 1.0) <= 1e-11
 
     def test_reversibility(self):
         # the Strang step is symmetric: a step of -dt undoes a step of dt
         h = bounded_hamiltonian()
         f0 = gaussian_packet(GRID, 0.0, 1.0, 0.0, 0.6, 0.8)
-        f = evolve(f0, h, 1.0, 1 / 256, record_every=16).fields[-1]
+        f = evolve(f0, [(h, 1.0)], 1 / 256, record_every=16).fields[-1]
         for _ in range(256):
             f = split_step(f, h, -1 / 256)
         assert l2_distance(f, f0) <= 1e-8
@@ -227,7 +235,7 @@ class TestAccuracy:
         f0 = gaussian_packet(grid, 0.0, 1.0 / math.sqrt(2.0 * omega), 0.0)
         e0 = energy(f0, h)
         assert abs(e0 - omega / 2.0) <= 1e-9
-        tl = evolve(f0, h, 2.0, 1 / 256, record_every=128)
+        tl = evolve(f0, [(h, 2.0)], 1 / 256, record_every=128)
         for field in tl.fields:
             assert abs(energy(field, h) - e0) <= 1e-10
 
@@ -251,29 +259,29 @@ class TestGuards:
     def test_boundary_mass_monitor_stops_escape(self):
         f = gaussian_packet(GRID, 22.0, 1.0, 5.0)
         with pytest.raises(RuntimeError, match="boundary mass"):
-            evolve(f, HamiltonianSpec.free(GRID), 2.0, 1 / 256, record_every=512)
+            evolve(f, [(HamiltonianSpec.free(GRID), 2.0)], 1 / 256, record_every=512)
 
     def test_evolve_sign_and_divisibility_rules(self):
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
         h = HamiltonianSpec.free(GRID)
         for t_total, dt in ((1.0, 0.0), (1.0, -1 / 64), (-1.0, 1 / 64), (-1.0, -1 / 64)):
             with pytest.raises(ValueError, match="must be positive"):
-                evolve(f, h, t_total, dt)
+                evolve(f, [(h, t_total)], dt)
         with pytest.raises(ValueError, match="divide t_total"):
-            evolve(f, h, 1.0, 0.3)
+            evolve(f, [(h, 1.0)], 0.3)
         with pytest.raises(ValueError, match="record_every"):
-            evolve(f, h, 1.0, 1 / 64, record_every=7)
+            evolve(f, [(h, 1.0)], 1 / 64, record_every=7)
         with pytest.raises(ValueError, match="record_every"):
-            evolve(f, h, 1.0, 1 / 64, record_every=-2)
+            evolve(f, [(h, 1.0)], 1 / 64, record_every=-2)
         for t_total, dt in ((1e308, 1 / 256), (1.0, 1e-320)):  # the step count overflows
             with pytest.raises(ValueError, match="not a finite step count"):
-                evolve(f, h, t_total, dt)
+                evolve(f, [(h, t_total)], dt)
 
 
 @pytest.fixture(scope="module")
 def timeline():
     f = gaussian_packet(GRID, 0.0, 1.0, 0.0, 0.6, 0.8)
-    return evolve(f, bounded_hamiltonian(), 1.0, 1 / 128, record_every=16)
+    return evolve(f, [(bounded_hamiltonian(), 1.0)], 1 / 128, record_every=16)
 
 
 class TestWaveTimeline:
@@ -285,41 +293,42 @@ class TestWaveTimeline:
         assert np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0)
         assert timeline.spacing == pytest.approx(16 / 128, abs=1e-15)
 
-    def test_extend_requires_continuity(self, timeline):
-        other = evolve(
-            gaussian_packet(GRID, 0.0, 2.0, 0.0), bounded_hamiltonian(), 1.0, 1 / 128, 16
-        )
-        with pytest.raises(ValueError, match="final record"):
-            timeline.extend(other)
-
-    def test_extend_concatenates(self, timeline):
-        cont = evolve(timeline.fields[-1], bounded_hamiltonian(), 0.5, 1 / 128, 16)
-        joined = timeline.extend(cont)
-        assert joined.duration == pytest.approx(1.5, abs=1e-12)
-        assert len(joined.fields) == len(timeline.fields) + len(cont.fields) - 1
-        assert np.array_equal(joined.fields[-1].comp1, cont.fields[-1].comp1)
-
     def test_evolve_records_its_generator(self, timeline):
         h = bounded_hamiltonian()
         (_, count), = timeline.generators
         assert count == len(timeline.times) - 1
-        assert evolve(timeline.fields[0], h, 0.5, 1 / 128, 16).generators == ((h, 4),)
+        assert evolve(timeline.fields[0], [(h, 0.5)], 1 / 128, 16).generators == ((h, 4),)
 
-    def test_extend_joins_and_merges_generators(self, timeline):
-        xs = GRID.xs()
-        b = np.zeros((GRID.n, 3))
-        b[:, 1] = 0.5 * np.cos(2.0 * np.pi * xs / GRID.length)
-        twisted = HamiltonianSpec(GRID, np.zeros(GRID.n), b, 1.0)
-        (first, _), = timeline.generators
-        tail = evolve(timeline.fields[-1], twisted, 0.25, 1 / 128, 16)
-        joined = timeline.extend(tail)
-        assert joined.generators == ((first, 8), (twisted, 2))
-        # runs of one generator object merge; those of another do not
-        more = tail.extend(evolve(tail.fields[-1], twisted, 0.25, 1 / 128, 16))
-        assert more.generators == ((twisted, 4),)
-        twin = HamiltonianSpec(GRID, twisted.potential, twisted.field_b, twisted.mu)
-        apart = tail.extend(evolve(tail.fields[-1], twin, 0.25, 1 / 128, 16))
-        assert apart.generators == ((twisted, 2), (twin, 2))
+    def test_windows_record_one_run_each(self, timeline):
+        h, twisted = bounded_hamiltonian(), twisted_hamiltonian()
+        joined = evolve(timeline.fields[0], [(h, 1.0), (twisted, 0.25), (twisted, 0.25)], 1 / 128, 16)
+        # one run per window, even of one generator object
+        assert joined.generators == ((h, 8), (twisted, 2), (twisted, 2))
+        # records at start + i dt, start being the last record of the window before
+        dt = 1 / 128
+        expected = [i * dt for i in range(0, 129, 16)]
+        for start in (1.0, 1.25):
+            expected += [start + i * dt for i in (16, 32)]
+        assert joined.times.tolist() == expected
+
+    def test_windows_continue_from_the_last_record(self, timeline):
+        twisted = twisted_hamiltonian()
+        tail = evolve(timeline.fields[-1], [(twisted, 0.5)], 1 / 128, 16)
+        joined = evolve(timeline.fields[0], [(bounded_hamiltonian(), 1.0), (twisted, 0.5)], 1 / 128, 16)
+        parts = timeline.fields + tail.fields[1:]
+        assert len(joined.fields) == len(parts)
+        for got, want in zip(joined.fields, parts):
+            assert np.array_equal(got.comp1, want.comp1) and np.array_equal(got.comp2, want.comp2)
+        bm = np.concatenate([timeline.boundary_mass, tail.boundary_mass[1:]])
+        assert np.array_equal(joined.boundary_mass, bm)
+        assert joined.times[-1] == pytest.approx(1.5, abs=1e-12)
+
+    def test_evolve_refuses_no_window_and_another_grid(self, timeline):
+        with pytest.raises(ValueError, match="at least one"):
+            evolve(timeline.fields[0], [], 1 / 128, 16)
+        elsewhere = HamiltonianSpec.free(make_grid(256, -30.0, 30.0))
+        with pytest.raises(ValueError, match="different grids"):
+            evolve(timeline.fields[0], [(bounded_hamiltonian(), 1.0), (elsewhere, 1.0)], 1 / 128, 16)
 
     def test_generators_must_cover_the_records(self, timeline):
         (h, count), = timeline.generators

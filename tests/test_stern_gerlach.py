@@ -143,6 +143,11 @@ class TestTimeline:
         assert branch_overlap(final) <= 1e-4
         assert tl.times[-1] == pytest.approx(3.0, abs=1e-12)
 
+    def test_a_drift_escape_reports_the_experiment_time(self):
+        # the packet reaches the domain edge 3.37891 into the drift, which starts at tau = 1
+        with pytest.raises(RuntimeError, match=r"exceeds 1e-06 at t = 4\.37891;"):
+            build_timeline(SGSetup(t_drift=6.0), SQ2, SQ2, PacketSpec())
+
     def test_polarity_flip_mirrors_the_deflection(self):
         tl = build_timeline(SGSetup(polarity=-1), 1.0, 0.0, PacketSpec(), COARSE)
         final = tl.fields[-1]

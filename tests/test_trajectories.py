@@ -36,7 +36,7 @@ DT_TRAJ = 1 / 64
 @pytest.fixture(scope="module")
 def free_timeline():
     f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-    return evolve(f, HamiltonianSpec.free(GRID), 1.0, 1 / 256, record_every=16)
+    return evolve(f, [(HamiltonianSpec.free(GRID), 1.0)], 1 / 256, record_every=16)
 
 
 def transported_ks(timeline, q0):
@@ -153,7 +153,7 @@ class TestFlow:
             GRID, 0.5 * omega**2 * GRID.xs() ** 2, np.zeros((GRID.n, 3)), 0.0
         )
         f0 = gaussian_packet(GRID, 0.0, 1.0 / np.sqrt(2.0 * omega), 0.0)
-        tl = evolve(f0, h, 1.0, 1 / 256, record_every=32)
+        tl = evolve(f0, [(h, 1.0)], 1 / 256, record_every=32)
         q0 = np.array([-2.5, -1.0, 0.5, 3.0])
         paths = integrate_ensemble(tl, q0, tl.spacing / 4)
         assert np.max(np.abs(paths.q_final - q0)) <= 1e-7
@@ -185,7 +185,7 @@ class TestMemory:
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
         q0 = np.linspace(-2.0, 2.0, 256)
         timelines = {
-            every: evolve(f, HamiltonianSpec.free(GRID), 0.25, 1 / 256, record_every=every)
+            every: evolve(f, [(HamiltonianSpec.free(GRID), 0.25)], 1 / 256, record_every=every)
             for every in (1, 8)
         }
         integrate_ensemble(timelines[8], q0, 1 / 256)  # numpy's first-call allocations
@@ -428,7 +428,7 @@ class TestGatherReuse:
         # dt = 0.01 is not a power of two: k4's time must still equal the
         # next step's k1 time bit for bit
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-        timeline = evolve(f, HamiltonianSpec.free(GRID), 1.0, 0.01, record_every=5)
+        timeline = evolve(f, [(HamiltonianSpec.free(GRID), 1.0)], 0.01, record_every=5)
         reuses = []
         real = trajectories._interp_quotient
 
@@ -482,7 +482,7 @@ class TestTimeDerivatives:
         # (~5e-6 of the largest rate); psi_t of the wrong sign misses by 2
         f, h = driven
         dt = 1 / 512
-        timeline = evolve(f, h, 0.25, dt)
+        timeline = evolve(f, [(h, 0.25)], dt)
         tables = trajectories._flow_ends(timeline.fields, _hamiltonian_nodes(h), 1j * h.grid.wavenumbers())
         values, rates = tables[:, 0], tables[:, 1]
         centered = (values[2:] - values[:-2]) / (2.0 * dt)
@@ -541,7 +541,7 @@ class TestFlowMap:
     def test_driven_timeline(self, driven):
         # no closed form: V + B_x,y,z, 8 record intervals of 16 steps
         f, h = driven
-        timeline = evolve(f, h, 0.25, 1 / 512, record_every=16)
+        timeline = evolve(f, [(h, 0.25)], 1 / 512, record_every=16)
         assert self.miss(timeline, timeline.spacing / 2) <= 7e-6  # measured 3.6e-6
 
 
@@ -561,15 +561,8 @@ class TestEquivariance:
 
     def test_untransported_samples_fail(self, free_timeline):
         # the initial ensemble against a well-spread later density: clear miss
-        longer = free_timeline.extend(
-            evolve(
-                free_timeline.fields[-1],
-                HamiltonianSpec.free(GRID),
-                2.0,
-                1 / 256,
-                record_every=16,
-            )
-        )
+        free = HamiltonianSpec.free(GRID)
+        longer = evolve(free_timeline.fields[0], [(free, 1.0), (free, 2.0)], 1 / 256, record_every=16)
         q0 = sample(longer.fields[0], 4000, seed=100)
         assert ks_distance(q0, longer.fields[-1]) > 8.0 / np.sqrt(4000)
         assert transported_ks(longer, q0) < 1.63 / np.sqrt(4000)

@@ -37,11 +37,11 @@ def test_every_split_step_goes_through_step_arrays(monkeypatch):
     psi = gaussian_packet(GRID, 0.0, 1.0, 0.0)
     # the magnet is not free, so each of its steps is a split step
     magnet = _magnet_hamiltonian(SGSetup(b_grad=1.0), GRID)
-    evolve(psi, magnet, 0.25, 1 / 64, record_every=4)
+    evolve(psi, [(magnet, 0.25)], 1 / 64, record_every=4)
     assert len(calls) == 16
     # a free window is exact: it takes no split step
     calls.clear()
-    evolve(psi, HamiltonianSpec.free(GRID), 0.25, 1 / 64, record_every=4)
+    evolve(psi, [(HamiltonianSpec.free(GRID), 0.25)], 1 / 64, record_every=4)
     assert calls == []
 
 
@@ -54,7 +54,7 @@ def test_every_velocity_evaluation_goes_through_interp_quotient(monkeypatch):
         lambda args, kwargs: batches.append(np.size(args[3])),
     )
     psi = gaussian_packet(GRID, 0.0, 1.0, 0.0)
-    timeline = evolve(psi, HamiltonianSpec.free(GRID), 0.25, 1 / 64, record_every=4)
+    timeline = evolve(psi, [(HamiltonianSpec.free(GRID), 0.25)], 1 / 64, record_every=4)
     integrate_ensemble(timeline, np.linspace(-1.0, 1.0, 37), dt_traj=timeline.spacing / 4)
     # four evaluations per RK4 step, four steps per record interval
     assert batches == [37] * 4 * 4 * (len(timeline.times) - 1)

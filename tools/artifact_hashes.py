@@ -10,6 +10,9 @@ line per artifact:
 - every CLI command's configuration at a small size, run with --threads 1
   and 2: each output file and the exit code (contextuality with equal
   spins; the ensembles of 5000 are large enough to split in two);
+- build_timeline at the bench numerics, with the default drift and with
+  t_drift = 0: its times, boundary masses, generator run lengths and
+  every record's components;
 - q0, q_final and positions of the sg-history pipeline of the benchmark
   (bench numerics, 20k particles, one thread, history kept);
 - integrate_ensemble's q0, q_final and positions at 203 particles on 3
@@ -78,6 +81,13 @@ def cli_hashes(workdir: Path):
                 yield f"cli/{command}/t{threads}/{path.name}", sha(path.read_bytes())
 
 
+def timeline_hashes(name: str, timeline):
+    yield f"sg-timeline/{name}/times", array_sha(timeline.times)
+    yield f"sg-timeline/{name}/boundary_mass", array_sha(timeline.boundary_mass)
+    yield f"sg-timeline/{name}/runs", sha(repr([n for _, n in timeline.generators]).encode())
+    yield f"sg-timeline/{name}/records", array_sha([(f.comp1, f.comp2) for f in timeline.fields])
+
+
 def library_hashes():
     from bohmlab import (
         PacketSpec, SGNumerics, SGSetup, build_timeline, integrate_ensemble, run_sg, sample,
@@ -88,6 +98,8 @@ def library_hashes():
     a = b = 0.70710678118654752
     numerics = SGNumerics(dt=0.00390625, record_every=8, substeps=4)  # the benchmark's
     timeline = build_timeline(setup, a, b, packet, numerics)
+    yield from timeline_hashes("drift", timeline)
+    yield from timeline_hashes("no-drift", build_timeline(SGSetup(t_drift=0.0), a, b, packet, numerics))
     _, ensemble = run_sg(
         setup, a, b, packet, 20_000, 0, numerics, keep_history=True, timeline=timeline
     )
