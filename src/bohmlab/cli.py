@@ -34,7 +34,7 @@ import numpy as np
 # operators and peres_mermin are imported inside the pointer-model and
 # nogo drivers, so no other command loads them.
 from . import __version__
-from .grids import _check_int, _check_spinor, _unit_vector, check_packet_fits, gaussian_packet
+from .grids import _check_int, _unit_vector, check_packet_fits, gaussian_packet
 from .propagation import HamiltonianSpec, evolve, window_steps
 from .sampling import KS_COEFF, _check_seed, ks_distance, sample
 from .stern_gerlach import (
@@ -46,6 +46,7 @@ from .stern_gerlach import (
     _check_kick_resolved,
     _check_packet_symmetric,
     _check_reversal_setup,
+    _magnet_hamiltonian,
     branch_overlap,
     build_timeline,
     contextuality_demo,
@@ -281,8 +282,8 @@ def parse_config(text: str) -> RunConfig:
     The [grid], [packet], [setup] and [numerics] values are checked by
     constructing SGNumerics, PacketSpec and SGSetup from them, plus the
     library checks the command will meet: the grid, the packet fitting
-    it, the splitting preconditions, the magnet's kick inside the grid's
-    band and the tiling of each window.
+    it, the packet's spin, the splitting preconditions, the magnet's kick
+    inside the grid's band and coupling, and the tiling of each window.
     """
     sections, section_lines, errors = _tokenize(text)
 
@@ -294,10 +295,10 @@ def parse_config(text: str) -> RunConfig:
             lineno, label = sections.get(section, {}).get(key, (None, None))[1], f"[{section}] {key}:"
         errors.append(f"line {lineno}: {label} {message}" if lineno else f"{label} {message}")
 
-    def check(section: str, key: str, rule, *args) -> None:
-        """Run a library check; a ValueError is reported on the key's line."""
+    def check(section: str, key: str, rule, *args):
+        """rule(*args), or None once its ValueError is reported on the key's line."""
         try:
-            rule(*args)
+            return rule(*args)
         except ValueError as exc:
             fail(section, key, str(exc))
 
@@ -388,6 +389,7 @@ def parse_config(text: str) -> RunConfig:
             setup.upper_branch  # raises when mu * b_grad = 0
             if packet is not None and grid is not None:
                 _check_kick_resolved(setup, packet, grid)
+                _magnet_hamiltonian(setup, grid)  # its coupling, as build_timeline builds it
         if command == "contextuality":
             _check_reversal_setup(setup)
 
@@ -395,7 +397,7 @@ def parse_config(text: str) -> RunConfig:
     setup = construct(SGSetup, check_setup)
 
     spin_up, spin_down = v["packet"]["spin_up"], v["packet"]["spin_down"]
-    check("packet", "spin_up", _check_spinor, spin_up, spin_down)
+    spin = check("packet", "spin_up", _unit_vector, (spin_up, spin_down))
 
     # Every window the command evolves must tile into whole record
     # intervals: its key, dt and record_every are settled like a class's
@@ -416,7 +418,8 @@ def parse_config(text: str) -> RunConfig:
         settle([k for k in given if k[1] in sections.get(k[0], {})], tile, (section, key))
 
     if command == "contextuality":
-        check("packet", "spin_up", _check_equal_weights, spin_up, spin_down)
+        if spin is not None:  # judged as the run's, scaled to unit norm
+            check("packet", "spin_up", _check_equal_weights, *spin)
         if packet is not None:  # the outcome grid spans [-q_span, q_span]
             q_span = v["contextuality"]["q_span"]
             check("contextuality", "q_span", _check_in_support, (-q_span, q_span), packet)
@@ -827,7 +830,8 @@ def run(config: RunConfig, *, threads: int = 1) -> int:
     """Execute one command; artifacts land in config.out only on success."""
     _check_int(threads, "threads")
     try:
-        artifacts = _DRIVERS[config.command][0](config, threads)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # a fault is the JSON error
+            artifacts = _DRIVERS[config.command][0](config, threads)
         _write_artifacts(config.out, artifacts, config.formats)
     except Exception as exc:  # any driver failure gets the JSON report
         report = {

@@ -144,8 +144,8 @@ class SpinorField:
     def _normalize(self) -> "SpinorField":
         """Return the unit-norm rescaling of this field."""
         nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero field")
+        if not 0.0 < nrm < math.inf:  # zero, or a density past float range
+            raise ValueError(f"cannot normalize a field of norm {nrm}: it must be finite and positive")
         return SpinorField(self.grid, self.comp1 / nrm, self.comp2 / nrm)
 
 
@@ -178,16 +178,10 @@ def _check_in_band(grid: Grid1D, k: float, sigma: float, what: str) -> None:
         raise ValueError(f"{what} = {top:.6g} must stay below the grid's band pi/dx = {band:.6g}")
 
 
-def _check_spinor(a: complex, b: complex) -> None:
-    """A packet's spin amplitudes, which the CLI's spin_up and spin_down set."""
-    if a == 0 and b == 0:
-        raise ValueError("spinor amplitudes (a, b) must not both vanish")
-
-
 def _unit_vector(vec) -> tuple[complex, ...]:
     """vec's components scaled to unit norm, each divided as a Python
-    complex: the one zero-norm rule, which StateVec.normalized and the
-    CLI's [pointer] state and packet spinor share.  The norm is math.hypot
+    complex: the one zero-norm rule, which StateVec.normalized, the CLI's
+    [pointer] state and every packet's spin share.  The norm is math.hypot
     of the moduli, which neither underflows nor overflows on its way."""
     comps = [complex(z) for z in np.asarray(vec, dtype=np.complex128).reshape(-1)]
     try:
@@ -212,11 +206,12 @@ def gaussian_packet(
     Each component is proportional to exp(-(x-center)^2 / (4 sigma^2)) *
     exp(i k x), weighted by the spinor amplitude, and the whole field is
     normalized.  The packet must fit the grid (see check_packet_fits).
+    (a, b) must pass _unit_vector, undivided; a field whose norm overflows is refused.
     """
     if not sigma > 0:
         raise ValueError(f"packet width must be positive, got {sigma}")
     a, b = complex(a), complex(b)
-    _check_spinor(a, b)
+    _unit_vector((a, b))
     check_packet_fits(grid, center, sigma, k)
     x = grid.xs()
     envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k * x)

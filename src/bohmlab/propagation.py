@@ -35,6 +35,7 @@ class HamiltonianSpec:
     potential : real array of V(x_j), shape (n,)
     field_b   : real array of B(x_j), shape (n, 3)
     mu        : real coupling strength
+    Each must be finite, and so must mu |B(x_j)| as the split step takes it.
     """
 
     grid: Grid1D
@@ -49,8 +50,10 @@ class HamiltonianSpec:
             raise ValueError(f"potential must have length {self.grid.n}, got {v.shape}")
         if b.shape != (self.grid.n, 3):
             raise ValueError(f"field_b must have shape ({self.grid.n}, 3), got {b.shape}")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(b))):
-            raise ValueError("potential and field values must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, as is a B not finite
+            coupling = float(self.mu) * np.sqrt(np.sum(b**2, axis=1))
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(coupling))):
+            raise ValueError("potential, field and coupling mu |B| values must be finite")
         v.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "potential", v)

@@ -29,7 +29,7 @@ import numpy as np
 from .grids import Grid1D, SpinorField, _check_in_band, _check_int, make_grid, gaussian_packet
 from .propagation import HamiltonianSpec, WaveTimeline, evolve
 from .sampling import _check_seed, sample
-from .trajectories import integrate_ensemble
+from .trajectories import EnsemblePaths, integrate_ensemble
 
 __all__ = [
     "PacketSpec",
@@ -168,14 +168,24 @@ class SGNumerics:
 
 def _check_spin(a: complex, b: complex) -> tuple[complex, complex]:
     a, b = complex(a), complex(b)
-    total = abs(a) ** 2 + abs(b) ** 2
-    if abs(total - 1.0) > SPIN_NORM_TOL:
+    try:
+        total = abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:  # a modulus, or its square, past float range
+        total = math.inf
+    if not abs(total - 1.0) <= SPIN_NORM_TOL:
         raise ValueError(f"spinor must satisfy |a|^2 + |b|^2 = 1, got {total!r}")
     return a, b
 
 
-# Preconditions of the experiment's entry points.  parse_config calls the
-# same functions, so each is stated once.
+# Preconditions of the entry points, each stated once: parse_config calls the same
+# functions, and each entry point first calls _check_entry (threads, spinor, packet).
+def _check_entry(threads: int, a: complex, b: complex, packet: PacketSpec) -> tuple[complex, complex]:
+    _check_int(threads, "threads")
+    a, b = _check_spin(a, b)
+    _check_packet_symmetric(packet)
+    return a, b
+
+
 def _check_packet_symmetric(packet: PacketSpec) -> None:
     if packet.center != 0.0 or packet.k != 0.0:
         raise ValueError(
@@ -234,9 +244,10 @@ def _check_kick_resolved(setup: SGSetup, packet: PacketSpec, grid: Grid1D) -> No
 
 
 def _magnet_hamiltonian(setup: SGSetup, grid: Grid1D) -> HamiltonianSpec:
-    """The coupling of the magnet window on grid."""
+    """The coupling of the magnet window on grid; HamiltonianSpec refuses one past float range."""
     field = np.zeros((grid.n, 3))
-    field[:, 2] = setup._field_sign * (setup.b0 + setup.b_grad * grid.xs())
+    with np.errstate(over="ignore"):
+        field[:, 2] = setup._field_sign * (setup.b0 + setup.b_grad * grid.xs())
     return HamiltonianSpec(grid, np.zeros(grid.n), field, setup.mu)
 
 
@@ -366,15 +377,11 @@ def _readout(setup: SGSetup, timeline: WaveTimeline, q0, numerics: SGNumerics, t
 
 
 @dataclass(frozen=True)
-class TrajectoryEnsemble:
-    """Seeded trajectory ensemble with per-trajectory outcome assignments."""
+class TrajectoryEnsemble(EnsemblePaths):
+    """Seeded EnsemblePaths with each trajectory's outcome and calibration, and its experiment."""
 
-    times: np.ndarray
-    q0: np.ndarray
-    q_final: np.ndarray
     outcomes: np.ndarray
     lambdas: np.ndarray
-    positions: np.ndarray | None
     setup: SGSetup
     spin_up: complex
     spin_down: complex
@@ -403,9 +410,7 @@ def run_sg(
     misconfigured geometry.  Only with keep_history does the ensemble
     carry the position history that no_crossing_check reads.
     """
-    _check_int(threads, "threads")
-    a, b = _check_spin(a, b)
-    _check_packet_symmetric(packet)
+    a, b = _check_entry(threads, a, b, packet)
     _check_int(n, "ensemble size")
     _check_seed(seed)
     setup.upper_branch  # validates that the setup splits at all
@@ -415,12 +420,9 @@ def run_sg(
     paths, outcomes, lambdas = _readout(setup, timeline, q0, numerics, threads, keep_history)
     stats = _statistics(setup, a, b, lambdas, outcomes)
     ensemble = TrajectoryEnsemble(
-        times=paths.times,
-        q0=paths.q0,
-        q_final=paths.q_final,
+        **vars(paths),
         outcomes=outcomes,
         lambdas=lambdas,
-        positions=paths.positions,
         setup=setup,
         spin_up=a,
         spin_down=b,
@@ -444,9 +446,7 @@ def outcome_map(
     Returns lambda values with NaN marking null outcomes.  The initial
     positions must lie within the packet support (|q - center| < 5 sigma).
     """
-    _check_int(threads, "threads")
-    a, b = _check_spin(a, b)
-    _check_packet_symmetric(packet)
+    a, b = _check_entry(threads, a, b, packet)
     q = _initial_positions(q_grid, packet)
     setup.upper_branch
     timeline = build_timeline(setup, a, b, packet, numerics)
@@ -504,9 +504,7 @@ def contextuality_demo(
     non-null initial position.  Each experiment transports its sampled
     ensemble and the map grid together, in one call.
     """
-    _check_int(threads, "threads")
-    a, b = _check_spin(a, b)
-    _check_packet_symmetric(packet)
+    a, b = _check_entry(threads, a, b, packet)
     _check_reversal_setup(setup)
     _check_equal_weights(a, b)
     q = _initial_positions(q_grid, packet)

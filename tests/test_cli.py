@@ -8,6 +8,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +383,18 @@ class TestSharedPreconditions:
             id="spin-amplitudes",
         ),
         pytest.param(
+            "[run]\ncommand = propagate\n[packet]\nspin_up = 1.5e308+1.5e308j\n",
+            "line 4: [packet] spin_up",
+            [lambda: gaussian_packet(SMALL_PACKET.grid, 0.0, 1.0, 0.0, a=1.5e308 + 1.5e308j, b=0)],
+            id="spin-in-float-range",
+        ),
+        pytest.param(
+            sg_config("born-check", extra="[setup]\nb0 = 1e308\n"),
+            "line 17: [setup] b0",
+            [lambda: build_timeline(SGSetup(b0=1e308), SQ2, SQ2, PacketSpec(), SGNumerics(grid_n=256))],
+            id="magnet-coupling",
+        ),
+        pytest.param(
             "[run]\ncommand = pointer-model\n[pointer]\nstate = 0 0\n",
             "line 4: [pointer] state",
             [lambda: StateVec.normalized([0, 0])],
@@ -691,7 +705,7 @@ class TestFormatSelection:
 FUZZ_VALUES = (
     "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1e-320", "0", "-1", "1", "2", "0.5",
     "16", "7", "abc", "", "true", "1+1j", "csv", "0.00390625", "3.0", "-30", "30", "256", "4096",
-    str(2**1024),
+    str(2**1024), "1.5e308+1.5e308j", "1e200",
 )
 FUZZ_KEYS = [(s, k) for s, schema in cli._SCHEMA.items() for k in schema if k != "command"]
 
@@ -922,15 +936,56 @@ class TestFailureModes:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_a_wave_that_is_not_finite_stops_at_the_first_step(self, tmp_path, capsys):
-        # b0 = 1e308 overflows B^2 and the magnet's first step makes the wave
-        # NaN; numpy's warnings, errors under pytest, are silenced as outside it
-        text = "[run]\ncommand = born-check\nn_samples = 64\n[grid]\nn = 256\n[setup]\nb0 = 1e308\n"
-        with np.errstate(all="ignore"):
-            code, out = invoke(tmp_path, text)
+    def test_a_wave_that_is_not_finite_stops_at_the_first_step(self, tmp_path, capsys, monkeypatch):
+        # a config whose coupling overflows is refused at parse time, so NaN
+        # step factors stand in for one: the magnet's first step makes the wave NaN
+        from bohmlab import propagation
+
+        monkeypatch.setattr(
+            propagation, "_half_potential_factors", lambda h, dt: (np.full(h.grid.n, np.nan),) * 4
+        )
+        code, out = invoke(tmp_path, "[run]\ncommand = born-check\nn_samples = 64\n[grid]\nn = 256\n")
         assert code == 1 and not out.exists()
         report = json.loads(capsys.readouterr().err)
         assert report["message"] == "the wave is not finite at t = 0.00390625: its boundary mass is nan"
+
+    def test_contextuality_refuses_a_spin_past_float_range_once(self):
+        # the equal-weights rule judges the spin as the run does, scaled to
+        # unit norm, so it meets no modulus past float range
+        with pytest.raises(ConfigError) as err:
+            parse_config("[run]\ncommand = contextuality\n[packet]\nspin_up = 1.5e308+1.5e308j\n")
+        assert err.value.errors == (
+            "line 4: [packet] spin_up: cannot normalize the zero vector, or a norm out of "
+            "float range: got inf",
+        )
+
+    @pytest.mark.parametrize("text, patch, code", [
+        pytest.param(
+            "[run]\ncommand = born-check\nn_samples = 64\n[grid]\nn = 256\n[setup]\nb0 = 1e308\n",
+            "", 2, id="coupling",
+        ),
+        pytest.param("[run]\ncommand = propagate\n[packet]\nspin_up = 1.5e308+1.5e308j\n", "", 2, id="spin"),
+        pytest.param(
+            "[run]\ncommand = nogo\n",
+            "cli._DRIVERS['nogo'] = (lambda config, threads: {'x.txt': str(np.float64(1e308) * 10)}, ())\n",
+            1, id="driver-overflow",
+        ),
+    ])
+    def test_stderr_is_one_json_line(self, tmp_path, text, patch, code):
+        # a fresh interpreter prints numpy's warnings to stderr; under pytest
+        # they are errors, which hides a stray line
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(text)
+        script = f"import numpy as np\nfrom bohmlab import cli\n{patch}raise SystemExit(cli.main())\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), PYTHONWARNINGS="default")
+        done = subprocess.run(
+            [sys.executable, "-c", script, "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code and not out.exists()
+        line, = done.stderr.splitlines()
+        report = json.loads(line)
+        assert report["error"] == ("ConfigError" if code == 2 else "FloatingPointError")
 
     def test_pointer_state_dimension_mismatch(self, tmp_path, capsys):
         text = "[run]\ncommand = pointer-model\n[pointer]\nstate = 1 0 0\n"

@@ -170,6 +170,11 @@ class TestGaussianPacket:
             gaussian_packet(grid, 28.0, 1.0, 0.0)  # support leaves the domain
         with pytest.raises(ValueError):
             gaussian_packet(grid, 0.0, 10.0, 0.0)  # too wide for the box
+        # the density |1e200 envelope|^2 overflows, so the norm is inf and no
+        # unit field exists.  numpy's overflow warning, an error under
+        # pytest, is silenced as outside it
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm inf"):
+            gaussian_packet(grid, 0.0, 1.0, 0.0, 1e200, 0.0)
 
     def test_spectrum_must_stay_inside_the_band(self, grid):
         # pi/dx = 26.808 on this grid; 5/(2 sigma) = 2.5 at sigma = 1

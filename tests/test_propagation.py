@@ -83,6 +83,16 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError):
             HamiltonianSpec(GRID, np.full(512, np.nan), np.zeros((512, 3)))
 
+    def test_a_coupling_past_float_range_is_refused_quietly(self):
+        # mu |B| as the split step takes it, sqrt(sum(B^2)), overflows at
+        # B_z = 1e308; no numpy warning is raised on the way
+        field = np.zeros((512, 3))
+        field[:, 2] = 1e308
+        with pytest.raises(ValueError, match=r"coupling mu \|B\|"):
+            HamiltonianSpec(GRID, np.zeros(512), field, -1.0)
+        field[:, 2] = 1e150  # B^2 is finite, and so is mu |B|
+        HamiltonianSpec(GRID, np.zeros(512), field, -1.0)
+
     def test_free_factory(self):
         h = HamiltonianSpec.free(GRID)
         assert not np.any(h.potential)

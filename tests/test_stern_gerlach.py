@@ -143,6 +143,17 @@ class TestTimeline:
         assert branch_overlap(final) <= 1e-4
         assert tl.times[-1] == pytest.approx(3.0, abs=1e-12)
 
+    def test_amplitudes_whose_density_overflows_are_refused(self):
+        # their norm is within float range, but the packet's density is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm inf"):
+            build_timeline(SGSetup(), 1e308, 1e308, PacketSpec())
+
+    def test_the_magnet_coupling_past_float_range_is_refused_quietly(self):
+        with pytest.raises(ValueError, match=r"coupling mu \|B\|"):
+            _magnet_hamiltonian(SGSetup(b0=1e308), COARSE.grid())
+        with pytest.raises(ValueError, match=r"coupling mu \|B\|"):
+            _magnet_hamiltonian(SGSetup(b_grad=1e308), COARSE.grid())
+
     def test_a_drift_escape_reports_the_experiment_time(self):
         # the packet reaches the domain edge 3.37891 into the drift, which starts at tau = 1
         with pytest.raises(RuntimeError, match=r"exceeds 1e-06 at t = 4\.37891;"):
@@ -257,6 +268,17 @@ class TestRunStatistics:
             run_sg(SGSetup(), SQ2, SQ2, PacketSpec(), n=0, seed=0, numerics=COARSE)
         with pytest.raises(ValueError, match="no splitting"):
             run_sg(SGSetup(mu=0.0), SQ2, SQ2, PacketSpec(), n=10, seed=0, numerics=COARSE)
+
+    @pytest.mark.parametrize("entry", [
+        lambda a, b: run_sg(SGSetup(), a, b, PacketSpec(), 10, 0),
+        lambda a, b: outcome_map(SGSetup(), a, b, PacketSpec(), [0.0]),
+        lambda a, b: contextuality_demo(SGSetup(), a, b, PacketSpec(), [0.0]),
+    ], ids=["run_sg", "outcome_map", "contextuality_demo"])
+    def test_a_spinor_past_float_range_is_a_value_error(self, no_evolution, entry):
+        # |a|^2 overflows: refused as any spinor off the unit sphere, with a ValueError
+        for a, b in ((1e200, 0.0), (0.0, 1.5e308 + 1.5e308j)):
+            with pytest.raises(ValueError, match=r"\|a\|\^2 \+ \|b\|\^2 = 1, got inf"):
+                entry(a, b)
 
     def test_misplaced_detector_raises(self):
         with pytest.raises(RuntimeError, match="null-outcome fraction"):
