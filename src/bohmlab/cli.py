@@ -385,11 +385,9 @@ def parse_config(text: str) -> RunConfig:
             _check_packet_symmetric(packet)
 
     def check_setup(setup: SGSetup) -> None:
-        if splitting:
-            setup.upper_branch  # raises when mu * b_grad = 0
-            if packet is not None and grid is not None:
-                _check_kick_resolved(setup, packet, grid)
-                _magnet_hamiltonian(setup, grid)  # its coupling, as build_timeline builds it
+        if splitting and packet is not None and grid is not None:
+            _check_kick_resolved(setup, packet, grid)
+            _magnet_hamiltonian(setup, grid)  # its coupling, as build_timeline builds it
         if command == "contextuality":
             _check_reversal_setup(setup)
 
@@ -487,11 +485,6 @@ def _ensemble_csv(q0, q_final, outcomes, lam_text: dict) -> str:
     return _csv_file("index,q0,q_final,outcome,lambda", rows)
 
 
-def _normalized_spin(config: RunConfig) -> tuple[complex, complex]:
-    """The packet's spinor scaled to unit norm, as the packet commands use it."""
-    return _unit_vector((config.spin_up, config.spin_down))
-
-
 def _echo_params(config: RunConfig) -> dict:
     """n_samples and formats, and every value of the sections the command
     reads: a dataclass section's under its keys, another's under its
@@ -506,7 +499,7 @@ def _echo_params(config: RunConfig) -> dict:
             else:
                 params.setdefault(section, {})[key] = getattr(value, attrs[key]) if key in attrs else value
     if config.spin_up is not None:
-        params["spin_normalized"] = _normalized_spin(config)
+        params["spin_normalized"] = _unit_vector((config.spin_up, config.spin_down))
     return params
 
 
@@ -544,7 +537,7 @@ def _free_timeline(config: RunConfig):
     nm = config.numerics
     grid = nm.grid()
     psi0 = gaussian_packet(
-        grid, config.packet.center, config.packet.sigma, config.packet.k, *_normalized_spin(config)
+        grid, config.packet.center, config.packet.sigma, config.packet.k, config.spin_up, config.spin_down
     )
     return evolve(psi0, [(HamiltonianSpec.free(grid), config.t_total)], nm.dt, nm.record_every)
 
@@ -610,7 +603,7 @@ def _run_trajectories(config: RunConfig, threads: int) -> dict[str, str]:
 
 def _run_splitting(config: RunConfig, threads: int) -> dict[str, str]:
     """born-check, and stern-gerlach, which also judges the calibrated mean."""
-    a, b = _normalized_spin(config)
+    a, b = config.spin_up, config.spin_down
     timeline = build_timeline(config.setup, a, b, config.packet, config.numerics)
     stats, ensemble = run_sg(
         config.setup,
@@ -664,7 +657,7 @@ def _run_splitting(config: RunConfig, threads: int) -> dict[str, str]:
 def _run_contextuality(config: RunConfig, threads: int) -> dict[str, str]:
     q_grid = np.linspace(-config.q_span, config.q_span, config.q_points)
     report = contextuality_demo(
-        config.setup, *_normalized_spin(config), config.packet, q_grid,
+        config.setup, config.spin_up, config.spin_down, config.packet, q_grid,
         n=config.n_samples, seed=config.seed, numerics=config.numerics, threads=threads,
     )
     rows = [

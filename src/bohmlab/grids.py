@@ -180,9 +180,13 @@ def _check_in_band(grid: Grid1D, k: float, sigma: float, what: str) -> None:
 
 def _unit_vector(vec) -> tuple[complex, ...]:
     """vec's components scaled to unit norm, each divided as a Python
-    complex: the one zero-norm rule, which StateVec.normalized, the CLI's
-    [pointer] state and every packet's spin share.  The norm is math.hypot
-    of the moduli, which neither underflows nor overflows on its way."""
+    complex: the one rule for a spinor or state, which StateVec.normalized,
+    the CLI's [pointer] state and every packet's spin share.  Any nonzero
+    vec of finite moduli passes; zero, or a modulus past float range, is
+    refused.  Scale a vector once: the result need not be a fixed point,
+    as (1, 1) scales to 0.7071067811865475 twice, which scales to
+    0.7071067811865476.  The norm is math.hypot of the moduli, which
+    neither underflows nor overflows on its way."""
     comps = [complex(z) for z in np.asarray(vec, dtype=np.complex128).reshape(-1)]
     try:
         nrm = math.hypot(*map(abs, comps))
@@ -204,14 +208,13 @@ def gaussian_packet(
     """Normalized Gaussian wave packet with uniform spinor (a, b).
 
     Each component is proportional to exp(-(x-center)^2 / (4 sigma^2)) *
-    exp(i k x), weighted by the spinor amplitude, and the whole field is
-    normalized.  The packet must fit the grid (see check_packet_fits).
-    (a, b) must pass _unit_vector, undivided; a field whose norm overflows is refused.
+    exp(i k x), weighted by the spinor (a, b) scaled to unit norm by
+    _unit_vector, and the whole field is normalized: (1e200, 0) builds the
+    packet of (1, 0).  The packet must fit the grid (see check_packet_fits).
     """
     if not sigma > 0:
         raise ValueError(f"packet width must be positive, got {sigma}")
-    a, b = complex(a), complex(b)
-    _unit_vector((a, b))
+    a, b = _unit_vector((a, b))
     check_packet_fits(grid, center, sigma, k)
     x = grid.xs()
     envelope = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)) * np.exp(1j * k * x)

@@ -22,11 +22,11 @@ positive z under polarity +1, so the upper detector registers spin-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .grids import Grid1D, SpinorField, _check_in_band, _check_int, make_grid, gaussian_packet
+from .grids import Grid1D, SpinorField, _check_in_band, _check_int, _unit_vector, make_grid, gaussian_packet
 from .propagation import HamiltonianSpec, WaveTimeline, evolve
 from .sampling import _check_seed, sample
 from .trajectories import EnsemblePaths, integrate_ensemble
@@ -48,19 +48,27 @@ __all__ = [
 
 NULL_FRACTION_LIMIT = 0.05
 NO_CROSSING_BAND = 1e-9
-SPIN_NORM_TOL = 1e-9
 MIRROR_TOL = 1e-12
+
+
+def _check_finite_fields(spec) -> None:
+    """Refuse a float field of the dataclass spec that is NaN or infinite."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if field.type == "float" and not -math.inf < value < math.inf:
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class PacketSpec:
-    """Initial Gaussian packet parameters on the deflection axis."""
+    """Initial Gaussian packet parameters on the deflection axis, each finite."""
 
     center: float = 0.0
     sigma: float = 1.0
     k: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite_fields(self)
         if not self.sigma > 0:
             raise ValueError(f"packet width must be positive, got {self.sigma}")
 
@@ -80,7 +88,9 @@ class SGSetup:
     null fraction near 0.1%.  Detector calibrations default to
     (lambda_up, lambda_down) = (+1, -1) for polarity +1.
     reverse_geometry flips the sign of b_grad (requires b0 = 0), the
-    field-reversal alternative to flipping the polarity.
+    field-reversal alternative to flipping the polarity.  Every float
+    field must be finite, and a setup that cannot split, mu * b_grad = 0,
+    is refused here, so every entry point and command meets one rule.
     """
 
     b0: float = 0.0
@@ -95,6 +105,7 @@ class SGSetup:
     reverse_geometry: bool = False
 
     def __post_init__(self) -> None:
+        _check_finite_fields(self)
         _check_int(self.polarity, "polarity", None)
         if self.polarity not in (1, -1):
             raise ValueError(f"polarity must be +1 or -1, got {self.polarity}")
@@ -106,18 +117,17 @@ class SGSetup:
             raise ValueError(f"detector boundary must be nonnegative, got {self.z_det}")
         if self.reverse_geometry and self.b0 != 0:
             raise ValueError("geometry reversal is defined for b0 = 0 only")
+        if self.mu * self.b_grad == 0:
+            raise ValueError("setup produces no splitting: mu * b_grad = 0, so the beam never splits")
 
     @property
     def _field_sign(self) -> int:
         return self.polarity * (-1 if self.reverse_geometry else 1)
 
     @property
-    def upper_branch(self) -> str:
+    def _upper_branch(self) -> str:
         """Which spin component ('up'/'down') reaches the upper detector."""
-        kick_up = -self.mu * self._field_sign * self.b_grad
-        if kick_up == 0:
-            raise ValueError("setup produces no splitting: mu * b_grad = 0, so the beam never splits")
-        return "up" if kick_up > 0 else "down"
+        return "up" if -self.mu * self._field_sign * self.b_grad > 0 else "down"
 
 
 @dataclass(frozen=True)
@@ -166,24 +176,14 @@ class SGNumerics:
         return self.dt * self.record_every / self.substeps
 
 
-def _check_spin(a: complex, b: complex) -> tuple[complex, complex]:
-    a, b = complex(a), complex(b)
-    try:
-        total = abs(a) ** 2 + abs(b) ** 2
-    except OverflowError:  # a modulus, or its square, past float range
-        total = math.inf
-    if not abs(total - 1.0) <= SPIN_NORM_TOL:
-        raise ValueError(f"spinor must satisfy |a|^2 + |b|^2 = 1, got {total!r}")
-    return a, b
-
-
 # Preconditions of the entry points, each stated once: parse_config calls the same
-# functions, and each entry point first calls _check_entry (threads, spinor, packet).
+# functions, and each entry point first calls _check_entry (threads, spinor, packet),
+# whose unit spinor the Born weights read; gaussian_packet scales the caller's pair.
 def _check_entry(threads: int, a: complex, b: complex, packet: PacketSpec) -> tuple[complex, complex]:
     _check_int(threads, "threads")
-    a, b = _check_spin(a, b)
+    unit = _unit_vector((a, b))
     _check_packet_symmetric(packet)
-    return a, b
+    return unit
 
 
 def _check_packet_symmetric(packet: PacketSpec) -> None:
@@ -331,9 +331,9 @@ class OutcomeStatistics:
         return math.isfinite(se) and abs(self.calibrated_mean - self.expectation_theory) <= 3.0 * se
 
 
-def _statistics(setup: SGSetup, a: complex, b: complex, lambdas, outcomes) -> OutcomeStatistics:
-    """Statistics of one ensemble's readout; more than 5% of trajectories
-    ending between the detectors marks a misconfigured geometry and fails."""
+def _statistics(setup: SGSetup, a: complex, lambdas, outcomes) -> OutcomeStatistics:
+    """Statistics of one ensemble's readout, a the unit spinor's up amplitude;
+    over 5% of trajectories between the detectors fails the geometry."""
     n = outcomes.size
     counts = {key: int(np.sum(outcomes == key)) for key in ("up", "down", "null")}
     freqs = {key: counts[key] / n for key in counts}
@@ -343,14 +343,14 @@ def _statistics(setup: SGSetup, a: complex, b: complex, lambdas, outcomes) -> Ou
             f"detector boundary z_det = {setup.z_det} does not match the beam geometry"
         )
     p_up_spin = abs(a) ** 2
-    p_upper = p_up_spin if setup.upper_branch == "up" else 1.0 - p_up_spin
+    p_upper = p_up_spin if setup._upper_branch == "up" else 1.0 - p_up_spin
     born = {"up": p_upper, "down": 1.0 - p_upper, "null": 0.0}
-    valid = lambdas[~np.isnan(lambdas)]
-    if valid.size:
-        mean = float(np.mean(valid))
-        stderr = float(np.std(valid, ddof=1) / np.sqrt(valid.size)) if valid.size > 1 else float("nan")
-    else:
-        mean, stderr = float("nan"), float("nan")
+    valid = lambdas[~np.isnan(lambdas)]  # nonempty, as the null limit holds
+    # over lambda / s, s a power of two <= max |lambda| < 2s: exact, and no square overflows
+    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(valid))))[1] - 1)
+    scaled = valid / s
+    mean = float(np.mean(scaled)) * s
+    stderr = float(np.std(scaled, ddof=1) / np.sqrt(valid.size)) * s if valid.size > 1 else float("nan")
     theory = setup.calibration_up * born["up"] + setup.calibration_down * born["down"]
     return OutcomeStatistics(
         n=n,
@@ -408,24 +408,25 @@ def run_sg(
     detector outcome of their final position.  Fails if more than 5% of
     trajectories end between the detectors, which indicates a
     misconfigured geometry.  Only with keep_history does the ensemble
-    carry the position history that no_crossing_check reads.
+    carry the position history that no_crossing_check reads.  (a, b) is any
+    spinor _unit_vector takes; the packet and the Born weights (and the
+    ensemble's spin_up, spin_down) each use it scaled to unit norm once.
     """
-    a, b = _check_entry(threads, a, b, packet)
+    up, down = _check_entry(threads, a, b, packet)
     _check_int(n, "ensemble size")
     _check_seed(seed)
-    setup.upper_branch  # validates that the setup splits at all
     if timeline is None:
         timeline = build_timeline(setup, a, b, packet, numerics)
     q0 = sample(timeline.fields[0], n, seed)
     paths, outcomes, lambdas = _readout(setup, timeline, q0, numerics, threads, keep_history)
-    stats = _statistics(setup, a, b, lambdas, outcomes)
+    stats = _statistics(setup, up, lambdas, outcomes)
     ensemble = TrajectoryEnsemble(
         **vars(paths),
         outcomes=outcomes,
         lambdas=lambdas,
         setup=setup,
-        spin_up=a,
-        spin_down=b,
+        spin_up=up,
+        spin_down=down,
         packet=packet,
         seed=int(seed),
     )
@@ -446,9 +447,8 @@ def outcome_map(
     Returns lambda values with NaN marking null outcomes.  The initial
     positions must lie within the packet support (|q - center| < 5 sigma).
     """
-    a, b = _check_entry(threads, a, b, packet)
+    _check_entry(threads, a, b, packet)
     q = _initial_positions(q_grid, packet)
-    setup.upper_branch
     timeline = build_timeline(setup, a, b, packet, numerics)
     return _readout(setup, timeline, q, numerics, threads)[2]
 
@@ -504,13 +504,12 @@ def contextuality_demo(
     non-null initial position.  Each experiment transports its sampled
     ensemble and the map grid together, in one call.
     """
-    a, b = _check_entry(threads, a, b, packet)
+    up, down = _check_entry(threads, a, b, packet)
     _check_reversal_setup(setup)
-    _check_equal_weights(a, b)
+    _check_equal_weights(up, down)
     q = _initial_positions(q_grid, packet)
     _check_int(n, "ensemble size")
     _check_seed(seed)
-    setup.upper_branch
     flipped = replace(setup, polarity=-1, calibration_up=-1.0, calibration_down=1.0)
 
     readouts = []
@@ -518,7 +517,7 @@ def contextuality_demo(
         timeline = build_timeline(experiment, a, b, packet, numerics)
         starts = np.concatenate((sample(timeline.fields[0], n, seed), q))
         _, outcomes, lambdas = _readout(experiment, timeline, starts, numerics, threads)
-        readouts.append((_statistics(experiment, a, b, lambdas[:n], outcomes[:n]), lambdas[n:]))
+        readouts.append((_statistics(experiment, up, lambdas[:n], outcomes[:n]), lambdas[n:]))
     (stats_base, lam_base), (stats_flip, lam_flip) = readouts
 
     null_base, null_flip = np.isnan(lam_base), np.isnan(lam_flip)

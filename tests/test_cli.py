@@ -313,7 +313,8 @@ def mirror_ensemble(**changes) -> TrajectoryEnsemble:
 class TestSharedPreconditions:
     """parse_config and the library state each Stern-Gerlach precondition
     in one function, so both refuse a violation with one message.  Each
-    case lists every library entry point that checks its precondition."""
+    case lists every library entry point that checks its precondition;
+    the parser's own refusals list none."""
 
     @pytest.mark.parametrize("config, where, library", [
         pytest.param(
@@ -377,9 +378,20 @@ class TestSharedPreconditions:
             id="ensemble-size",
         ),
         pytest.param(
+            "[run]\ncommand = propagate\n[setup]\nb_grad = 0\n",
+            "line 4: [setup] b_grad",
+            [lambda: SGSetup(b_grad=0.0), lambda: SGSetup(mu=0.0)],
+            id="splitting-setup",
+        ),
+        pytest.param(
             "[run]\ncommand = propagate\n[packet]\nspin_up = 0\nspin_down = 0\n",
             "line 4: [packet] spin_up",
-            [lambda: gaussian_packet(SMALL_PACKET.grid, 0.0, 1.0, 0.0, a=0, b=0)],
+            [
+                lambda: gaussian_packet(SMALL_PACKET.grid, 0.0, 1.0, 0.0, a=0, b=0),
+                lambda: run_sg(SGSetup(), 0, 0, PacketSpec(), 10, 0),
+                lambda: outcome_map(SGSetup(), 0, 0, PacketSpec(), [0.0]),
+                lambda: contextuality_demo(SGSetup(), 0, 0, PacketSpec(), [0.0]),
+            ],
             id="spin-amplitudes",
         ),
         pytest.param(
@@ -399,6 +411,15 @@ class TestSharedPreconditions:
             "line 4: [pointer] state",
             [lambda: StateVec.normalized([0, 0])],
             id="pointer-state",
+        ),
+        pytest.param("[run]\ncommand = nogo\n[ ]\n", "line 3", [], id="empty-section-name"),
+        pytest.param("[run]\ncommand = nogo\nseed\n", "line 3", [], id="no-equals-sign"),
+        pytest.param("[run]\ncommand = nogo\n= 5\n", "line 3", [], id="no-key"),
+        pytest.param("[run]\ncommand = nogo\nout =\n", "line 3: [run] out", [], id="empty-out"),
+        pytest.param("[run]\ncommand = nogo\nformat = ,\n", "line 3: [run] format", [], id="empty-format"),
+        pytest.param(
+            "[run]\ncommand = pointer-model\n[pointer]\nstate =\n", "line 4: [pointer] state", [],
+            id="empty-state",
         ),
     ])
     def test_config_and_library_refuse_alike(self, tmp_path, capsys, config, where, library):
@@ -525,6 +546,25 @@ class TestCommands:
         assert (out / "ensemble.csv").read_text().splitlines()[2:] == [
             f"{i},{repr(float(q))},{repr(float(-q))},," for i, q in enumerate(values)
         ]
+
+    def test_library_takes_the_spinor_the_cli_takes(self, tmp_path):
+        # run_sg scales (1, 1) to unit norm once, as born-check does: the same q_final bits
+        extra = "[packet]\nspin_up = 1\nspin_down = 1\n"
+        code, out = invoke(tmp_path, "[run]\ncommand = born-check\nn_samples = 64\nseed = 3\n" + FAST_NUMERICS + extra)
+        assert code == 0
+        _, ensemble = run_sg(SGSetup(), 1, 1, PacketSpec(), 64, 3, SGNumerics(grid_n=256, substeps=4))
+        rows = (out / "ensemble.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[2] for row in rows] == [repr(q) for q in ensemble.q_final.tolist()]
+
+    def test_huge_calibrations_keep_finite_statistics(self, tmp_path):
+        # the calibrations' squares would overflow: the mean and its standard
+        # error are taken over them divided by a power of two
+        text = "[run]\ncommand = stern-gerlach\nn_samples = 64\n[grid]\nn = 256\n[setup]\ncalibration_up = 1e200\n"
+        code, out = invoke(tmp_path, text + "[packet]\nspin_up = 1\nspin_down = 1\n")
+        assert code == 0
+        summary = read_summary(out)
+        mean, stderr = summary["empirical"]["calibrated_mean"], summary["stderr_estimates"]["calibrated_mean"]
+        assert 0.0 < mean < 1e200 and 0.0 < stderr < 1e200
 
     def test_contextuality(self, tmp_path):
         extra = "[contextuality]\nq_points = 15\nq_span = 1.5\n"

@@ -28,6 +28,7 @@ from bohmlab import (
     window_steps,
 )
 from bohmlab import propagation, sampling, stern_gerlach, trajectories
+from bohmlab.grids import _unit_vector
 from helpers import fd_momentum, inner_product, moments, plane_wave
 
 
@@ -170,11 +171,22 @@ class TestGaussianPacket:
             gaussian_packet(grid, 28.0, 1.0, 0.0)  # support leaves the domain
         with pytest.raises(ValueError):
             gaussian_packet(grid, 0.0, 10.0, 0.0)  # too wide for the box
-        # the density |1e200 envelope|^2 overflows, so the norm is inf and no
-        # unit field exists.  numpy's overflow warning, an error under
-        # pytest, is silenced as outside it
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm inf"):
-            gaussian_packet(grid, 0.0, 1.0, 0.0, 1e200, 0.0)
+        # a modulus past float range has no unit spinor
+        with pytest.raises(ValueError, match="norm out of float range: got inf"):
+            gaussian_packet(grid, 0.0, 1.0, 0.0, 1.5e308 + 1.5e308j, 0.0)
+
+    def test_the_spin_is_scaled_to_unit_norm_once(self, grid):
+        def bits(a, b):
+            f = gaussian_packet(grid, 0.0, 1.0, 0.0, a, b)
+            return f.comp1.tobytes() + f.comp2.tobytes()
+
+        # the packet of (a, b) is that of the pair _unit_vector scales it to
+        assert bits(1e200, 0.0) == bits(1.0, 0.0)
+        assert bits(1.0, 1.0) == bits(2.0, 2.0)
+        # scaling (1, 1)'s pair again moves it by an ulp, and the packet with it
+        once = _unit_vector((1.0, 1.0))
+        assert _unit_vector(once) != once
+        assert bits(1.0, 1.0) != bits(*once)
 
     def test_spectrum_must_stay_inside_the_band(self, grid):
         # pi/dx = 26.808 on this grid; 5/(2 sigma) = 2.5 at sigma = 1

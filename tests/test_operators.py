@@ -249,6 +249,12 @@ class TestTextRoundTrip:
             spec_from_text("dim 2\n1.0 0.0\n")
         with pytest.raises(ValueError, match="missing dim"):
             spec_from_text("# nothing here\n")
+        with pytest.raises(ValueError, match="line 1: malformed dim declaration"):
+            spec_from_text("dim two\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 entries, got 3"):
+            spec_from_text("dim 2\noutcome a 1.0\n1 0 0\n")
+        with pytest.raises(ValueError, match="outcome 'a': expected 2 matrix rows, got 1"):
+            spec_from_text("dim 2\noutcome a 1.0\n1 0\n")
 
     def test_parsed_spec_is_validated(self):
         text = (

@@ -270,6 +270,9 @@ class TestGuards:
         f = gaussian_packet(GRID, 22.0, 1.0, 5.0)
         with pytest.raises(RuntimeError, match="boundary mass"):
             evolve(f, [(HamiltonianSpec.free(GRID), 2.0)], 1 / 256, record_every=512)
+        # a packet already past the limit, 4 sigma from the outer 5%, is refused before any step
+        with pytest.raises(RuntimeError, match=r"boundary mass 4\.874e-05 exceeds 1e-06 before evolution;"):
+            evolve(gaussian_packet(GRID, 23.0, 1.0, 0.0), [(HamiltonianSpec.free(GRID), 2.0)], 1 / 256)
 
     def test_evolve_sign_and_divisibility_rules(self):
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
@@ -349,6 +352,21 @@ class TestWaveTimeline:
             WaveTimeline(timeline.times, timeline.fields, ((elsewhere, count),))
         with pytest.raises(ValueError, match="interval"):
             WaveTimeline(timeline.times, timeline.fields, ((h, 0), (h, count)))
+
+    @pytest.mark.parametrize("times, fields, boundary_mass, message", [
+        pytest.param([0.0, 0.5], 1, None, "times and fields must have equal length", id="lengths"),
+        pytest.param([0.5, 0.0], 2, None, "record times must be strictly increasing", id="increasing"),
+        pytest.param([0.0, 0.5], "two grids", None, "all records must share one grid", id="one-grid"),
+        pytest.param([0.0, 0.5], 2, [0.0], "boundary_mass must match times in length", id="masses"),
+    ])
+    def test_refuses_malformed_records(self, times, fields, boundary_mass, message):
+        f = gaussian_packet(GRID, 0.0, 1.0, 0.0)
+        if fields == "two grids":
+            fields = (f, gaussian_packet(make_grid(256, -30.0, 30.0), 0.0, 1.0, 0.0))
+        else:
+            fields = (f,) * fields
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WaveTimeline(np.array(times), fields, ((HamiltonianSpec.free(GRID), 1),), boundary_mass)
 
     def test_requires_two_records(self):
         f = gaussian_packet(GRID, 0.0, 1.0, 0.0)

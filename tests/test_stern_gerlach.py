@@ -51,10 +51,10 @@ def no_evolution(monkeypatch):
 
 class TestSetup:
     def test_upper_branch_bookkeeping(self):
-        assert SGSetup().upper_branch == "up"
-        assert SGSetup(polarity=-1).upper_branch == "down"
-        assert SGSetup(reverse_geometry=True).upper_branch == "down"
-        assert SGSetup(mu=1.0).upper_branch == "down"
+        assert SGSetup()._upper_branch == "up"
+        assert SGSetup(polarity=-1)._upper_branch == "down"
+        assert SGSetup(reverse_geometry=True)._upper_branch == "down"
+        assert SGSetup(mu=1.0)._upper_branch == "down"
 
     def test_reversal_equals_polarity_flip_in_the_field(self):
         grid = COARSE.grid()
@@ -71,8 +71,23 @@ class TestSetup:
             SGSetup(t_drift=-1.0)
         with pytest.raises(ValueError, match="b0 = 0"):
             SGSetup(b0=0.5, reverse_geometry=True)
-        with pytest.raises(ValueError, match="no splitting"):
-            SGSetup(b_grad=0.0).upper_branch
+        # a setup that cannot split is refused where it is made
+        for no_split in (dict(b_grad=0.0), dict(mu=0.0)):
+            with pytest.raises(ValueError, match="no splitting"):
+                SGSetup(**no_split)
+
+    @pytest.mark.parametrize("make, field", [
+        *((SGSetup, name) for name in (
+            "b0", "b_grad", "mu", "tau", "t_drift", "z_det", "calibration_up", "calibration_down",
+        )),
+        *((PacketSpec, name) for name in ("center", "sigma", "k")),
+    ])
+    def test_float_fields_must_be_finite(self, make, field):
+        # unrefused, a NaN calibration makes run_sg average the other
+        # detector's values alone, and a NaN drift skips the drift
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad!r}$"):
+                make(**{field: bad})
 
     def test_numerics_validation(self):
         with pytest.raises(ValueError, match="dt"):
@@ -143,10 +158,11 @@ class TestTimeline:
         assert branch_overlap(final) <= 1e-4
         assert tl.times[-1] == pytest.approx(3.0, abs=1e-12)
 
-    def test_amplitudes_whose_density_overflows_are_refused(self):
-        # their norm is within float range, but the packet's density is not
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm inf"):
-            build_timeline(SGSetup(), 1e308, 1e308, PacketSpec())
+    def test_amplitudes_are_scaled_before_the_packet_is_built(self):
+        # (1e308, 1e308) scales to the pair (1, 1) does, so no density overflows
+        big, unit = (build_timeline(SGSetup(t_drift=0.0), a, a, PacketSpec(), COARSE) for a in (1e308, 1.0))
+        for f, g in zip(big.fields, unit.fields):
+            assert np.array_equal(f.comp1, g.comp1) and np.array_equal(f.comp2, g.comp2)
 
     def test_the_magnet_coupling_past_float_range_is_refused_quietly(self):
         with pytest.raises(ValueError, match=r"coupling mu \|B\|"):
@@ -262,12 +278,10 @@ class TestRunStatistics:
     def test_input_validation(self, no_evolution):
         with pytest.raises(ValueError, match="threads must be an int"):
             run_sg(SGSetup(), SQ2, SQ2, PacketSpec(), n=10, seed=0, numerics=COARSE, threads=2.9)
-        with pytest.raises(ValueError, match="spinor"):
-            run_sg(SGSetup(), 1.0, 1.0, PacketSpec(), n=10, seed=0, numerics=COARSE)
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            run_sg(SGSetup(), 0.0, 0.0, PacketSpec(), n=10, seed=0, numerics=COARSE)
         with pytest.raises(ValueError, match="ensemble size"):
             run_sg(SGSetup(), SQ2, SQ2, PacketSpec(), n=0, seed=0, numerics=COARSE)
-        with pytest.raises(ValueError, match="no splitting"):
-            run_sg(SGSetup(mu=0.0), SQ2, SQ2, PacketSpec(), n=10, seed=0, numerics=COARSE)
 
     @pytest.mark.parametrize("entry", [
         lambda a, b: run_sg(SGSetup(), a, b, PacketSpec(), 10, 0),
@@ -275,9 +289,9 @@ class TestRunStatistics:
         lambda a, b: contextuality_demo(SGSetup(), a, b, PacketSpec(), [0.0]),
     ], ids=["run_sg", "outcome_map", "contextuality_demo"])
     def test_a_spinor_past_float_range_is_a_value_error(self, no_evolution, entry):
-        # |a|^2 overflows: refused as any spinor off the unit sphere, with a ValueError
-        for a, b in ((1e200, 0.0), (0.0, 1.5e308 + 1.5e308j)):
-            with pytest.raises(ValueError, match=r"\|a\|\^2 \+ \|b\|\^2 = 1, got inf"):
+        # a modulus past float range has no unit spinor: _unit_vector's ValueError
+        for a, b in ((1.5e308 + 1.5e308j, 0.0), (0.0, 1.5e308 + 1.5e308j)):
+            with pytest.raises(ValueError, match="norm out of float range: got inf"):
                 entry(a, b)
 
     def test_misplaced_detector_raises(self):
@@ -333,7 +347,7 @@ class TestOneOperatorTwoExperiments:
         """Each detector's outcome is the projector onto the spin branch
         that reaches it, with that detector's calibration."""
         projector = {"up": np.diag([1.0, 0.0]), "down": np.diag([0.0, 1.0])}
-        upper = setup.upper_branch
+        upper = setup._upper_branch
         lower = "down" if upper == "up" else "up"
         return ExperimentSpec(2, (
             Outcome("upper detector", projector[upper], setup.calibration_up),

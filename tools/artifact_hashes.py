@@ -9,7 +9,9 @@ line per artifact:
 
 - every CLI command's configuration at a small size, run with --threads 1
   and 2: each output file and the exit code (contextuality with equal
-  spins; the ensembles of 5000 are large enough to split in two);
+  spins; the ensembles of 5000 are large enough to split in two); and so
+  born-check at spins (1, 1), which must be scaled to unit norm exactly
+  once, and stern-gerlach at (0.6, 0.8);
 - build_timeline at the bench numerics, with the default drift and with
   t_drift = 0: its times, boundary masses, generator run lengths and
   every record's components;
@@ -50,11 +52,18 @@ record_every = 16
 substeps = 4
 """
 EQUAL_SPINS = "[packet]\nspin_up = 0.70710678118654752\nspin_down = 0.70710678118654752\n"
+# name -> (command, packet spins).  A second scaling of (1, 1)'s unit pair
+# moves it by an ulp, and the artifacts with it.
+SPIN_RUNS = {
+    "born-check-spin-1-1": ("born-check", "[packet]\nspin_up = 1\nspin_down = 1\n"),
+    "stern-gerlach-spin-0.6-0.8": ("stern-gerlach", "[packet]\nspin_up = 0.6\nspin_down = 0.8\n"),
+}
 
 
-def config_text(command: str) -> str:
+def config_text(command: str, spins: str | None = None) -> str:
     samples = "n_samples = 5000\n" if command in ("trajectories", "born-check", "stern-gerlach") else ""
-    spins = EQUAL_SPINS if command in ("born-check", "stern-gerlach", "contextuality") else ""
+    if spins is None:
+        spins = EQUAL_SPINS if command in ("born-check", "stern-gerlach", "contextuality") else ""
     return f"[run]\ncommand = {command}\n{samples}{SMALL}{spins}"
 
 
@@ -70,15 +79,16 @@ def array_sha(a) -> str:
 def cli_hashes(workdir: Path):
     from bohmlab.cli import main
 
-    for command in COMMANDS:
-        cfg = workdir / f"{command}.cfg"
-        cfg.write_text(config_text(command))
+    runs = {**{command: (command, None) for command in COMMANDS}, **SPIN_RUNS}
+    for name, (command, spins) in runs.items():
+        cfg = workdir / f"{name}.cfg"
+        cfg.write_text(config_text(command, spins))
         for threads in (1, 2):
-            out = workdir / f"{command}-t{threads}"
+            out = workdir / f"{name}-t{threads}"
             code = main(["--config", str(cfg), "--out", str(out), "--threads", str(threads)])
-            yield f"cli/{command}/t{threads}/exit", sha(str(code).encode())
+            yield f"cli/{name}/t{threads}/exit", sha(str(code).encode())
             for path in sorted(out.glob("*")) if out.exists() else ():
-                yield f"cli/{command}/t{threads}/{path.name}", sha(path.read_bytes())
+                yield f"cli/{name}/t{threads}/{path.name}", sha(path.read_bytes())
 
 
 def timeline_hashes(name: str, timeline):
