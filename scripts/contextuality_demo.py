@@ -5,14 +5,14 @@ The two experiments share the operator (same Born statistics, same
 calibrated mean) yet assign opposite values to every detected initial
 position.
 
-Usage: python3 scripts/contextuality_demo.py [--n 4000] [--points 21] [--coarse]
+Usage: python3 scripts/contextuality_demo.py [--n 4000] [--points 21]
 """
 
 import argparse
 
 import numpy as np
 
-from bohmlab import PacketSpec, SGNumerics, SGSetup, contextuality_demo
+from bohmlab import PacketSpec, SGSetup, contextuality_demo
 
 
 def main() -> None:
@@ -21,15 +21,11 @@ def main() -> None:
     ap.add_argument("--points", type=int, default=21, help="outcome-map grid points")
     ap.add_argument("--span", type=float, default=2.5, help="half-width of the map grid")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--coarse", action="store_true", help="halved grid, n = 256")
     args = ap.parse_args()
 
-    numerics = SGNumerics(grid_n=256) if args.coarse else SGNumerics()
     qs = np.linspace(-args.span, args.span, args.points)
     a = b = np.sqrt(0.5)
-    report = contextuality_demo(
-        SGSetup(), a, b, PacketSpec(), qs, n=args.n, seed=args.seed, numerics=numerics
-    )
+    report = contextuality_demo(SGSetup(), a, b, PacketSpec(), qs, n=args.n, seed=args.seed)
 
     print(report.summary())
     print()

@@ -2,9 +2,9 @@
 
 Runs are described by a flat sectioned key = value config file, executed
 with `bohmlab --config run.cfg`, and produce CSV data files plus a JSON
-summary in the output directory.  For a fixed config and seed the output
-bytes are identical across reruns and thread counts; nothing
-time-dependent enters the data files.
+summary in the output directory.  For a fixed config the output bytes
+are identical across reruns and thread counts; nothing time-dependent
+enters the data files.
 
 README.md ("Batch CLI") documents every section, key and default.  The
 [grid], [packet], [setup] and [numerics] keys are fields of SGNumerics,
@@ -169,19 +169,17 @@ def _as_out(value: str) -> str:
 
 
 def _as_float(value: str) -> float:
+    """A number; the dataclass whose field it fills refuses NaN and inf."""
     try:
-        x = float(value)
+        return float(value)
     except ValueError:
         raise ValueError(f"expected a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return x
 
 
 def _as_positive(value: str) -> float:
     x = _as_float(value)
-    if x <= 0:
-        raise ValueError(f"must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"must be positive and finite, got {x}")
     return x
 
 
@@ -375,7 +373,16 @@ def parse_config(text: str) -> RunConfig:
     # reads, and the commands that read [setup] split the packet.
     reads = ("run", *_DRIVERS[command][1]) if command else ("run",)
     splitting = "setup" in reads
-    numerics = construct(SGNumerics, SGNumerics.grid)
+
+    def check_numerics(numerics: SGNumerics) -> None:
+        grid = numerics.grid()
+        if splitting:  # check_setup builds the magnet's (n, 3) field on it
+            try:
+                np.empty((grid.n, 3))
+            except (MemoryError, ValueError) as exc:
+                raise ValueError(f"cannot allocate the magnet field on this grid: {exc}") from None
+
+    numerics = construct(SGNumerics, check_numerics)
     grid = numerics.grid() if numerics is not None else None
 
     def check_packet(packet: PacketSpec) -> None:
@@ -837,23 +844,21 @@ def run(config: RunConfig, *, threads: int = 1) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is reported as a config problem is: one JSON line."""
+        self.exit(2, json.dumps({"error": "ConfigError", "messages": [message]}, sort_keys=True) + "\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bohmlab",
-        description="Deterministic batch runner for guided-wave experiments.",
-    )
+    parser = _Parser(prog="bohmlab", description="Deterministic batch runner for guided-wave experiments.")
     parser.add_argument("--config", required=True, help="path to the run configuration file")
-    parser.add_argument("--seed", default=None, help="override the configured seed")
-    parser.add_argument("--out", default=None, help="override the configured output directory")
-    parser.add_argument(
-        "--format", dest="formats", default=None, help="override the configured formats, e.g. csv,json"
-    )
     parser.add_argument(
         "--threads", default="1", help="at most this many worker processes; outputs do not depend on this"
     )
     args = parser.parse_args(argv)
 
-    # The config's problems and the flags' are reported together, the config's first.
+    # The config's problems and the flag's are reported together, the config's first.
     errors: list[str] = []
     try:
         config = parse_config(Path(args.config).read_text())
@@ -861,24 +866,14 @@ def main(argv=None) -> int:
         errors.append(f"cannot read config file: {exc}")
     except ConfigError as exc:
         errors += exc.errors
-
-    overrides: dict[str, object] = {}
-    for flag, field, convert in (
-        ("--seed", "seed", _int_by(_check_seed)), ("--out", "out", _as_out),
-        ("--format", "formats", _parse_formats), ("--threads", "threads", _int_by(_check_int, "threads")),
-    ):
-        raw = getattr(args, field)
-        if raw is not None:
-            try:
-                overrides[field] = convert(raw)
-            except ValueError as exc:
-                errors.append(f"{flag}: {exc}")
+    try:
+        threads = _int_by(_check_int, "threads")(args.threads)
+    except ValueError as exc:
+        errors.append(f"--threads: {exc}")
     if errors:
         print(json.dumps({"error": "ConfigError", "messages": errors}, sort_keys=True), file=sys.stderr)
         return 2
-
-    threads = overrides.pop("threads")
-    return run(dataclasses.replace(config, **overrides), threads=threads)
+    return run(config, threads=threads)
 
 
 if __name__ == "__main__":

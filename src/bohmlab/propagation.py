@@ -256,7 +256,7 @@ def _step_count(total: float, step: float, name: str, step_name: str) -> int:
     return n_steps
 
 
-def window_steps(t_total: float, dt: float, record_every: int, name: str = "t_total") -> int:
+def window_steps(t_total: float, dt: float, record_every: int, name: str = "duration") -> int:
     """Number of steps of size dt in a window of length t_total.
 
     dt must divide t_total to one part in 1e9 and record_every must divide

@@ -163,6 +163,7 @@ class SGNumerics:
     substeps: int = 2
 
     def __post_init__(self) -> None:
+        _check_finite_fields(self)
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         _check_int(self.record_every, "record_every")

@@ -283,17 +283,14 @@ def test_09_assignment_obstruction():
 
 
 def test_10_cli_determinism(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "[run]\ncommand = stern-gerlach\nn_samples = 2000\nseed = 100\n"
-        "[packet]\nspin_up = 0.70710678118654752\nspin_down = 0.70710678118654752\n"
-    )
     outputs = []
     for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-        out = tmp_path / name
-        code = cli_main(
-            ["--config", str(cfg), "--out", str(out), "--threads", threads]
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_text(
+            f"[run]\ncommand = stern-gerlach\nn_samples = 2000\nseed = 100\nout = {out}\n"
+            "[packet]\nspin_up = 0.70710678118654752\nspin_down = 0.70710678118654752\n"
         )
+        code = cli_main(["--config", str(cfg), "--threads", threads])
         assert code == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     ok = outputs[0] == outputs[1] == outputs[2]

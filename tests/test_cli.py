@@ -88,11 +88,20 @@ def readme_config_block() -> str:
     return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
 
 
-def invoke(tmp_path, text, *args):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+def run_block(**keys) -> str:
+    """[run] keys to append to a config: the header again, so no line of it moves."""
+    return "\n[run]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+def invoke(tmp_path, text, *flags, **run_keys):
+    """main on text plus these [run] keys, and out = tmp_path / "out" unless
+    text sets out; returns the exit code and that directory."""
     out = tmp_path / "out"
-    return main(["--config", str(cfg), "--out", str(out), *args]), out
+    if not re.search(r"(?m)^out *=", text):
+        run_keys.setdefault("out", out)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + run_block(**run_keys))
+    return main(["--config", str(cfg), *flags]), out
 
 
 def read_summary(out):
@@ -273,9 +282,10 @@ class TestParseConfig:
         assert dataclasses.replace(cfg, spin_up=1, spin_down=0) == minimal
 
     def test_echoed_params_parse_back_to_the_run_config(self, tmp_path):
-        # README's block, which sets every section, at a small size
+        # README's block, which sets every section, at a small size; invoke
+        # sets out, which is not echoed
         small = readme_config_block().replace("n_samples = 10000", "n_samples = 64")
-        small = small.replace("n = 512", "n = 256")
+        small = small.replace("n = 512", "n = 256").replace("out = out\n", "")
         for command in cli.COMMANDS:
             block = small.replace("command = stern-gerlach", f"command = {command}")
             code, out = invoke(tmp_path, block)
@@ -411,6 +421,12 @@ class TestSharedPreconditions:
             "line 4: [pointer] state",
             [lambda: StateVec.normalized([0, 0])],
             id="pointer-state",
+        ),
+        *(
+            pytest.param(
+                f"[run]\ncommand = born-check\n[grid]\nn = {2**p}\n", "line 4: [grid] n", [], id=f"grid-2^{p}",
+            )
+            for p in (58, 62)  # numpy's MemoryError, and its ValueError for a size past intp
         ),
         pytest.param("[run]\ncommand = nogo\n[ ]\n", "line 3", [], id="empty-section-name"),
         pytest.param("[run]\ncommand = nogo\nseed\n", "line 3", [], id="no-equals-sign"),
@@ -602,7 +618,7 @@ class TestCommands:
         verdicts = [report.stats_base.born_within_3sigma, report.stats_reversed.born_within_3sigma]
         extra = "[contextuality]\nq_points = 3\nq_span = 1.0\n"
         for command in ("born-check", "stern-gerlach", "contextuality"):
-            code, out = invoke(tmp_path, sg_config(command, extra=extra), "--format", "json")
+            code, out = invoke(tmp_path, sg_config(command, extra=extra), format="json")
             assert code == 0
             summary = read_summary(out)
             verdicts += [value for key, value in summary["checks_passed"].items() if key.startswith("born_")]
@@ -683,14 +699,11 @@ class TestCommands:
 
 class TestDeterminism:
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(sg_config("stern-gerlach"))
         outputs = []
         for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-            out = tmp_path / name
-            code = main(
-                ["--config", str(cfg), "--out", str(out), "--threads", threads]
-            )
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+            cfg.write_text(sg_config("stern-gerlach") + run_block(out=out))
+            code = main(["--config", str(cfg), "--threads", threads])
             assert code == 0
             outputs.append(
                 {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -698,43 +711,32 @@ class TestDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_seed_changes_the_ensemble(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(sg_config("born-check"))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["--config", str(cfg), "--out", str(a)]) == 0
-        assert main(["--config", str(cfg), "--out", str(b), "--seed", "5"]) == 0
-        assert (a / "ensemble.csv").read_bytes() != (b / "ensemble.csv").read_bytes()
-
-    def test_seed_override_equals_configured_seed(self, tmp_path):
-        base = tmp_path / "base.cfg"
-        base.write_text(sg_config("born-check", seed=0))
-        configured = tmp_path / "configured.cfg"
-        configured.write_text(sg_config("born-check", seed=5))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["--config", str(base), "--out", str(a), "--seed", "5"]) == 0
-        assert main(["--config", str(configured), "--out", str(b)]) == 0
-        assert (a / "ensemble.csv").read_bytes() == (b / "ensemble.csv").read_bytes()
-        assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+        ensembles = []
+        for seed in (100, 5):
+            code, out = invoke(tmp_path, sg_config("born-check", seed=seed))
+            assert code == 0
+            ensembles.append((out / "ensemble.csv").read_bytes())
+        assert ensembles[0] != ensembles[1]
 
 
 class TestFormatSelection:
     def test_csv_only(self, tmp_path):
-        code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv")
+        code, out = invoke(tmp_path, sg_config("born-check"), format="csv")
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["ensemble.csv"]
 
     def test_rerun_removes_its_left_out_formats(self, tmp_path):
-        code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")
+        code, out = invoke(tmp_path, sg_config("born-check"), format="csv,json")
         assert code == 0
         other = out / "notes.csv"
         other.write_text("not an artifact of this command\n")
-        code, _ = invoke(tmp_path, sg_config("born-check"), "--format", "json", "--seed", "5")
+        code, _ = invoke(tmp_path, sg_config("born-check", seed=5), format="json")
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["notes.csv", "summary.json"]
         assert read_summary(out)["seed"] == 5
 
     def test_json_only_keeps_plain_text(self, tmp_path):
-        code, out = invoke(tmp_path, "[run]\ncommand = nogo\n", "--format", "json")
+        code, out = invoke(tmp_path, "[run]\ncommand = nogo\n", format="json")
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["certificate.txt", "summary.json"]
 
@@ -751,7 +753,7 @@ FUZZ_KEYS = [(s, k) for s, schema in cli._SCHEMA.items() for k in schema if k !=
 
 
 # Drawn runs keep their work small: 64 samples on a 256-point grid, and
-# the default RK4 substeps and outcome-map points; --out names their
+# the default RK4 substeps and outcome-map points; [run] out names their
 # directory.
 SIZES = {("run", "n_samples"): "64", ("grid", "n"): "256"}
 FIXED = {*SIZES, ("numerics", "substeps"), ("contextuality", "q_points"), ("run", "out")}
@@ -777,16 +779,16 @@ class TestFailureModes:
         values=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES), max_size=8),
     )
     def test_every_config_parses_or_raises_config_error(self, fuzz_dir, command, values):
-        text = config_text({("run", "command"): command, **values})
+        cfg, out = fuzz_dir / "run.cfg", fuzz_dir / "out"
+        text = config_text({("run", "command"): command, ("run", "out"): out, **values})
         try:
             parse_config(text)
         except ConfigError as refused:
             # the CLI refuses it too: exit 2, one JSON line, no work done
-            cfg, out = fuzz_dir / "run.cfg", fuzz_dir / "out"
             cfg.write_text(text)
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
-                assert main(["--config", str(cfg), "--out", str(out)]) == 2
+                assert main(["--config", str(cfg)]) == 2
             line, = stderr.getvalue().splitlines()
             assert json.loads(line) == {"error": "ConfigError", "messages": list(refused.errors)}
             assert not out.exists()
@@ -800,28 +802,29 @@ class TestFailureModes:
         values=st.dictionaries(st.sampled_from(RUN_KEYS), st.sampled_from(FUZZ_VALUES), max_size=3),
     )
     def test_drawn_configs_run_cleanly(self, fuzz_dir, command, values):
-        text = config_text({("run", "command"): command, **SIZES, **values})
+        cfg, out = fuzz_dir / "run.cfg", fuzz_dir / "out"
+        text = config_text({("run", "command"): command, ("run", "out"): out, **SIZES, **values})
         try:
             config = parse_config(text)
         except ConfigError:
             assume(False)
-        cfg, out = fuzz_dir / "run.cfg", fuzz_dir / "out"
         cfg.write_text(text)
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
-            code = main(["--config", str(cfg), "--out", str(out)])
+            code = main(["--config", str(cfg)])
         if code == 1:  # a run-time failure: one JSON report, no artifacts
             line, = stderr.getvalue().splitlines()
             assert json.loads(line)["command"] == command
             assert not out.exists()
             return
         assert code == 0
-        if "json" in config.formats:
-            assert parse_config(echoed_config(read_summary(out))) == config
+        if "json" in config.formats:  # out changes no byte, so it is not echoed
+            echoed = parse_config(echoed_config(read_summary(out)))
+            assert dataclasses.replace(echoed, out=config.out) == config
         shutil.rmtree(out)
 
     def test_failed_write_leaves_the_previous_run_intact(self, tmp_path, monkeypatch):
-        code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")
+        code, out = invoke(tmp_path, sg_config("born-check"), format="csv,json")
         assert code == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         real_write = Path.write_text
@@ -835,13 +838,13 @@ class TestFailureModes:
 
         monkeypatch.setattr(Path, "write_text", disk_full)
         for formats in ("csv,json", "json"):
-            code, _ = invoke(tmp_path, sg_config("born-check", seed=5), "--format", formats)
+            code, _ = invoke(tmp_path, sg_config("born-check", seed=5), format=formats)
             assert code == 1
             # no temporary file, no truncated summary, the old ensemble.csv
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_failed_replace_keeps_the_files_after_it(self, tmp_path, monkeypatch):
-        code, out = invoke(tmp_path, sg_config("born-check"), "--format", "csv,json")
+        code, out = invoke(tmp_path, sg_config("born-check"), format="csv,json")
         assert code == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         real_replace = os.replace
@@ -852,7 +855,7 @@ class TestFailureModes:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", busy)
-        code, _ = invoke(tmp_path, sg_config("born-check", seed=5), "--format", "csv,json")
+        code, _ = invoke(tmp_path, sg_config("born-check", seed=5), format="csv,json")
         assert code == 1
         # replaces run in name order: the new ensemble.csv, the old summary
         after = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -937,33 +940,25 @@ class TestFailureModes:
         assert report["error"] == "FileNotFoundError"
 
     def test_bad_override_values(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[run]\ncommand = nogo\n")
-        assert main(["--config", str(cfg), "--seed", "-1"]) == 2
-        report = json.loads(capsys.readouterr().err)
-        assert "--seed" in report["messages"][0]
-        assert main(["--config", str(cfg), "--format", "yaml"]) == 2
-        capsys.readouterr()
         for threads in ("0", "-3"):
-            assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", threads]) == 2
+            code, out = invoke(tmp_path, "[run]\ncommand = nogo\n", "--threads", threads)
+            assert code == 2
             report = json.loads(capsys.readouterr().err)
             assert report["messages"] == [f"--threads: threads must be >= 1, got {threads}"]
-        assert not (tmp_path / "out").exists()
+        assert not out.exists()
 
     def test_flag_errors_join_the_config_errors(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[run]\ncommand = nogo\nn_samples = 0\n")
-        flags = ["--seed", "-1", "--format", "yaml", "--threads", "0"]
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *flags]) == 2
+        code, out = invoke(tmp_path, "[run]\ncommand = nogo\nn_samples = 0\n", "--threads", "0")
+        assert code == 2
         messages = json.loads(capsys.readouterr().err)["messages"]
         assert messages[0] == "line 3: [run] n_samples: ensemble size must be >= 1, got 0"
-        assert [m.split(":")[0] for m in messages[1:]] == ["--seed", "--format", "--threads"]
-        assert main(["--config", str(tmp_path / "missing.cfg"), "--seed", "-1"]) == 2
+        assert [m.split(":")[0] for m in messages[1:]] == ["--threads"]
+        assert main(["--config", str(tmp_path / "missing.cfg"), "--threads", "0"]) == 2
         messages = json.loads(capsys.readouterr().err)["messages"]
         assert messages[0].startswith("cannot read config file")
-        assert messages[1].startswith("--seed: ")
+        assert messages[1].startswith("--threads: ")
         assert len(messages) == 2
-        assert not (tmp_path / "out").exists()
+        assert not out.exists()
 
     def test_run_rejects_fewer_than_one_thread(self, tmp_path):
         config = dataclasses.replace(parse_config("[run]\ncommand = nogo\n"), out=str(tmp_path / "out"))
@@ -999,28 +994,34 @@ class TestFailureModes:
             "float range: got inf",
         )
 
-    @pytest.mark.parametrize("text, patch, code", [
+    @pytest.mark.parametrize("text, patch, flags, code", [
         pytest.param(
             "[run]\ncommand = born-check\nn_samples = 64\n[grid]\nn = 256\n[setup]\nb0 = 1e308\n",
-            "", 2, id="coupling",
+            "", (), 2, id="coupling",
         ),
-        pytest.param("[run]\ncommand = propagate\n[packet]\nspin_up = 1.5e308+1.5e308j\n", "", 2, id="spin"),
+        pytest.param(
+            "[run]\ncommand = propagate\n[packet]\nspin_up = 1.5e308+1.5e308j\n", "", (), 2, id="spin",
+        ),
         pytest.param(
             "[run]\ncommand = nogo\n",
             "cli._DRIVERS['nogo'] = (lambda config, threads: {'x.txt': str(np.float64(1e308) * 10)}, ())\n",
-            1, id="driver-overflow",
+            (), 1, id="driver-overflow",
         ),
+        # usage errors: an unknown flag, a removed one, no config
+        pytest.param("[run]\ncommand = nogo\n", "", ("--bogus",), 2, id="unknown-flag"),
+        pytest.param("[run]\ncommand = nogo\n", "", ("--seed", "5"), 2, id="seed-flag"),
+        pytest.param("[run]\ncommand = nogo\n", "", None, 2, id="no-config"),
     ])
-    def test_stderr_is_one_json_line(self, tmp_path, text, patch, code):
+    def test_stderr_is_one_json_line(self, tmp_path, text, patch, flags, code):
         # a fresh interpreter prints numpy's warnings to stderr; under pytest
         # they are errors, which hides a stray line
         cfg, out = tmp_path / "run.cfg", tmp_path / "out"
-        cfg.write_text(text)
+        cfg.write_text(text + run_block(out=out))
         script = f"import numpy as np\nfrom bohmlab import cli\n{patch}raise SystemExit(cli.main())\n"
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), PYTHONWARNINGS="default")
+        argv = [] if flags is None else ["--config", str(cfg), *flags]
         done = subprocess.run(
-            [sys.executable, "-c", script, "--config", str(cfg), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == code and not out.exists()
         line, = done.stderr.splitlines()

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import sg_config
+from test_cli import run_block, sg_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNUSED_BY_SG = ["bohmlab.operators", "bohmlab.peres_mermin", "numpy.random"]
@@ -42,10 +42,10 @@ def test_run_sg_loads_no_unused_module(tmp_path):
 
 
 def test_cli_stern_gerlach_loads_no_unused_module(tmp_path):
-    (tmp_path / "run.cfg").write_text(sg_config("stern-gerlach"))
+    (tmp_path / "run.cfg").write_text(sg_config("stern-gerlach") + run_block(out="out"))
     code = (
         "from bohmlab import cli\n"
-        "assert cli.main(['--config', 'run.cfg', '--out', 'out', '--threads', '1']) == 0\n"
+        "assert cli.main(['--config', 'run.cfg', '--threads', '1']) == 0\n"
     )
     loaded = loaded_after(code, tmp_path)
     assert (tmp_path / "out" / "ensemble.csv").exists()

@@ -280,7 +280,7 @@ class TestGuards:
         for t_total, dt in ((1.0, 0.0), (1.0, -1 / 64), (-1.0, 1 / 64), (-1.0, -1 / 64)):
             with pytest.raises(ValueError, match="must be positive"):
                 evolve(f, [(h, t_total)], dt)
-        with pytest.raises(ValueError, match="divide t_total"):
+        with pytest.raises(ValueError, match="divide duration"):
             evolve(f, [(h, 1.0)], 0.3)
         with pytest.raises(ValueError, match="record_every"):
             evolve(f, [(h, 1.0)], 1 / 64, record_every=7)

@@ -33,7 +33,7 @@ def run_script(name: str, *args: str) -> list[list[str]]:
     ("free_gaussian_study.py", ("--t", "0.5"), "t width theory rel err", 17),
     ("born_sweep.py", ("--n", "400", "--seeds", "1"),
      "p_up det. freq spread stderr in 3 SE null%", 5),
-    ("contextuality_demo.py", ("--coarse", "--n", "400", "--points", "5"), "q0 base reversed", 5),
+    ("contextuality_demo.py", ("--n", "400", "--points", "5"), "q0 base reversed", 5),
 ], ids=["free_gaussian_study", "born_sweep", "contextuality_demo"])
 def test_script_prints_its_table(name, args, header, rows):
     lines = run_script(name, *args)

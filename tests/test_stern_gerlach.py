@@ -81,6 +81,7 @@ class TestSetup:
             "b0", "b_grad", "mu", "tau", "t_drift", "z_det", "calibration_up", "calibration_down",
         )),
         *((PacketSpec, name) for name in ("center", "sigma", "k")),
+        *((SGNumerics, name) for name in ("dt", "x_min", "x_max")),
     ])
     def test_float_fields_must_be_finite(self, make, field):
         # unrefused, a NaN calibration makes run_sg average the other

@@ -60,11 +60,11 @@ SPIN_RUNS = {
 }
 
 
-def config_text(command: str, spins: str | None = None) -> str:
+def config_text(command: str, out: Path, spins: str | None = None) -> str:
     samples = "n_samples = 5000\n" if command in ("trajectories", "born-check", "stern-gerlach") else ""
     if spins is None:
         spins = EQUAL_SPINS if command in ("born-check", "stern-gerlach", "contextuality") else ""
-    return f"[run]\ncommand = {command}\n{samples}{SMALL}{spins}"
+    return f"[run]\ncommand = {command}\nout = {out}\n{samples}{SMALL}{spins}"
 
 
 def sha(data: bytes) -> str:
@@ -81,11 +81,10 @@ def cli_hashes(workdir: Path):
 
     runs = {**{command: (command, None) for command in COMMANDS}, **SPIN_RUNS}
     for name, (command, spins) in runs.items():
-        cfg = workdir / f"{name}.cfg"
-        cfg.write_text(config_text(command, spins))
         for threads in (1, 2):
-            out = workdir / f"{name}-t{threads}"
-            code = main(["--config", str(cfg), "--out", str(out), "--threads", str(threads)])
+            cfg, out = workdir / f"{name}-t{threads}.cfg", workdir / f"{name}-t{threads}"
+            cfg.write_text(config_text(command, out, spins))
+            code = main(["--config", str(cfg), "--threads", str(threads)])
             yield f"cli/{name}/t{threads}/exit", sha(str(code).encode())
             for path in sorted(out.glob("*")) if out.exists() else ():
                 yield f"cli/{name}/t{threads}/{path.name}", sha(path.read_bytes())
