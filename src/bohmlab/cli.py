@@ -10,7 +10,8 @@ README.md ("Batch CLI") documents every section, key and default.  The
 [grid], [packet], [setup] and [numerics] keys are fields of SGNumerics,
 PacketSpec and SGSetup, which own their defaults and checks.  Every
 section is parsed and checked; _DRIVERS names the ones each command
-reads, and summary.json's params echoes exactly those.
+reads, and summary.json's params echoes exactly those.  Each check in a
+summary is the verdict of the library object that owns its claim.
 
 The default packet spin is spin_up = 1, spin_down = 0: a pure spin-up
 packet.  With it born-check and stern-gerlach run a p = 1 experiment,
@@ -35,9 +36,10 @@ import numpy as np
 # nogo drivers, so no other command loads them.
 from . import __version__
 from .grids import _check_int, _unit_vector, check_packet_fits, gaussian_packet
-from .propagation import HamiltonianSpec, evolve, window_steps
-from .sampling import KS_COEFF, _check_seed, ks_distance, sample
+from .propagation import NORM_DEF, HamiltonianSpec, evolve, norm_drift, window_steps
+from .sampling import KS_BAND_DEF, _check_seed, ks_distance, ks_verdict, sample
 from .stern_gerlach import (
+    OutcomeStatistics,
     PacketSpec,
     SGNumerics,
     SGSetup,
@@ -48,6 +50,7 @@ from .stern_gerlach import (
     _check_reversal_setup,
     _magnet_hamiltonian,
     branch_overlap,
+    branches_separated,
     build_timeline,
     contextuality_demo,
     run_sg,
@@ -184,13 +187,11 @@ def _as_positive(value: str) -> float:
 
 
 def _as_complex(value: str) -> complex:
+    """A complex number; _unit_vector refuses a spin or state not finite."""
     try:
-        z = complex(value.replace(" ", ""))
+        return complex(value.replace(" ", ""))
     except ValueError:
         raise ValueError(f"expected a complex number like 0.6+0.8j, got {value!r}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"expected a finite complex number, got {value!r}")
-    return z
 
 
 def _as_state(value: str) -> tuple[complex, ...]:
@@ -320,23 +321,28 @@ def parse_config(text: str) -> RunConfig:
                 except ValueError as exc:
                     fail(name, key, str(exc))
 
-    def settle(items, attempt, where):
-        """attempt(items), or None once its failure is reported.
+    def settle(keys, rule, where):
+        """rule(*values) of keys, (section, key) pairs, or None once its
+        failure is reported.
 
-        items are (section, key, ...) for keys the config sets; the others
-        keep their defaults.  An item that fails alone is reported on its
-        line, and what only the rest fail together on where.
+        A key the config sets gives its value, the others their defaults.
+        A key that fails alone is reported on its line, and what only the
+        rest fail together on where.
         """
+        def attempt(chosen):
+            return rule(*(values[s][k] if (s, k) in chosen else _SCHEMA[s][k][1] for s, k in keys))
+
+        present = [(s, k) for s, k in keys if k in sections.get(s, {})]
         try:
-            return attempt(items)
+            return attempt(present)
         except ValueError:
             pass
         kept = []
-        for item in items:
+        for item in present:
             try:
                 attempt([item])
             except ValueError as exc:
-                fail(item[0], item[1], str(exc))
+                fail(*item, str(exc))
             else:
                 kept.append(item)
         try:
@@ -350,19 +356,14 @@ def parse_config(text: str) -> RunConfig:
         None; what only the keys together fail goes to the header of the
         class's first section."""
         parts = [s for s, (c, _, _) in _FIELD_SECTIONS.items() if c is cls]
-        items = [
-            (s, key, name, values[s][key])
-            for s in parts
-            for key, name in _FIELD_SECTIONS[s][2].items()
-            if key in sections.get(s, {})
-        ]
+        keys = {(s, key): name for s in parts for key, name in _FIELD_SECTIONS[s][2].items()}
 
-        def attempt(chosen):
-            obj = cls(**{name: value for _, _, name, value in chosen})
+        def build(*args):
+            obj = cls(**dict(zip(keys.values(), args)))
             check(obj)
             return obj
 
-        return settle(items, attempt, (parts[0], None))
+        return settle(list(keys), build, (parts[0], None))
 
     v = values
     command = v["run"]["command"]
@@ -401,26 +402,19 @@ def parse_config(text: str) -> RunConfig:
     packet = construct(PacketSpec, check_packet)
     setup = construct(SGSetup, check_setup)
 
-    spin_up, spin_down = v["packet"]["spin_up"], v["packet"]["spin_down"]
-    spin = check("packet", "spin_up", _unit_vector, (spin_up, spin_down))
+    spins = [("packet", "spin_up"), ("packet", "spin_down")]
+    spin = settle(spins, lambda *ab: _unit_vector(ab), spins[0])  # what only both fail goes to spin_up
 
     # Every window the command evolves must tile into whole record
     # intervals: its key, dt and record_every are settled like a class's
     # fields, what only they together fail going to the window's key.
-    windows = [(s, "t_total", v[s]["t_total"]) for s in reads if "t_total" in v[s]]
+    windows = [(s, "t_total") for s in reads if "t_total" in v[s]]
     if splitting and setup is not None:
-        windows += [("setup", "tau", setup.tau), ("setup", "t_drift", setup.t_drift)]
-    for section, key, window in windows:
-        if numerics is None or not window > 0:  # build_timeline skips a zero drift
-            continue
-        given = {(section, key): window, ("numerics", "dt"): numerics.dt,
-                 ("numerics", "record_every"): numerics.record_every}
-
-        def tile(chosen):
-            args = [given[k] if k in chosen else _SCHEMA[k[0]][k[1]][1] for k in given]
-            window_steps(*args, key)
-
-        settle([k for k in given if k[1] in sections.get(k[0], {})], tile, (section, key))
+        windows += [("setup", "tau"), ("setup", "t_drift")]
+    for section, key in windows:
+        if numerics is not None and v[section][key] > 0:  # build_timeline skips a zero drift
+            tiling = [(section, key), ("numerics", "dt"), ("numerics", "record_every")]
+            settle(tiling, lambda *args: window_steps(*args, key), (section, key))
 
     if command == "contextuality":
         if spin is not None:  # judged as the run's, scaled to unit norm
@@ -534,10 +528,6 @@ def _claim(value, definition: str) -> dict:
     return {"value": value, "definition": definition}
 
 
-BORN_DEF = "born_weight: p_a = ||P_a psi||^2"
-EXPECT_DEF = "calibrated_expectation: sum_a p_a lambda_a = <psi, A psi>"
-
-
 # ---------------------------------------------------------------- drivers
 
 def _free_timeline(config: RunConfig):
@@ -557,25 +547,19 @@ def _run_propagate(config: RunConfig, threads: int) -> dict[str, str]:
         for i, (t, norm, center, width) in enumerate(zip(timeline.times, norms, centers, widths))
     ]
     center_theory, width_theory = config.packet.free_center_width(config.t_total)
-    norm_drift = max(abs(x - 1.0) for x in norms)
-    checks = {
-        "width_within_1pct": abs(widths[-1] - width_theory) <= 0.01 * width_theory,
-        "center_within_1e-6": abs(centers[-1] - center_theory) <= 1e-6 * max(1.0, abs(center_theory)),
-        "norm_drift_le_1e-10": norm_drift <= 1e-10,
-    }
+    width_ok, center_ok = config.packet.free_motion_verdicts(config.t_total, centers[-1], widths[-1])
+    drift, unitary = norm_drift(norms)
+    checks = {"width_within_1pct": width_ok, "center_within_1e-6": center_ok, "norm_drift_le_1e-10": unitary}
     theoretical = {
-        "width_final": _claim(
-            width_theory,
-            "free_gaussian_width: sigma(t) = sigma0 sqrt(1 + (t / (2 sigma0^2))^2)",
-        ),
-        "center_final": _claim(center_theory, "free_drift: center(t) = center0 + k t"),
-        "norm": _claim(1.0, "unitarity: the propagator preserves the norm"),
+        "width_final": _claim(width_theory, PacketSpec.WIDTH_DEF),
+        "center_final": _claim(center_theory, PacketSpec.CENTER_DEF),
+        "norm": _claim(1.0, NORM_DEF),
     }
     empirical = {
         "width_final": widths[-1],
         "center_final": centers[-1],
         "norm_final": norms[-1],
-        "norm_drift_max": norm_drift,
+        "norm_drift_max": drift,
         "boundary_mass_final": float(timeline.boundary_mass[-1]),
     }
     return {
@@ -589,17 +573,11 @@ def _run_trajectories(config: RunConfig, threads: int) -> dict[str, str]:
     q0 = sample(timeline.fields[0], config.n_samples, config.seed)
     paths = integrate_ensemble(timeline, q0, dt_traj=config.numerics.dt_traj, threads=threads)
     ks = ks_distance(paths.q_final, timeline.fields[-1])
-    band = KS_COEFF / math.sqrt(config.n_samples)
-    checks = {"equivariance_ks_within_band": ks <= band}
-    theoretical = {
-        "ks_band": _claim(
-            band,
-            f"ks_band: {KS_COEFF} / sqrt(n), the 5% acceptance band for the "
-            "distance between transported samples and the evolved density",
-        )
-    }
+    within, band, error = ks_verdict(ks, config.n_samples)
+    checks = {"equivariance_ks_within_band": within}
+    theoretical = {"ks_band": _claim(band, KS_BAND_DEF)}
     empirical = {"ks_distance": ks}
-    stderr = {"ks_distance": band / 3.0}
+    stderr = {"ks_distance": error}
     # no detectors: the outcome and lambda cells stay empty
     no_outcome = np.full(config.n_samples, "")
     return {
@@ -631,14 +609,12 @@ def _run_splitting(config: RunConfig, threads: int) -> dict[str, str]:
     }
     checks = {
         "born_within_3sigma": stats.born_within_3sigma,
-        "null_fraction_le_1pct": stats.null_fraction <= 0.01,
+        "null_fraction_le_1pct": stats.null_fraction_le_1pct,
     }
     theoretical = {
-        "p_up": _claim(stats.born["up"], BORN_DEF),
-        "p_down": _claim(stats.born["down"], BORN_DEF),
-        "null_fraction": _claim(
-            0.0, "ideal_detection: fully separated branches land on the detectors"
-        ),
+        "p_up": _claim(stats.born["up"], stats.BORN_DEF),
+        "p_down": _claim(stats.born["down"], stats.BORN_DEF),
+        "null_fraction": _claim(0.0, stats.NULL_DEF),
     }
     empirical = {
         "counts": stats.counts,
@@ -651,8 +627,8 @@ def _run_splitting(config: RunConfig, threads: int) -> dict[str, str]:
     stderr = {"freq_up": stats.stderr_freq_up}
     if config.command == "stern-gerlach":
         checks["calibrated_mean_within_3se"] = stats.calibrated_within_3se
-        checks["branch_overlap_le_1e-4"] = overlap <= 1e-4
-        theoretical["calibrated_expectation"] = _claim(stats.expectation_theory, EXPECT_DEF)
+        checks["branch_overlap_le_1e-4"] = branches_separated(overlap)
+        theoretical["calibrated_expectation"] = _claim(stats.expectation_theory, stats.EXPECT_DEF)
         empirical["calibrated_mean"] = stats.calibrated_mean
         stderr["calibrated_mean"] = stats.stderr_mean
     return {
@@ -678,9 +654,9 @@ def _run_contextuality(config: RunConfig, threads: int) -> dict[str, str]:
         "born_reversed_within_3sigma": sr.born_within_3sigma,
     }
     theoretical = {
-        "p_up_base": _claim(sb.born["up"], BORN_DEF),
-        "p_up_reversed": _claim(sr.born["up"], BORN_DEF),
-        "calibrated_expectation": _claim(sb.expectation_theory, EXPECT_DEF),
+        "p_up_base": _claim(sb.born["up"], sb.BORN_DEF),
+        "p_up_reversed": _claim(sr.born["up"], sr.BORN_DEF),
+        "calibrated_expectation": _claim(sb.expectation_theory, sb.EXPECT_DEF),
     }
     empirical = {
         "freq_up_base": sb.frequencies["up"],
@@ -715,6 +691,7 @@ def _run_pointer(config: RunConfig, threads: int) -> dict[str, str]:
         pointer_model,
         reproducibility_check,
         spec_from_text,
+        within_tolerance,
     )
 
     if config.spec_file is not None:
@@ -730,14 +707,14 @@ def _run_pointer(config: RunConfig, threads: int) -> dict[str, str]:
     weighted = expectation(psi, spec)
     quadratic = float(np.vdot(psi.vec, build_observable(spec).entries @ psi.vec).real)
     checks = {
-        "marginals_match_born": deviation <= 1e-12,
-        "expectation_identity": abs(weighted - quadratic) <= 1e-12,
+        "marginals_match_born": within_tolerance(deviation),
+        "expectation_identity": within_tolerance(abs(weighted - quadratic)),
         "reproducible": reproducibility_check(psi, spec),
     }
     labels = spec.labels()
     theoretical = {
-        "born": _claim({lbl: float(pv) for lbl, pv in zip(labels, born)}, BORN_DEF),
-        "expectation": _claim(weighted, EXPECT_DEF),
+        "born": _claim({lbl: float(pv) for lbl, pv in zip(labels, born)}, OutcomeStatistics.BORN_DEF),
+        "expectation": _claim(weighted, OutcomeStatistics.EXPECT_DEF),
     }
     empirical = {
         "marginals": {lbl: float(m) for lbl, m in zip(labels, result.marginals)},
@@ -755,17 +732,10 @@ def _run_nogo(config: RunConfig, threads: int) -> dict[str, str]:
 
     witness = contextual_witness()
     checks = {
-        "all_candidates_examined": witness.n_candidates == 512,
-        "parity_obstruction": witness.n_consistent == 0 and witness.parity_product == -1,
+        "all_candidates_examined": witness.all_candidates_examined,
+        "parity_obstruction": witness.parity_obstruction,
     }
-    theoretical = {
-        "consistent_assignments": _claim(
-            0,
-            "parity_obstruction: each entry appears in exactly one row and one "
-            "column constraint, so the product of all six constraints is +1 "
-            "while the sign targets multiply to -1",
-        )
-    }
+    theoretical = {"consistent_assignments": _claim(0, witness.PARITY_DEF)}
     empirical = {
         "candidates_examined": witness.n_candidates,
         "consistent_assignments": witness.n_consistent,

@@ -38,6 +38,7 @@ __all__ = [
     "spectral_decompose",
     "pointer_model",
     "reproducibility_check",
+    "within_tolerance",
     "spec_from_text",
 ]
 
@@ -318,6 +319,12 @@ def reproducibility_check(psi: StateVec, spec: ExperimentSpec) -> bool:
         if abs(repeat[a] - 1.0) > ATOL:
             return False
     return True
+
+
+def within_tolerance(deviation: float) -> bool:
+    """The verdict on an identity held to rounding, such as the pointer's marginals
+    against the Born weights: a deviation of at most ATOL passes.  Deterministic."""
+    return deviation <= ATOL
 
 
 def spec_from_text(text: str) -> ExperimentSpec:

@@ -197,11 +197,25 @@ def assignment_search(grid: ObservableGrid) -> tuple[int, int]:
 class WitnessReport:
     """Certificate that no noncontextual value map exists for the square."""
 
+    PARITY_DEF = (
+        "parity_obstruction: each entry appears in exactly one row and one column constraint, so "
+        "the product of all six constraints is +1 while the sign targets multiply to -1"
+    )
     n_candidates: int
     n_consistent: int
     parity_product: int
     constraint_lines: tuple
     labels: tuple
+
+    @property
+    def all_candidates_examined(self) -> bool:
+        """Every one of the 2^9 sign assignments was examined.  Deterministic."""
+        return self.n_candidates == 512
+
+    @property
+    def parity_obstruction(self) -> bool:
+        """No assignment is consistent, and the six targets multiply to -1.  Deterministic."""
+        return self.n_consistent == 0 and self.parity_product == -1
 
     def as_text(self) -> str:
         rows = [" | ".join(row) for row in self.labels]

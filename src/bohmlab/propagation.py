@@ -22,10 +22,11 @@ import numpy as np
 
 from .grids import STATE_BLOCK_BYTES, Grid1D, SpinorField, _check_int
 
-__all__ = ["HamiltonianSpec", "WaveTimeline", "window_steps", "evolve"]
+__all__ = ["HamiltonianSpec", "WaveTimeline", "window_steps", "evolve", "norm_drift"]
 
 # Mass allowed in the outer 5% of the domain (each side) before evolution aborts.
 BOUNDARY_MASS_LIMIT = 1e-6
+NORM_DEF = "unitarity: the propagator preserves the norm"
 
 
 @dataclass(frozen=True)
@@ -310,6 +311,13 @@ def evolve(
     times, fields, bmass = zip(*records)
     generators = tuple((h, n_steps // record_every) for (h, _), n_steps in zip(windows, counts))
     return WaveTimeline(np.array(times), fields, generators, np.array(bmass))
+
+
+def norm_drift(norms) -> tuple[float, bool]:
+    """max |norm - 1| over the records' norms, and the unitarity verdict:
+    that drift is at most 1e-10.  Deterministic, as the records are."""
+    drift = max(abs(x - 1.0) for x in norms)
+    return drift, drift <= 1e-10
 
 
 def _hamiltonian_nodes(h: HamiltonianSpec):

@@ -44,6 +44,7 @@ __all__ = [
     "contextuality_demo",
     "no_crossing_check",
     "branch_overlap",
+    "branches_separated",
 ]
 
 NULL_FRACTION_LIMIT = 0.05
@@ -61,8 +62,11 @@ def _check_finite_fields(spec) -> None:
 
 @dataclass(frozen=True)
 class PacketSpec:
-    """Initial Gaussian packet parameters on the deflection axis, each finite."""
+    """Initial Gaussian packet parameters on the deflection axis, each
+    finite, and the definitions a summary states beside its free laws."""
 
+    WIDTH_DEF = "free_gaussian_width: sigma(t) = sigma0 sqrt(1 + (t / (2 sigma0^2))^2)"
+    CENTER_DEF = "free_drift: center(t) = center0 + k t"
     center: float = 0.0
     sigma: float = 1.0
     k: float = 0.0
@@ -77,6 +81,13 @@ class PacketSpec:
         center + k t and sigma sqrt(1 + (t / (2 sigma^2))^2)."""
         spread = math.sqrt(1.0 + (t / (2.0 * self.sigma**2)) ** 2)
         return self.center + self.k * t, self.sigma * spread
+
+    def free_motion_verdicts(self, t: float, center: float, width: float) -> tuple[bool, bool]:
+        """Whether a measured width lies within 1 % of free_center_width's at
+        t, and a measured center within 1e-6 of its, times max(1, |its|).  Deterministic."""
+        law_center, law_width = self.free_center_width(t)
+        width_ok = abs(width - law_width) <= 0.01 * law_width
+        return width_ok, abs(center - law_center) <= 1e-6 * max(1.0, abs(law_center))
 
 
 @dataclass(frozen=True)
@@ -291,9 +302,13 @@ class OutcomeStatistics:
     """Counts, frequencies, and calibrated statistics of one ensemble run.
 
     Theoretical values follow the Born weights of the spinor amplitudes,
-    routed to detectors according to which branch deflects upward.
+    routed to detectors according to which branch deflects upward.  The
+    class holds the definitions a summary states beside them.
     """
 
+    BORN_DEF = "born_weight: p_a = ||P_a psi||^2"
+    EXPECT_DEF = "calibrated_expectation: sum_a p_a lambda_a = <psi, A psi>"
+    NULL_DEF = "ideal_detection: fully separated branches land on the detectors"
     n: int
     counts: dict
     frequencies: dict
@@ -317,6 +332,14 @@ class OutcomeStatistics:
         """Standard error of the up-frequency at the Born weight, sqrt(p (1 - p) / n)."""
         p = self.born["up"]
         return math.sqrt(p * (1.0 - p) / self.n)
+
+    @property
+    def null_fraction_le_1pct(self) -> bool:
+        """At most 1 % of the ensemble ends between the detectors.  Random:
+        at the shipped detectors the starts between the two separatrices
+        hold 1.141e-3 of the mass, so at n = 10k its size, the binomial
+        tail of more than 100 nulls, is about 5e-59."""
+        return self.null_fraction <= 0.01
 
     @property
     def born_within_3sigma(self) -> bool:
@@ -568,3 +591,8 @@ def branch_overlap(field: SpinorField) -> float:
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
     return float(np.sum(a1 * a2) * dx / (n1 * n2))
+
+
+def branches_separated(overlap: float) -> bool:
+    """The verdict on a branch_overlap value: at most 1e-4.  Deterministic."""
+    return overlap <= 1e-4

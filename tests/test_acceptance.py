@@ -25,6 +25,7 @@ from bohmlab import (
     gaussian_packet,
     integrate_ensemble,
     ks_distance,
+    ks_verdict,
     make_grid,
     no_crossing_check,
     pointer_model,
@@ -33,6 +34,7 @@ from bohmlab import (
     sample,
     standard_grid,
     verify_grid,
+    within_tolerance,
 )
 from bohmlab.cli import main as cli_main
 from helpers import free_width, l2_distance, moments, random_spec, random_state
@@ -137,7 +139,7 @@ def test_02_expectation_identity(sg_timelines):
         weighted = expectation(psi, spec)
         quadratic = float(np.vdot(psi.vec, build_observable(spec).entries @ psi.vec).real)
         worst = max(worst, abs(weighted - quadratic))
-    algebra_ok = worst <= 1e-12
+    algebra_ok = within_tolerance(worst)
 
     stats, _ = run_sg(
         SGSetup(), 0.5, np.sqrt(0.75), PacketSpec(), N_PER_RUN, seed=0,
@@ -159,7 +161,7 @@ def test_03_pointer_marginals(pointer_cases):
         res = pointer_model(psi, spec)
         dev = float(np.max(np.abs(res.marginals - born_probabilities(psi, spec))))
         worst = max(worst, dev)
-    ok = worst <= 1e-12
+    ok = within_tolerance(worst)
     report(3, "apparatus marginals reproduce the Born weights", ok, f"max dev {worst:.2e}")
     assert ok
 
@@ -172,7 +174,7 @@ def test_04_repetition(pointer_cases):
 
 def test_05_equivariance(free_timeline, sg_timelines):
     """18 or more of 20 KS distances at n = 4000 within 1.63/sqrt(n), per
-    timeline.
+    timeline: the trajectories command's verdict, ks_verdict.
 
     One KS test at 1.63 has the Kolmogorov size 0.98 % (1.15 % measured on
     2000 seeds of the sampler on the free timeline's last record), so the
@@ -182,14 +184,13 @@ def test_05_equivariance(free_timeline, sg_timelines):
     fails with probability 6 %, 16 % and 32 %, the rule with 12 %, 63 %
     and 98 % (the same 2000 seeds, displaced).
     """
-    band = 1.63 / np.sqrt(4000)
     results = {}
     for name, timeline in (("free", free_timeline), ("magnet", sg_timelines[0.50])):
         hits = 0
         for s in KS_SEEDS:
             q0 = sample(timeline.fields[0], 4000, seed=s)
             paths = integrate_ensemble(timeline, q0, dt_traj=timeline.spacing / 4)
-            hits += ks_distance(paths.q_final, timeline.fields[-1]) <= band
+            hits += ks_verdict(ks_distance(paths.q_final, timeline.fields[-1]), 4000)[0]
         results[name] = hits
     ok = all(h >= 18 for h in results.values())
     report(

@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -18,23 +19,33 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bohmlab import (
+    KS_COEFF,
+    ExperimentSpec,
     HamiltonianSpec,
+    Outcome,
     OutcomeStatistics,
     PacketSpec,
     SGNumerics,
     SGSetup,
     TrajectoryEnsemble,
     WaveTimeline,
+    branch_overlap,
+    branches_separated,
     build_timeline,
     cli,
+    contextual_witness,
     contextuality_demo,
     gaussian_packet,
     integrate_ensemble,
+    ks_verdict,
     make_grid,
     no_crossing_check,
+    norm_drift,
     outcome_map,
+    reproducibility_check,
     run_sg,
     sample,
+    within_tolerance,
 )
 from bohmlab.cli import ConfigError, main, parse_config
 from bohmlab.operators import StateVec
@@ -410,6 +421,33 @@ class TestSharedPreconditions:
             [lambda: gaussian_packet(SMALL_PACKET.grid, 0.0, 1.0, 0.0, a=1.5e308 + 1.5e308j, b=0)],
             id="spin-in-float-range",
         ),
+        *(
+            pytest.param(
+                f"[run]\ncommand = propagate\n[packet]\n{key} = {value}\n",
+                f"line 4: [packet] {key}",
+                [
+                    lambda pair=pair: gaussian_packet(SMALL_PACKET.grid, 0.0, 1.0, 0.0, *pair),
+                    lambda pair=pair: run_sg(SGSetup(), *pair, PacketSpec(), 10, 0),
+                ],
+                id=f"{key}-{value}",
+            )
+            # each key's refusal on its own line; the other key holds its default
+            for key, value, pair in [
+                ("spin_up", "nan", (complex("nan"), 0)),
+                ("spin_up", "inf", (complex("inf"), 0)),
+                ("spin_down", "nan", (1, complex("nan"))),
+                ("spin_down", "-infj", (1, complex("-infj"))),
+            ]
+        ),
+        *(
+            pytest.param(
+                f"[run]\ncommand = pointer-model\n[pointer]\nstate = {state}\n",
+                "line 4: [pointer] state",
+                [lambda state=state: StateVec.normalized([complex(z) for z in state.split()])],
+                id="pointer-state-" + state.replace(" ", "-"),
+            )
+            for state in ("nan 0.8", "0.6 inf")
+        ),
         pytest.param(
             sg_config("born-check", extra="[setup]\nb0 = 1e308\n"),
             "line 17: [setup] b0",
@@ -695,6 +733,131 @@ class TestCommands:
             "versions",
         ]
         assert summary["versions"]["csv_schema"] == 1
+
+
+def owner_verdicts(config, out) -> dict:
+    """checks_passed as the library objects that own the claims state it of
+    the run of config whose artifacts are in out: its figures are read back
+    from the artifacts, or the library reruns it."""
+    summary = read_summary(out)
+    if config.command == "propagate":
+        rows = [line.split(",")[2:] for line in (out / "timeline.csv").read_text().splitlines()[2:]]
+        norms, centers, widths = (list(map(float, column)) for column in zip(*rows))
+        width_ok, center_ok = config.packet.free_motion_verdicts(config.t_total, centers[-1], widths[-1])
+        return {"width_within_1pct": width_ok, "center_within_1e-6": center_ok,
+                "norm_drift_le_1e-10": norm_drift(norms)[1]}
+    if config.command == "trajectories":
+        return {"equivariance_ks_within_band": ks_verdict(summary["empirical"]["ks_distance"], config.n_samples)[0]}
+    if config.command in ("born-check", "stern-gerlach"):
+        args = (config.setup, config.spin_up, config.spin_down, config.packet)
+        stats, _ = run_sg(*args, config.n_samples, config.seed, config.numerics)
+        checks = {"born_within_3sigma": stats.born_within_3sigma, "null_fraction_le_1pct": stats.null_fraction_le_1pct}
+        if config.command == "stern-gerlach":
+            checks["calibrated_mean_within_3se"] = stats.calibrated_within_3se
+            overlap = branch_overlap(build_timeline(*args, config.numerics).fields[-1])
+            checks["branch_overlap_le_1e-4"] = branches_separated(overlap)
+        return checks
+    if config.command == "contextuality":
+        q_grid = np.linspace(-config.q_span, config.q_span, config.q_points)
+        report = contextuality_demo(
+            config.setup, config.spin_up, config.spin_down, config.packet, q_grid,
+            n=config.n_samples, seed=config.seed, numerics=config.numerics,
+        )
+        return {
+            "pointwise_opposite": report.pointwise_opposite,
+            "born_base_within_3sigma": report.stats_base.born_within_3sigma,
+            "born_reversed_within_3sigma": report.stats_reversed.born_within_3sigma,
+        }
+    if config.command == "pointer-model":
+        empirical, expectation = summary["empirical"], summary["theoretical"]["expectation"]["value"]
+        up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        spec = ExperimentSpec(dim=2, outcomes=(Outcome("up", up, 1.0), Outcome("down", down, -1.0)))
+        return {
+            "marginals_match_born": within_tolerance(empirical["max_marginal_deviation"]),
+            "expectation_identity": within_tolerance(abs(expectation - empirical["expectation_quadratic_form"])),
+            "reproducible": reproducibility_check(StateVec.normalized(config.pointer_state), spec),
+        }
+    certificate = contextual_witness()
+    return {
+        "all_candidates_examined": certificate.all_candidates_examined,
+        "parity_obstruction": certificate.parity_obstruction,
+    }
+
+
+def witness(**changes):
+    return dataclasses.replace(contextual_witness(), **changes)
+
+
+def statistics(nulls: int, n: int) -> OutcomeStatistics:
+    return OutcomeStatistics(
+        n=n, counts={"up": 0, "down": n - nulls, "null": nulls}, frequencies={},
+        born={"up": 0.5, "down": 0.5, "null": 0.0}, calibrated_mean=0.0, expectation_theory=0.0, stderr_mean=1.0,
+    )
+
+
+# The last norms above and below 1 whose drift is at most 1e-10, doubles
+# being 2^-52 apart above 1 and 2^-53 below: no difference of doubles near
+# 1 is 1e-10 itself, so the rule's bound lies between two norms.
+LAST_UNITARY_ABOVE, LAST_UNITARY_BELOW = (
+    1.0 + sign * math.floor(1e-10 / ulp) * ulp for sign, ulp in ((1, 2.0**-52), (-1, 2.0**-53))
+)
+
+
+class TestOwnedVerdicts:
+    """Each entry of checks_passed is the verdict of the library object
+    that owns its claim.  Each rule holds at its bound and fails one ulp
+    past it, on crafted figures; and the summary of a run reports what the
+    owners say of that same run."""
+
+    @pytest.mark.parametrize("verdict, bound, outward", [
+        # |101 - 100| = 1 = 0.01 * 100 exactly, at t = 0 where the law's width is sigma
+        pytest.param(lambda w: PacketSpec(sigma=100.0).free_motion_verdicts(0.0, 0.0, w)[0], 101.0, np.inf, id="width"),
+        pytest.param(lambda c: PacketSpec().free_motion_verdicts(0.0, c, 1.0)[1], 1e-6, np.inf, id="center"),
+        pytest.param(lambda c: PacketSpec().free_motion_verdicts(0.0, c, 1.0)[1], -1e-6, -np.inf, id="center-below"),
+        pytest.param(lambda x: norm_drift([1.0, x])[1], LAST_UNITARY_ABOVE, np.inf, id="norm"),
+        pytest.param(lambda x: norm_drift([x, 1.0])[1], LAST_UNITARY_BELOW, -np.inf, id="norm-below"),
+        pytest.param(lambda ks: ks_verdict(ks, 400)[0], ks_verdict(0.0, 400)[1], np.inf, id="ks-400"),
+        pytest.param(lambda ks: ks_verdict(ks, 10_000)[0], ks_verdict(0.0, 10_000)[1], np.inf, id="ks-10k"),
+        pytest.param(branches_separated, 1e-4, np.inf, id="overlap"),
+        pytest.param(within_tolerance, 1e-12, np.inf, id="atol"),
+    ])
+    def test_a_rule_holds_at_its_bound_and_fails_one_ulp_past(self, verdict, bound, outward):
+        assert bool(verdict(bound)) is True
+        assert bool(verdict(float(np.nextafter(bound, outward)))) is False
+
+    def test_the_ks_band_and_its_stated_error(self):
+        within, band, error = ks_verdict(0.0, 400)
+        assert (within, band, error) == (True, KS_COEFF / math.sqrt(400), KS_COEFF / math.sqrt(400) / 3.0)
+
+    def test_the_null_fraction_rule(self):
+        assert statistics(100, 10_000).null_fraction == 0.01
+        assert statistics(100, 10_000).null_fraction_le_1pct is True
+        # the least fraction past 0.01, as counts give it
+        past = statistics(10**16 + 2, 10**18)
+        assert past.null_fraction == np.nextafter(0.01, 1.0)
+        assert past.null_fraction_le_1pct is False
+
+    def test_the_witness_rules(self):
+        assert witness().all_candidates_examined and witness().parity_obstruction
+        for n in (511, 513):
+            assert witness(n_candidates=n).all_candidates_examined is False
+        for changes in ({"n_consistent": 1}, {"parity_product": 1}):
+            assert witness(**changes).parity_obstruction is False
+
+    @pytest.mark.parametrize("text", [
+        "[run]\ncommand = propagate\n" + FAST_NUMERICS + "[propagate]\nt_total = 1.0\n",
+        "[run]\ncommand = trajectories\nn_samples = 500\nseed = 100\n" + FAST_NUMERICS
+        + "[trajectories]\nt_total = 1.0\n",
+        sg_config("born-check"),
+        sg_config("stern-gerlach"),
+        sg_config("contextuality", extra="[contextuality]\nq_points = 3\nq_span = 1.0\n"),
+        "[run]\ncommand = pointer-model\n[pointer]\nstate = 0.6 0.8\n",
+        "[run]\ncommand = nogo\n",
+    ], ids=lambda text: parse_config(text).command)
+    def test_a_summary_reports_the_owners_verdicts(self, tmp_path, text):
+        code, out = invoke(tmp_path, text)
+        assert code == 0
+        assert read_summary(out)["checks_passed"] == owner_verdicts(parse_config(text), out)
 
 
 class TestDeterminism:

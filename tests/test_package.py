@@ -168,3 +168,40 @@ def test_every_public_function_has_a_user():
 def test_every_public_method_and_property_has_a_user():
     # the rule for functions, applied to what each public class defines
     assert [name for name in unused_public_names() if "." in name] == []
+
+
+def is_number(node: ast.expr) -> bool:
+    """A numeric literal, signed or not: 512, 1e-10, -1."""
+    while isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)
+
+
+def judgements(source: str) -> list[str]:
+    """The comparisons in source's _run_* functions that judge a figure:
+    an ordering, or any other comparison with a numeric literal."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_"):
+            for cmp in (n for n in ast.walk(node) if isinstance(n, ast.Compare)):
+                ordering = any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in cmp.ops)
+                if ordering or any(map(is_number, [cmp.left, *cmp.comparators])):
+                    found.append(f"{node.name}: {ast.unparse(cmp)}")
+    return found
+
+
+def test_judgements_are_found():
+    source = (
+        "def _run_a(x):\n    return {'k': x <= 1e-10, 'm': x.n == 512, 'c': x.c == 'nogo'}\n"
+        "def _run_b(x):\n    return (x.p == -1, x > x.band, x is None, x in (1, 2))\n"
+        "def _helper(x):\n    return x < 1\n"
+    )
+    assert judgements(source) == [
+        "_run_a: x <= 1e-10", "_run_a: x.n == 512", "_run_b: x.p == -1", "_run_b: x > x.band",
+    ]
+
+
+def test_the_cli_drivers_judge_no_claim():
+    # each check in a summary is the verdict of the library object that
+    # owns the claim; a driver only collects it
+    assert judgements((ROOT / "src" / "bohmlab" / "cli.py").read_text()) == []
