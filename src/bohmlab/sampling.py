@@ -28,8 +28,8 @@ __all__ = ["sample", "ks_distance", "ks_verdict", "KS_COEFF"]
 # Acceptance band used across the suite: KS distance at most KS_COEFF/sqrt(n).
 KS_COEFF = 1.63
 KS_BAND_DEF = (
-    f"ks_band: {KS_COEFF} / sqrt(n), the 5% acceptance band for the "
-    "distance between transported samples and the evolved density"
+    f"ks_band: {KS_COEFF} / sqrt(n), the acceptance band of Kolmogorov size 0.98% for "
+    "the distance between transported samples and the evolved density"
 )
 
 NORM_TOLERANCE = 1e-6

@@ -17,6 +17,10 @@ position-level outcome map of the opposite sign.
 
 With the default coupling mu = -1 the spin-up branch deflects toward
 positive z under polarity +1, so the upper detector registers spin-up.
+
+In 1D the trajectories cannot cross, so the flow keeps the order of the
+initial positions and every outcome map is a threshold in q0; the
+no-crossing check tests that order on the kept history, for any setup.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ __all__ = [
 ]
 
 NULL_FRACTION_LIMIT = 0.05
-NO_CROSSING_BAND = 1e-9
 MIRROR_TOL = 1e-12
 
 
@@ -206,11 +209,6 @@ def _check_packet_symmetric(packet: PacketSpec) -> None:
         )
 
 
-def _check_symmetric_field(setup: SGSetup) -> None:
-    if setup.b0 != 0:
-        raise ValueError(f"the mirror-symmetric experiment requires b0 = 0, got {setup.b0}")
-
-
 def _check_equal_weights(a: complex, b: complex) -> None:
     """|a| = |b| to MIRROR_TOL relative to the spinor's norm."""
     if abs(abs(a) - abs(b)) > MIRROR_TOL * math.hypot(abs(a), abs(b)):
@@ -237,8 +235,9 @@ def _initial_positions(q_grid, packet: PacketSpec) -> np.ndarray:
 
 
 def _check_reversal_setup(setup: SGSetup) -> None:
-    """The demo's base experiment: b0 = 0, polarity +1, calibrations (+1, -1), unreversed."""
-    _check_symmetric_field(setup)
+    """The demo's base experiment: polarity +1, calibrations (+1, -1), unreversed.
+    Any finite b0 is taken: a uniform field only adds a relative phase
+    between the spin components, which the velocity cannot see."""
     if setup.reverse_geometry:
         raise ValueError("pass the unreversed setup; the demo drives the reversal itself")
     if (setup.polarity, setup.calibration_up, setup.calibration_down) != (1, 1.0, -1.0):
@@ -402,15 +401,10 @@ def _readout(setup: SGSetup, timeline: WaveTimeline, q0, numerics: SGNumerics, t
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble(EnsemblePaths):
-    """Seeded EnsemblePaths with each trajectory's outcome and calibration, and its experiment."""
+    """EnsemblePaths with each trajectory's detector outcome and calibrated value."""
 
     outcomes: np.ndarray
     lambdas: np.ndarray
-    setup: SGSetup
-    spin_up: complex
-    spin_down: complex
-    packet: PacketSpec
-    seed: int
 
 
 def run_sg(
@@ -433,10 +427,10 @@ def run_sg(
     trajectories end between the detectors, which indicates a
     misconfigured geometry.  Only with keep_history does the ensemble
     carry the position history that no_crossing_check reads.  (a, b) is any
-    spinor _unit_vector takes; the packet and the Born weights (and the
-    ensemble's spin_up, spin_down) each use it scaled to unit norm once.
+    spinor _unit_vector takes; the packet and the Born weights each use it
+    scaled to unit norm once.
     """
-    up, down = _check_entry(threads, a, b, packet)
+    up, _ = _check_entry(threads, a, b, packet)
     _check_int(n, "ensemble size")
     _check_seed(seed)
     if timeline is None:
@@ -444,17 +438,7 @@ def run_sg(
     q0 = sample(timeline.fields[0], n, seed)
     paths, outcomes, lambdas = _readout(setup, timeline, q0, numerics, threads, keep_history)
     stats = _statistics(setup, up, lambdas, outcomes)
-    ensemble = TrajectoryEnsemble(
-        **vars(paths),
-        outcomes=outcomes,
-        lambdas=lambdas,
-        setup=setup,
-        spin_up=up,
-        spin_down=down,
-        packet=packet,
-        seed=int(seed),
-    )
-    return stats, ensemble
+    return stats, TrajectoryEnsemble(**vars(paths), outcomes=outcomes, lambdas=lambdas)
 
 
 def outcome_map(
@@ -519,14 +503,14 @@ def contextuality_demo(
 ) -> ContextualityReport:
     """Run the polarity-reversal pair and compare their outcome maps.
 
-    Requires the mirror-symmetric configuration: b0 = 0, |a| = |b|, even
-    packet.  setup is the base experiment, polarity +1 with calibrations
-    (+1, -1); any other polarity, calibrations or reverse_geometry is
-    refused.  The reversed one uses polarity -1 with calibrations
-    flipped.  Both reproduce the Born statistics of the same operator
-    while their position-level outcome maps are opposite at every
-    non-null initial position.  Each experiment transports its sampled
-    ensemble and the map grid together, in one call.
+    Requires |a| = |b| and the even packet every entry point requires;
+    any finite b0 is taken.  setup is the base experiment, polarity +1
+    with calibrations (+1, -1); any other polarity, calibrations or
+    reverse_geometry is refused.  The reversed one uses polarity -1 with
+    calibrations flipped.  Both reproduce the Born statistics of the same
+    operator while their position-level outcome maps are opposite at
+    every non-null initial position.  Each experiment transports its
+    sampled ensemble and the map grid together, in one call.
     """
     up, down = _check_entry(threads, a, b, packet)
     _check_reversal_setup(setup)
@@ -560,21 +544,22 @@ def contextuality_demo(
 
 
 def no_crossing_check(ensemble: TrajectoryEnsemble) -> bool:
-    """Verify that no trajectory crosses the symmetry plane.
+    """Verify that no two trajectories cross: in 1D, that the flow keeps
+    the order of the initial positions, for any setup, spinor and packet.
 
-    Only defined for mirror-symmetric runs (b0 = 0, even packet centered
-    on the plane, |a| = |b|); refuses otherwise.  Positions within 1e-9
-    of the plane are ignored when extracting signs.
+    With the particles sorted once by q0 (stably), every recorded row of
+    the history must be nondecreasing; particles that tie pass.  Rows are
+    checked one at a time, so no history-sized temporary is made.
+    Refuses an ensemble integrated without position history.
     """
     if ensemble.positions is None:
         raise ValueError("ensemble was integrated without position history")
-    _check_symmetric_field(ensemble.setup)
-    _check_packet_symmetric(ensemble.packet)
-    _check_equal_weights(ensemble.spin_up, ensemble.spin_down)
-    positions = ensemble.positions
-    above = positions.max(axis=0) > NO_CROSSING_BAND
-    below = positions.min(axis=0) < -NO_CROSSING_BAND
-    return not bool(np.any(above & below))
+    order = np.argsort(ensemble.q0, kind="stable")
+    for row in ensemble.positions:
+        ranked = row[order]
+        if not np.all(ranked[1:] >= ranked[:-1]):
+            return False
+    return True
 
 
 def branch_overlap(field: SpinorField) -> float:

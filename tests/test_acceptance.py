@@ -244,14 +244,16 @@ def test_07_no_crossing(sg_timelines):
         SGSetup(), a, b, PacketSpec(), N_PER_RUN, seed=0,
         keep_history=True, timeline=sg_timelines[0.50],
     )
-    ok = no_crossing_check(ensemble)
-    dev = ensemble.positions - 0.0
-    crossers = int(np.sum((dev > 1e-9).any(axis=0) & (dev < -1e-9).any(axis=0)))
+    ordered = no_crossing_check(ensemble)
+    # the plane count shares no code with no_crossing_check's order test
+    positions = ensemble.positions
+    crossers = int(np.sum((positions > 1e-9).any(axis=0) & (positions < -1e-9).any(axis=0)))
     report(
-        7, "no trajectory crosses the symmetry plane", ok,
-        f"{crossers} crossings in {N_PER_RUN} trajectories",
+        7, "no two trajectories cross, and none crosses the symmetry plane", ordered and crossers == 0,
+        f"order kept: {ordered}; {crossers} plane crossings in {N_PER_RUN} trajectories",
     )
-    assert ok
+    assert ordered
+    assert crossers == 0
 
 
 def test_08_outcome_map_reversal():

@@ -27,7 +27,6 @@ from bohmlab import (
     PacketSpec,
     SGNumerics,
     SGSetup,
-    TrajectoryEnsemble,
     WaveTimeline,
     branch_overlap,
     branches_separated,
@@ -39,7 +38,6 @@ from bohmlab import (
     integrate_ensemble,
     ks_verdict,
     make_grid,
-    no_crossing_check,
     norm_drift,
     outcome_map,
     reproducibility_check,
@@ -256,7 +254,7 @@ class TestParseConfig:
         )
 
     def test_splitting_preconditions(self):
-        # the four preconditions shared with the library: TestSharedPreconditions
+        # the preconditions shared with the library: TestSharedPreconditions
         with pytest.raises(ConfigError, match="never splits"):
             parse_config("[run]\ncommand = born-check\n[setup]\nb_grad = 0\n")
 
@@ -320,17 +318,6 @@ SQ2 = 0.70710678118654752
 SMALL_PACKET = gaussian_packet(make_grid(64, -8.0, 8.0), 0.0, 1.0, 0.0)
 
 
-def mirror_ensemble(**changes) -> TrajectoryEnsemble:
-    """A mirror-symmetric two-record ensemble of one particle, then changes."""
-    one = np.ones(1)
-    ensemble = TrajectoryEnsemble(
-        times=np.array([0.0, 1.0]), q0=one, q_final=one, outcomes=np.array(["up"]),
-        lambdas=one, positions=np.ones((2, 1)), setup=SGSetup(), spin_up=SQ2,
-        spin_down=SQ2, packet=PacketSpec(), seed=0,
-    )
-    return dataclasses.replace(ensemble, **changes)
-
-
 class TestSharedPreconditions:
     """parse_config and the library state each Stern-Gerlach precondition
     in one function, so both refuse a violation with one message.  Each
@@ -343,7 +330,6 @@ class TestSharedPreconditions:
             "line 4: [packet] spin_up",
             [
                 lambda: contextuality_demo(SGSetup(), 0.6, 0.8, PacketSpec(), [0.0]),
-                lambda: no_crossing_check(mirror_ensemble(spin_up=0.6, spin_down=0.8)),
             ],
             id="equal-weights",
         ),
@@ -354,18 +340,8 @@ class TestSharedPreconditions:
                 lambda: run_sg(SGSetup(), 1.0, 0.0, PacketSpec(center=1.0), 10, 0),
                 lambda: outcome_map(SGSetup(), 1.0, 0.0, PacketSpec(center=1.0), [1.0]),
                 lambda: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(center=1.0), [1.0]),
-                lambda: no_crossing_check(mirror_ensemble(packet=PacketSpec(center=1.0))),
             ],
             id="centered-packet",
-        ),
-        pytest.param(
-            sg_config("contextuality", extra="[setup]\nb0 = 0.5\n"),
-            "line 17: [setup] b0",
-            [
-                lambda: contextuality_demo(SGSetup(b0=0.5), SQ2, SQ2, PacketSpec(), [0.0]),
-                lambda: no_crossing_check(mirror_ensemble(setup=SGSetup(b0=0.5))),
-            ],
-            id="zero-offset",
         ),
         pytest.param(
             sg_config("contextuality", extra="[contextuality]\nq_span = 5.0\n"),
@@ -632,6 +608,19 @@ class TestCommands:
         rows = (out / "outcome_map.csv").read_text().splitlines()
         assert rows[1] == "index,q0,lambda_base,lambda_reversed"
         assert len(rows) == 2 + 15
+
+    def test_contextuality_takes_any_b0(self, tmp_path):
+        # a uniform field adds only a relative phase between the spin
+        # components, which the velocity cannot see: b0 = 1 reads b0 = 0's map
+        extra = "[contextuality]\nq_points = 15\nq_span = 1.5\n"
+        maps = []
+        for b0 in ("0", "1"):
+            (tmp_path / b0).mkdir()
+            code, out = invoke(tmp_path / b0, sg_config("contextuality", extra=extra + f"[setup]\nb0 = {b0}\n"))
+            assert code == 0
+            assert read_summary(out)["checks_passed"]["pointwise_opposite"] is True
+            maps.append((out / "outcome_map.csv").read_bytes())
+        assert maps[0] == maps[1]
 
     @pytest.mark.parametrize("up, down, verdict", [
         (160, 160, True),  # detected 0.5; over all particles 0.4, off by 1.33 bands

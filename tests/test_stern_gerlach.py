@@ -447,50 +447,89 @@ class TestTransportAgainstClosedForm:
         assert np.array_equal(outcomes, ensemble.outcomes)
 
 
+def swapped(history, rows, pair):
+    """history with the columns of pair exchanged in rows."""
+    out = history.copy()
+    out[rows, pair[0]], out[rows, pair[1]] = history[rows, pair[1]], history[rows, pair[0]]
+    return out
+
+
+# 23 rows of 6 particles in order, three on each side of z = 0 and never
+# across it, and the same ensemble drifting across z = 0 in order
+ROWS = np.random.default_rng(5).uniform(0.5, 3.0, size=(23, 1))
+SIDES = ROWS * np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
+DRIFT = SIDES + np.linspace(-9.0, 9.0, 23)[:, None]
+
+
 class TestNoCrossing:
+    """No-crossing is order preservation: sorted by q0, every row of the
+    history is nondecreasing, for any setup.  The swaps below stay on one
+    side of z = 0, and the drifts go across it in order."""
+
+    @pytest.mark.parametrize("history, expected", [
+        pytest.param(DRIFT, True, id="drift-across-the-plane"),
+        pytest.param(np.insert(DRIFT, 3, DRIFT[:, 2], axis=1), True, id="tied-particles"),
+        *(pytest.param(swapped(SIDES, row, (3, 4)), False, id=f"swap-in-row-{row}") for row in (0, 11, 22)),
+        *(
+            pytest.param(swapped(SIDES, slice(row, None), (i, i + 1)), False, id=f"swap-from-row-{row}-of-{i}")
+            for row in (1, 11, 22) for i in (0, 4)
+        ),
+        pytest.param(
+            swapped(np.tile([-2.0, 0.95, 1.05, 3.0], (23, 1)), slice(8, 12), (1, 2)), False,
+            id="swap-at-q-near-1",
+        ),
+    ])
+    def test_synthetic_histories(self, balanced_run, history, expected):
+        from dataclasses import replace
+
+        _, ensemble = balanced_run
+        paths = replace(ensemble, q0=history[0], q_final=history[-1], positions=history)
+        assert no_crossing_check(paths) is expected
+
     def test_symmetric_ensemble_never_crosses(self, balanced_run):
         _, ensemble = balanced_run
         assert no_crossing_check(ensemble)
+
+    @pytest.mark.parametrize("weight, changes", [
+        *(pytest.param(w, {}, id=str(w)) for w in (0.1, 0.25, 0.9)),
+        pytest.param(0.25, {"b0": 1.0}, id="0.25-b0"),
+        pytest.param(0.25, {"polarity": -1}, id="0.25-polarity"),
+        pytest.param(0.25, {"reverse_geometry": True}, id="0.25-reverse_geometry"),
+    ])
+    def test_every_setup_keeps_the_order(self, weight, changes):
+        a, b = np.sqrt(weight), np.sqrt(1.0 - weight)
+        _, ensemble = run_sg(
+            SGSetup(**changes), a, b, PacketSpec(), n=2000, seed=100, numerics=COARSE, keep_history=True
+        )
+        assert no_crossing_check(ensemble)
+
+    def test_an_outward_push_near_q_1_crosses(self, monkeypatch):
+        # every other particle in 0.9 < |q| < 1.1 is pushed outward by 0.5:
+        # it overtakes its neighbours without coming near z = 0
+        from bohmlab import trajectories
+
+        evaluate = trajectories._Flow.evaluate
+
+        def pushed(self, p, work, reuse):
+            band = (np.abs(p) > 0.9) & (np.abs(p) < 1.1)
+            band[1::2] = False
+            return evaluate(self, p, work, reuse) + np.where(band, 0.5 * np.sign(p), 0.0)
+
+        monkeypatch.setattr(trajectories._Flow, "evaluate", pushed)
+        _, ensemble = run_sg(
+            SGSetup(), SQ2, SQ2, PacketSpec(), n=2000, seed=100, numerics=COARSE, keep_history=True
+        )
+        positions = ensemble.positions
+        assert not np.any((positions > 1e-9).any(axis=0) & (positions < -1e-9).any(axis=0))
+        assert not no_crossing_check(ensemble)
 
     def test_refusals(self, balanced_run):
         _, ensemble = balanced_run
         from dataclasses import replace
 
-        # b0, |a| = |b| and the packet: TestSharedPreconditions in test_cli.py
         no_hist = replace(ensemble, positions=None)
         with pytest.raises(ValueError, match="without position history"):
             no_crossing_check(no_hist)
-
-
-    def test_blocked_scan_equals_full_comparison(self, balanced_run):
-        from dataclasses import replace
-
-        from bohmlab import stern_gerlach
-
-        def unblocked(positions):
-            above = (positions > stern_gerlach.NO_CROSSING_BAND).any(axis=0)
-            below = (positions < -stern_gerlach.NO_CROSSING_BAND).any(axis=0)
-            return not bool(np.any(above & below))
-
-        _, ensemble = balanced_run
-        sides = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-        base = sides * np.random.default_rng(5).uniform(0.5, 3.0, size=(23, 6))
-        inside = base.copy()  # particle 4 wanders within the band around z = 0
-        inside[:, 4] = np.linspace(-1e-9, 1e-9, 23)
-        inside[5, 0], inside[7, 1] = -1e-9, 1e-9  # on the band edge, not across it
-        cases = [(base, True), (inside, True)]
-        for row in range(23):  # row 22 is the last
-            excursion = base.copy()  # particle 2 is across in this row only
-            excursion[row, 2] = -excursion[row, 2]
-            cases.append((excursion, False))
-        for row in range(1, 23):  # a switch from row 0 keeps one side
-            for particle in (2, 3):  # across from this row on, from either side
-                switch = base.copy()
-                switch[row:, particle] = -switch[row:, particle]
-                cases.append((switch, False))
-        for history, expected in cases:
-            assert unblocked(history) is expected
-            assert no_crossing_check(replace(ensemble, positions=history)) is expected
 
 
 class TestContextualityDemo:
@@ -543,7 +582,7 @@ class TestContextualityDemo:
             assert np.isfinite(stats.stderr_mean)  # so == compares every field
 
     def test_preconditions(self, no_evolution):
-        # b0, |a| = |b|, the packet and the support: TestSharedPreconditions
+        # |a| = |b|, the packet and the support: TestSharedPreconditions
         # in test_cli.py
         with pytest.raises(ValueError, match="threads must be an int"):
             contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(), [0.0], numerics=COARSE, threads=2.9)
