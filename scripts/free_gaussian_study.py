@@ -9,6 +9,7 @@ exactly is refused (exit 2).
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def main() -> None:
         print(f"{t:7.3f} {width:10.6f} {theory:10.6f} {abs(width - theory) / theory:10.2e}")
 
     starts = args.sigma * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    paths = integrate_ensemble(timeline, starts, dt_traj=timeline.spacing / numerics.substeps)
+    paths = integrate_ensemble(timeline, starts, dt_traj=replace(numerics, record_every=record).dt_traj)
     stretch = packet.free_center_width(float(timeline.times[-1]))[1] / packet.sigma
     print()
     print(f"trajectory fan at t = {timeline.times[-1]:.3f} (profile stretch {stretch:.4f}):")

@@ -13,9 +13,9 @@ section is parsed and checked; _DRIVERS names the ones each command
 reads, and summary.json's params echoes exactly those.  Each check in a
 summary is the verdict of the library object that owns its claim.
 
-The default packet spin is spin_up = 1, spin_down = 0: a pure spin-up
-packet.  With it born-check and stern-gerlach run a p = 1 experiment,
-and contextuality, which needs |spin_up| = |spin_down|, rejects the
+The default packet spin is spin_up = 1, spin_down = 0: with it born-check
+and stern-gerlach run a p = 1 experiment, and contextuality, which needs
+|spin_up| = |spin_down| and a packet at center 0 with k 0, rejects the
 config (exit 2).  Set both to 0.70710678118654752 for equal weights.
 """
 
@@ -281,8 +281,8 @@ def parse_config(text: str) -> RunConfig:
     The [grid], [packet], [setup] and [numerics] values are checked by
     constructing SGNumerics, PacketSpec and SGSetup from them, plus the
     library checks the command will meet: the grid, the packet fitting
-    it, the packet's spin, the splitting preconditions, the magnet's kick
-    inside the grid's band and coupling, and the tiling of each window.
+    it, the packet's spin, the magnet's kick inside the grid's band and
+    coupling, the tiling of each window and contextuality's preconditions.
     """
     sections, section_lines, errors = _tokenize(text)
 
@@ -389,7 +389,7 @@ def parse_config(text: str) -> RunConfig:
     def check_packet(packet: PacketSpec) -> None:
         if grid is not None:
             check_packet_fits(grid, packet.center, packet.sigma, packet.k)
-        if splitting:
+        if command == "contextuality":
             _check_packet_symmetric(packet)
 
     def check_setup(setup: SGSetup) -> None:

@@ -192,13 +192,11 @@ class SGNumerics:
 
 
 # Preconditions of the entry points, each stated once: parse_config calls the same
-# functions, and each entry point first calls _check_entry (threads, spinor, packet),
-# whose unit spinor the Born weights read; gaussian_packet scales the caller's pair.
-def _check_entry(threads: int, a: complex, b: complex, packet: PacketSpec) -> tuple[complex, complex]:
+# functions, and each entry point first calls _check_entry (threads, spinor), whose
+# unit spinor the Born weights read; gaussian_packet scales the caller's pair.
+def _check_entry(threads: int, a: complex, b: complex) -> tuple[complex, complex]:
     _check_int(threads, "threads")
-    unit = _unit_vector((a, b))
-    _check_packet_symmetric(packet)
-    return unit
+    return _unit_vector((a, b))
 
 
 def _check_packet_symmetric(packet: PacketSpec) -> None:
@@ -430,7 +428,7 @@ def run_sg(
     spinor _unit_vector takes; the packet and the Born weights each use it
     scaled to unit norm once.
     """
-    up, _ = _check_entry(threads, a, b, packet)
+    up, _ = _check_entry(threads, a, b)
     _check_int(n, "ensemble size")
     _check_seed(seed)
     if timeline is None:
@@ -455,7 +453,7 @@ def outcome_map(
     Returns lambda values with NaN marking null outcomes.  The initial
     positions must lie within the packet support (|q - center| < 5 sigma).
     """
-    _check_entry(threads, a, b, packet)
+    _check_entry(threads, a, b)
     q = _initial_positions(q_grid, packet)
     timeline = build_timeline(setup, a, b, packet, numerics)
     return _readout(setup, timeline, q, numerics, threads)[2]
@@ -503,18 +501,19 @@ def contextuality_demo(
 ) -> ContextualityReport:
     """Run the polarity-reversal pair and compare their outcome maps.
 
-    Requires |a| = |b| and the even packet every entry point requires;
-    any finite b0 is taken.  setup is the base experiment, polarity +1
-    with calibrations (+1, -1); any other polarity, calibrations or
-    reverse_geometry is refused.  The reversed one uses polarity -1 with
-    calibrations flipped.  Both reproduce the Born statistics of the same
-    operator while their position-level outcome maps are opposite at
-    every non-null initial position.  Each experiment transports its
-    sampled ensemble and the map grid together, in one call.
+    Requires |a| = |b| and a packet centered at 0 with k = 0, so that the
+    two maps mirror each other; any finite b0 is taken.  setup is the
+    base experiment, polarity +1 with calibrations (+1, -1); any other
+    polarity, calibrations or reverse_geometry is refused.  The reversed
+    one uses polarity -1 with calibrations flipped.  Both reproduce the
+    Born statistics of the same operator while their position-level
+    outcome maps are opposite at every non-null initial position.  Each
+    experiment transports its sampled ensemble and the map grid together.
     """
-    up, down = _check_entry(threads, a, b, packet)
+    up, down = _check_entry(threads, a, b)
     _check_reversal_setup(setup)
     _check_equal_weights(up, down)
+    _check_packet_symmetric(packet)
     q = _initial_positions(q_grid, packet)
     _check_int(n, "ensemble size")
     _check_seed(seed)

@@ -104,13 +104,15 @@ def run_block(**keys) -> str:
 
 def invoke(tmp_path, text, *flags, **run_keys):
     """main on text plus these [run] keys, and out = tmp_path / "out" unless
-    text sets out; returns the exit code and that directory."""
-    out = tmp_path / "out"
-    if not re.search(r"(?m)^out *=", text):
-        run_keys.setdefault("out", out)
+    either sets out; returns the exit code and the directory out names, or
+    None if it names none."""
+    named = re.search(r"(?m)^out *= *(\S*)", text)
+    if named is None:
+        run_keys.setdefault("out", tmp_path / "out")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text + run_block(**run_keys))
-    return main(["--config", str(cfg), *flags]), out
+    out = run_keys.get("out") or named.group(1)
+    return main(["--config", str(cfg), *flags]), Path(out) if out else None
 
 
 def read_summary(out):
@@ -334,13 +336,9 @@ class TestSharedPreconditions:
             id="equal-weights",
         ),
         pytest.param(
-            "[run]\ncommand = born-check\n[packet]\ncenter = 1.0\n",
-            "line 4: [packet] center",
-            [
-                lambda: run_sg(SGSetup(), 1.0, 0.0, PacketSpec(center=1.0), 10, 0),
-                lambda: outcome_map(SGSetup(), 1.0, 0.0, PacketSpec(center=1.0), [1.0]),
-                lambda: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(center=1.0), [1.0]),
-            ],
+            sg_config("contextuality", extra="[packet]\ncenter = 1.0\n"),
+            "line 17: [packet] center",
+            [lambda: contextuality_demo(SGSetup(), SQ2, SQ2, PacketSpec(center=1.0), [1.0])],
             id="centered-packet",
         ),
         pytest.param(
@@ -458,12 +456,25 @@ class TestSharedPreconditions:
         (message,) = err.value.errors
         assert message.startswith(where + ": ")
         code, out = invoke(tmp_path, config)
-        assert code == 2 and not out.exists()
+        assert code == 2 and not (out and out.exists())
         assert json.loads(capsys.readouterr().err)["messages"] == [message]
         for call in library:
             with pytest.raises(ValueError) as refused:
                 call()
             assert str(refused.value) == message[len(where) + 2:]
+
+    def test_only_the_mirror_demo_needs_an_even_packet(self, tmp_path, capsys):
+        # the splitting commands take an off-centre, moving packet and judge
+        # every claim on it; run_sg and outcome_map on it: test_stern_gerlach.py
+        moving = "[packet]\ncenter = 0.3\nk = 0.4\n"
+        for command in ("born-check", "stern-gerlach"):
+            code, out = invoke(tmp_path, sg_config(command, extra=moving), out=tmp_path / command)
+            assert code == 0, command
+            checks = read_summary(out)["checks_passed"]
+            assert all(verdict is True for verdict in checks.values()), (command, checks)
+        code, out = invoke(tmp_path, sg_config("contextuality", extra=moving), out=tmp_path / "contextuality")
+        assert code == 2 and not out.exists()
+        assert json.loads(capsys.readouterr().err)["messages"][0].startswith("line 17: [packet] center: ")
 
     def test_flag_and_library_refuse_alike(self, tmp_path, capsys):
         code, out = invoke(tmp_path, "[run]\ncommand = nogo\n", "--threads", "0")
@@ -615,8 +626,8 @@ class TestCommands:
         extra = "[contextuality]\nq_points = 15\nq_span = 1.5\n"
         maps = []
         for b0 in ("0", "1"):
-            (tmp_path / b0).mkdir()
-            code, out = invoke(tmp_path / b0, sg_config("contextuality", extra=extra + f"[setup]\nb0 = {b0}\n"))
+            config = sg_config("contextuality", extra=extra + f"[setup]\nb0 = {b0}\n")
+            code, out = invoke(tmp_path, config, out=tmp_path / b0)
             assert code == 0
             assert read_summary(out)["checks_passed"]["pointwise_opposite"] is True
             maps.append((out / "outcome_map.csv").read_bytes())

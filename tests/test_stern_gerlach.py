@@ -301,6 +301,13 @@ class TestRunStatistics:
             run_sg(
                 SGSetup(z_det=25.0), SQ2, SQ2, PacketSpec(), n=200, seed=3, numerics=COARSE
             )
+        # a fast packet carries a branch onto the null band: at k = 1 its
+        # nulls (171 in 4000) fail the 1 % verdict, and at k = 2 (31.7 %)
+        # the 5 % null limit stops the run
+        stats, _ = run_sg(SGSetup(), SQ2, SQ2, PacketSpec(k=1.0), n=4000, seed=0, numerics=COARSE)
+        assert stats.null_fraction_le_1pct is False
+        with pytest.raises(RuntimeError, match="null-outcome fraction"):
+            run_sg(SGSetup(), SQ2, SQ2, PacketSpec(k=2.0), n=4000, seed=0, numerics=COARSE)
 
 
 class TestOutcomeMap:
@@ -312,12 +319,15 @@ class TestOutcomeMap:
         assert np.all(lam[detected & (qs < 0)] == -1.0)
         assert np.sum(~detected) <= 1
 
-    @pytest.mark.parametrize("weight_up", [0.25, 0.5, 0.9])
-    def test_detector_is_set_by_the_start_quantile(self, weight_up):
+    @pytest.mark.parametrize("weight_up, packet", [
+        *(pytest.param(w, PacketSpec(), id=str(w)) for w in (0.25, 0.5, 0.9)),
+        pytest.param(0.25, PacketSpec(center=0.3, k=0.4), id="0.25-center-0.3-k-0.4"),
+    ])
+    def test_detector_is_set_by_the_start_quantile(self, weight_up, packet):
         # Order is preserved, so a start q0 reaches the upper detector iff
         # F_0(q0) > F_T(z_det) and the lower iff F_0(q0) < F_T(-z_det), with
         # F_t the closed-form wave's distribution: no trajectory is needed
-        setup, packet, numerics = SGSetup(), PacketSpec(), SGNumerics()
+        setup, numerics = SGSetup(), SGNumerics()
         a, b = np.sqrt(weight_up), np.sqrt(1.0 - weight_up)
         qs = np.linspace(-2.5, 2.5, 401)
         grid = numerics.grid()
@@ -357,16 +367,20 @@ class TestBornFromTheSeparatrix:
     band-limited law for the sampler and the KS reference.
     """
 
-    @pytest.mark.parametrize("weight, changes", [
-        *(pytest.param(w, {}, id=str(w)) for w in (0.1, 0.25, 0.5, 0.75, 0.9)),
-        pytest.param(0.25, {"b0": 1.0}, id="0.25-b0"),
-        pytest.param(0.25, {"polarity": -1}, id="0.25-polarity"),
-        pytest.param(0.25, {"reverse_geometry": True}, id="0.25-reverse_geometry"),
+    @pytest.mark.parametrize("weight, changes, packet", [
+        *(pytest.param(w, {}, PacketSpec(), id=str(w)) for w in (0.1, 0.25, 0.5, 0.75, 0.9)),
+        pytest.param(0.25, {"b0": 1.0}, PacketSpec(), id="0.25-b0"),
+        pytest.param(0.25, {"polarity": -1}, PacketSpec(), id="0.25-polarity"),
+        pytest.param(0.25, {"reverse_geometry": True}, PacketSpec(), id="0.25-reverse_geometry"),
+        pytest.param(0.25, {}, PacketSpec(center=0.3), id="0.25-center-0.3"),
+        pytest.param(0.25, {}, PacketSpec(center=-0.5), id="0.25-center--0.5"),
+        pytest.param(0.25, {}, PacketSpec(k=0.4), id="0.25-k-0.4"),
+        pytest.param(0.9, {}, PacketSpec(center=0.3, k=0.4), id="0.9-center-0.3-k-0.4"),
     ])
-    def test_the_upper_share_is_the_born_weight(self, weight, changes):
+    def test_the_upper_share_is_the_born_weight(self, weight, changes, packet):
         setup, numerics = SGSetup(**changes), SGNumerics()
         a, b = np.sqrt(weight), np.sqrt(1.0 - weight)
-        timeline = build_timeline(setup, a, b, PacketSpec(), numerics)
+        timeline = build_timeline(setup, a, b, packet, numerics)
         lo, hi = -5.0, 5.0
         for _ in range(3):
             starts = np.linspace(lo, hi, 2001)
@@ -436,15 +450,17 @@ class TestTransportAgainstClosedForm:
     def test_default_numerics_within_a_tenth_of_the_linear_blend_error(self):
         # the earlier linear time blend at record_every 8, substeps 4 was
         # off by 5.2e-3 on these particles (5.6e-3 on 10k); the Hermite
-        # blend at the defaults by 4.6e-5
-        setup, packet = SGSetup(), PacketSpec()
-        _, ensemble = run_sg(setup, SQ2, SQ2, packet, 500, seed=0)
-        truth = sg_trajectories(setup, packet, SQ2, SQ2, ensemble.q0, 384)
-        finer = sg_trajectories(setup, packet, SQ2, SQ2, ensemble.q0, 768)
-        assert np.max(np.abs(finer - truth)) <= 1e-6  # the truth has converged
-        assert np.max(np.abs(ensemble.q_final - truth)) <= 5.6e-4
-        outcomes, _ = _assign_outcomes(truth, setup)
-        assert np.array_equal(outcomes, ensemble.outcomes)
+        # blend at the defaults by 4.6e-5, and on the moving packets by
+        # 9.7e-5 (center 0.3, k 0.4) and 1.5e-4 (k -0.4)
+        setup = SGSetup()
+        for packet in (PacketSpec(), PacketSpec(center=0.3, k=0.4), PacketSpec(k=-0.4)):
+            _, ensemble = run_sg(setup, SQ2, SQ2, packet, 500, seed=0)
+            truth = sg_trajectories(setup, packet, SQ2, SQ2, ensemble.q0, 384)
+            finer = sg_trajectories(setup, packet, SQ2, SQ2, ensemble.q0, 768)
+            assert np.max(np.abs(finer - truth)) <= 1e-6  # the truth has converged
+            assert np.max(np.abs(ensemble.q_final - truth)) <= 5.6e-4
+            outcomes, _ = _assign_outcomes(truth, setup)
+            assert np.array_equal(outcomes, ensemble.outcomes)
 
 
 def swapped(history, rows, pair):
@@ -490,16 +506,17 @@ class TestNoCrossing:
         _, ensemble = balanced_run
         assert no_crossing_check(ensemble)
 
-    @pytest.mark.parametrize("weight, changes", [
-        *(pytest.param(w, {}, id=str(w)) for w in (0.1, 0.25, 0.9)),
-        pytest.param(0.25, {"b0": 1.0}, id="0.25-b0"),
-        pytest.param(0.25, {"polarity": -1}, id="0.25-polarity"),
-        pytest.param(0.25, {"reverse_geometry": True}, id="0.25-reverse_geometry"),
+    @pytest.mark.parametrize("weight, changes, packet", [
+        *(pytest.param(w, {}, PacketSpec(), id=str(w)) for w in (0.1, 0.25, 0.9)),
+        pytest.param(0.25, {"b0": 1.0}, PacketSpec(), id="0.25-b0"),
+        pytest.param(0.25, {"polarity": -1}, PacketSpec(), id="0.25-polarity"),
+        pytest.param(0.25, {"reverse_geometry": True}, PacketSpec(), id="0.25-reverse_geometry"),
+        pytest.param(0.25, {}, PacketSpec(center=0.3, k=0.4), id="0.25-center-0.3-k-0.4"),
     ])
-    def test_every_setup_keeps_the_order(self, weight, changes):
+    def test_every_setup_keeps_the_order(self, weight, changes, packet):
         a, b = np.sqrt(weight), np.sqrt(1.0 - weight)
         _, ensemble = run_sg(
-            SGSetup(**changes), a, b, PacketSpec(), n=2000, seed=100, numerics=COARSE, keep_history=True
+            SGSetup(**changes), a, b, packet, n=2000, seed=100, numerics=COARSE, keep_history=True
         )
         assert no_crossing_check(ensemble)
 

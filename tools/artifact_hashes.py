@@ -11,7 +11,8 @@ line per artifact:
   and 2: each output file and the exit code (contextuality with equal
   spins; the ensembles of 5000 are large enough to split in two); and so
   born-check at spins (1, 1), which must be scaled to unit norm exactly
-  once, and stern-gerlach at (0.6, 0.8);
+  once, stern-gerlach at (0.6, 0.8), and born-check on an off-centre,
+  moving packet (center 0.3, k 0.4), which the splitting commands take;
 - build_timeline at the bench numerics, with the default drift and with
   t_drift = 0: its times, boundary masses, generator run lengths and
   every record's components;
@@ -52,19 +53,20 @@ record_every = 16
 substeps = 4
 """
 EQUAL_SPINS = "[packet]\nspin_up = 0.70710678118654752\nspin_down = 0.70710678118654752\n"
-# name -> (command, packet spins).  A second scaling of (1, 1)'s unit pair
-# moves it by an ulp, and the artifacts with it.
-SPIN_RUNS = {
+# name -> (command, [packet] section).  A second scaling of (1, 1)'s unit
+# pair moves it by an ulp, and the artifacts with it.
+PACKET_RUNS = {
     "born-check-spin-1-1": ("born-check", "[packet]\nspin_up = 1\nspin_down = 1\n"),
     "stern-gerlach-spin-0.6-0.8": ("stern-gerlach", "[packet]\nspin_up = 0.6\nspin_down = 0.8\n"),
+    "born-check-center-0.3-k-0.4": ("born-check", EQUAL_SPINS + "center = 0.3\nk = 0.4\n"),
 }
 
 
-def config_text(command: str, out: Path, spins: str | None = None) -> str:
+def config_text(command: str, out: Path, packet: str | None = None) -> str:
     samples = "n_samples = 5000\n" if command in ("trajectories", "born-check", "stern-gerlach") else ""
-    if spins is None:
-        spins = EQUAL_SPINS if command in ("born-check", "stern-gerlach", "contextuality") else ""
-    return f"[run]\ncommand = {command}\nout = {out}\n{samples}{SMALL}{spins}"
+    if packet is None:
+        packet = EQUAL_SPINS if command in ("born-check", "stern-gerlach", "contextuality") else ""
+    return f"[run]\ncommand = {command}\nout = {out}\n{samples}{SMALL}{packet}"
 
 
 def sha(data: bytes) -> str:
@@ -79,11 +81,11 @@ def array_sha(a) -> str:
 def cli_hashes(workdir: Path):
     from bohmlab.cli import main
 
-    runs = {**{command: (command, None) for command in COMMANDS}, **SPIN_RUNS}
-    for name, (command, spins) in runs.items():
+    runs = {**{command: (command, None) for command in COMMANDS}, **PACKET_RUNS}
+    for name, (command, packet) in runs.items():
         for threads in (1, 2):
             cfg, out = workdir / f"{name}-t{threads}.cfg", workdir / f"{name}-t{threads}"
-            cfg.write_text(config_text(command, out, spins))
+            cfg.write_text(config_text(command, out, packet))
             code = main(["--config", str(cfg), "--threads", str(threads)])
             yield f"cli/{name}/t{threads}/exit", sha(str(code).encode())
             for path in sorted(out.glob("*")) if out.exists() else ():
